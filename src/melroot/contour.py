@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import DomainError, NonConvergenceError, PoleError, UnsupportedOrderError
+from .errors import NonConvergenceError, PoleError, UnsupportedOrderError
 from .expsum import ExpSumTable, inv_approx, inv_approx_truncated
-from .mellin import MellinIntegrand, deriv_times_power, power_transform
+from .mellin import MellinIntegrand
 from .numerics import csgn, csgn_smooth
 from .quadrature import QuadratureConfig, integrate_periodic
 
@@ -170,15 +170,66 @@ def integrand_stage2(
     )
 
 
-def _sign_factor(ff: FactoredFunction, s: complex, cfg: PipelineConfig) -> complex:
+def _sign_factor(ff: FactoredFunction, s: complex, cfg: PipelineConfig, f_mellin: complex) -> complex:
+    """csgn(f(s)) from the reference, or its smooth surrogate applied to
+    ``f_mellin`` = K(s) Z(s) from the convolution route."""
     if cfg.csgn_mode == "reference":
         if ff.f_reference is None:
             raise ValueError("csgn_mode 'reference' needs f_reference; use 'smooth' otherwise")
         return complex(csgn(ff.f_reference(s)))
-    from .mellin import transform  # local import keeps module deps one-way
+    return csgn_smooth(f_mellin, cfg.eps)
 
-    f_val = ff.K(s) * transform(ff.zf, s, cfg.quad).value
-    return csgn_smooth(f_val, cfg.eps)
+
+def _kernels(ff: FactoredFunction, c: CircularContour, phis, cfg: PipelineConfig, mellin) -> list[complex]:
+    """The expanded counting integrand at each angle of ``phis`` from the
+    Mellin quantities ``(powers, derivs)`` of
+    :func:`~melroot.logspace.convolution_powers` at those angles' nodes.
+
+    The double sum over exponential terms j and series orders k collapses
+    over j because the csgn factor does not depend on j.
+    """
+    weights = [
+        sum(a * cj**k for a, cj in zip(cfg.table.alpha, cfg.table.c))
+        for k in range(cfg.series_order + 1)
+    ]
+    powers, derivs = mellin
+    values = []
+    for i, phi in enumerate(phis):
+        s = c.point(phi)
+        Ks = ff.K(s)
+        Kp = ff.Kprime(s)
+        sgn = _sign_factor(ff, s, cfg, Ks * powers[0, i])
+        total = 0j
+        for k, weight in enumerate(weights):
+            body = Kp * Ks**k * powers[k, i] + Ks ** (k + 1) * derivs[k, i]
+            total += sgn ** (k + 1) * ((-1) ** k / math.factorial(k)) * weight * body
+        values.append(complex(total * c.velocity(phi) / _TWO_PI_I))
+    return values
+
+
+def _reduced_kernels(ff: FactoredFunction, c: CircularContour, phis, cfg: PipelineConfig, reduce: Callable):
+    """``reduce`` of the kernel values at ``phis``, all of them from one set
+    of Mellin densities built for the whole contour.
+
+    A :class:`NonConvergenceError` of the densities is re-raised with
+    ``reduce`` of the kernel values from the finest grid reached as its best
+    estimate.
+    """
+    # Imported here: only this route needs it, so `import melroot` does not
+    # pay for loading it.
+    from .logspace import convolution_powers
+
+    nodes = [c.point(phi) for phi in phis]
+    re_range = (c.center.real - c.radius, c.center.real + c.radius)
+    try:
+        mellin = convolution_powers(ff.zf, nodes, re_range, cfg.quad)
+    except NonConvergenceError as exc:
+        raise NonConvergenceError(
+            f"Mellin densities did not converge on the contour: {exc}",
+            best_estimate=reduce(_kernels(ff, c, phis, cfg, exc.best_estimate)),
+            error_estimate=exc.error_estimate,
+        ) from exc
+    return reduce(_kernels(ff, c, phis, cfg, mellin))
 
 
 def kernel_mellin(ff: FactoredFunction, c: CircularContour, phi: float, cfg: PipelineConfig) -> complex:
@@ -187,29 +238,10 @@ def kernel_mellin(ff: FactoredFunction, c: CircularContour, phi: float, cfg: Pip
     Every Z-quantity is computed from z(t) through the convolution
     representations (never from the reference oracle); the reference enters
     only through the sign factor, matching the construction of the
-    expansion. The double sum over exponential terms j and series orders k
-    collapses over j because the csgn factor does not depend on j.
+    expansion. The Mellin grid is cut for the whole contour, as in
+    :func:`count_pipeline`, and refined until this node's values settle.
     """
-    s = c.point(phi)
-    sgn = _sign_factor(ff, s, cfg)
-    Ks = ff.K(s)
-    Kp = ff.Kprime(s)
-    total = 0j
-    for k in range(cfg.series_order + 1):
-        try:
-            z_pow = power_transform(ff.zf, k + 1, s, cfg.quad).value
-            zp_zk = deriv_times_power(ff.zf, k, s, cfg.quad).value
-        except NonConvergenceError as exc:
-            raise NonConvergenceError(
-                f"Mellin quadrature failed in series term k={k} at phi={phi}: {exc}",
-                best_estimate=exc.best_estimate,
-                error_estimate=exc.error_estimate,
-                dimension=exc.dimension,
-            ) from exc
-        weight = sum(a * cj**k for a, cj in zip(cfg.table.alpha, cfg.table.c))
-        body = Kp * Ks**k * z_pow + Ks ** (k + 1) * zp_zk
-        total += sgn ** (k + 1) * ((-1) ** k / math.factorial(k)) * weight * body
-    return total * c.velocity(phi) / _TWO_PI_I
+    return _reduced_kernels(ff, c, [phi], cfg, lambda values: values[0])
 
 
 def count_direct(ff: FactoredFunction, c: CircularContour) -> CountResult:
@@ -229,17 +261,13 @@ def count_pipeline(ff: FactoredFunction, c: CircularContour, cfg: PipelineConfig
     The result carries the exponential-sum and series-truncation error; the
     integer rounding is only meaningful when the residual is small.
 
-    The whole contour must lie in the convergence strip of ``ff.zf``; that is
-    checked up front so a partially out-of-strip contour fails cleanly
-    instead of after integrating the in-strip arc.
+    The Mellin densities are built once for the contour and evaluated at all
+    its nodes (:func:`~melroot.logspace.convolution_powers`); the kernel values
+    are then summed by the trapezoid rule. A contour that leaves the
+    convergence strip of ``ff.zf`` raises :class:`DomainError` before any
+    density is built.
     """
-    lo, hi = ff.zf.convergence_strip
-    re_min = c.center.real - c.radius
-    re_max = c.center.real + c.radius
-    if not (lo < re_min and re_max < hi):
-        raise DomainError(
-            f"contour spans Re(s) in [{re_min}, {re_max}], outside the "
-            f"convergence strip ({lo}, {hi})"
-        )
-    value = integrate_periodic(lambda phi: kernel_mellin(ff, c, phi, cfg), c.nodes)
+    step = 2.0 * math.pi / c.nodes
+    phis = [step * i for i in range(c.nodes)]
+    value = _reduced_kernels(ff, c, phis, cfg, lambda values: sum(values) * step)
     return CountResult.from_value(value)

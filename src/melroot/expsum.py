@@ -91,7 +91,6 @@ def inv_approx(x: complex, table: ExpSumTable) -> complex:
     x = complex(x)
     sgn = csgn(x)
     folded = x * sgn
-    assert folded.real >= 0.0
     total = 0j
     for a, cj in zip(table.alpha, table.c):
         total += a * sgn * cmath.exp(-cj * folded)
@@ -106,7 +105,6 @@ def inv_approx_truncated(x: complex, table: ExpSumTable, n: int) -> complex:
     x = complex(x)
     sgn = csgn(x)
     folded = x * sgn
-    assert folded.real >= 0.0
     total = 0j
     for a, cj in zip(table.alpha, table.c):
         w = -cj * folded

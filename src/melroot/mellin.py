@@ -3,7 +3,8 @@
 Given z(t) on (0, inf), this module computes Z(s) = int z(t) t**(s-1) dt,
 its derivative Z'(s) (ln(t) weight), and -- via the Mellin convolution
 theorem -- the powers Z(s)**k and the product Z'(s) * Z(s)**k as genuinely
-iterated integrals of z alone, never of Z.
+iterated integrals of z alone, never of Z. These nest adaptive quadratures,
+one s at a time; contours use :mod:`melroot.logspace` instead.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ __all__ = [
 @dataclass(frozen=True)
 class MellinIntegrand:
     """A function z(t) on (0, inf) together with its convergence strip for
-    Re(s). ``z`` should accept numpy arrays for best performance."""
+    Re(s). ``z`` must accept numpy arrays for contour counts
+    (:mod:`melroot.logspace`); the functions here also take a scalar-only
+    ``z``."""
 
     z: Callable
     convergence_strip: tuple[float, float] = field(default=(0.0, math.inf))

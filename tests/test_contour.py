@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -132,6 +133,14 @@ class TestKernel:
         b = m.kernel_mellin(zeta_ff, ref_contour, phi, cfg_smooth)
         assert abs(a - b) < 1e-6
 
+    def test_agrees_with_stage2_at_every_node(self, zeta_ff, coeffs):
+        cfg = m.PipelineConfig(table=coeffs)
+        c = m.CircularContour(0.57 + 1.57j, 0.1, nodes=64)
+        for i in range(c.nodes):
+            phi = 2.0 * math.pi * i / c.nodes
+            kern = m.kernel_mellin(zeta_ff, c, phi, cfg)
+            assert abs(kern - m.integrand_stage2(zeta_ff, c, phi, coeffs, 1)) < 1e-5
+
     def test_strip_violation_rejected(self, zeta_ff, coeffs):
         cfg = m.PipelineConfig(table=coeffs)
         c = m.CircularContour(-1.0 + 0j, 0.2)
@@ -191,6 +200,33 @@ class TestCounting:
         )
         c = m.CircularContour(0.1 + 0j, 0.10001, nodes=8)
         assert not m.count_direct(ff, c).reliable
+
+    def test_pipeline_is_trapezoid_sum_of_kernel(self, zeta_ff, coeffs):
+        cfg = m.PipelineConfig(table=coeffs)
+        c = m.CircularContour(0.57 + 1.57j, 0.1, nodes=64)
+        trapezoid = m.integrate_periodic(lambda phi: m.kernel_mellin(zeta_ff, c, phi, cfg), c.nodes)
+        assert abs(m.count_pipeline(zeta_ff, c, cfg).value - trapezoid) < 1e-15
+
+    def test_pipeline_grid_budget_exhausted(self, zeta_ff, coeffs):
+        cfg = m.PipelineConfig(table=coeffs, quad=m.QuadratureConfig(max_evals=100))
+        c = m.CircularContour(0.57 + 1.57j, 0.1, nodes=8)
+        for call in (lambda: m.count_pipeline(zeta_ff, c, cfg), lambda: m.kernel_mellin(zeta_ff, c, 0.0, cfg)):
+            with pytest.raises(m.NonConvergenceError) as info:
+                call()
+            best = info.value.best_estimate
+            assert math.isfinite(best.real) and math.isfinite(best.imag)
+
+    def test_pipeline_strip_checked_before_any_grid(self, zeta_ff, coeffs):
+        calls = []
+
+        def z(t):
+            calls.append(t)
+            return m.z_integrand(t)
+
+        ff = dataclasses.replace(zeta_ff, zf=dataclasses.replace(zeta_ff.zf, z=z))
+        with pytest.raises(m.DomainError):
+            m.count_pipeline(ff, m.CircularContour(-0.95 + 0j, 0.1), m.PipelineConfig(table=coeffs))
+        assert not calls
 
     def test_pipeline_count_on_root_free_contour(self, zeta_ff, coeffs):
         cfg = m.PipelineConfig(table=coeffs)

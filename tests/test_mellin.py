@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import melroot as m
+from melroot.logspace import convolution_powers
 
 EXP_DECAY = m.MellinIntegrand(z=lambda t: np.exp(-t), convergence_strip=(0.0, math.inf))
 
@@ -118,6 +119,68 @@ class TestDerivTimesPower:
     def test_unsupported_order(self, zeta_zf):
         with pytest.raises(m.UnsupportedOrderError):
             m.deriv_times_power(zeta_zf, 2, 0.5)
+
+
+def _circle(center, radius, nodes):
+    """Nodes of a circle and the span of Re s they lie in."""
+    s = center + radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    return s, (center.real - radius, center.real + radius)
+
+
+class TestConvolutionPowers:
+    def test_exp_decay_gamma_closed_forms(self):
+        # z = e**-t: Z = Gamma(s) and Z' Z = psi(s) Gamma(s)**2
+        import mpmath as mp
+
+        s, re_range = _circle(1.0 + 0.5j, 0.3, 16)
+        powers, derivs = convolution_powers(EXP_DECAY, s, re_range)
+        for i, si in enumerate(s):
+            gamma = complex(mp.gamma(si))
+            zp_z = complex(mp.digamma(si)) * gamma**2
+            assert abs(powers[0, i] - gamma) <= 1e-12 * abs(gamma)
+            assert abs(derivs[1, i] - zp_z) <= 1e-12 * abs(zp_z)
+
+    def test_finite_strip_edge(self):
+        # z = 1/(1+t) on the strip (0, 1): Z = pi / sin(pi s); the grid's
+        # right end comes from the strip's upper edge
+        zf = m.MellinIntegrand(z=lambda t: 1.0 / (1.0 + t), convergence_strip=(0.0, 1.0))
+        s, re_range = _circle(0.5 + 0.5j, 0.2, 16)
+        powers, _ = convolution_powers(zf, s, re_range)
+        for i, si in enumerate(s):
+            z = math.pi / cmath.sin(math.pi * si)
+            assert abs(powers[0, i] - z) <= 1e-12 * abs(z)
+            assert abs(powers[1, i] - z * z) <= 1e-12 * abs(z * z)
+
+    @pytest.mark.parametrize("center,radius,nodes", [(0.57 + 1.57j, 0.1, 64), (1.0 + 0j, 0.1, 16)])
+    def test_matches_adaptive_convolutions(self, zeta_zf, center, radius, nodes):
+        # the reference circle and the pole circle
+        s, re_range = _circle(center, radius, nodes)
+        powers, derivs = convolution_powers(zeta_zf, s, re_range)
+        for i, si in enumerate(s):
+            z2 = m.power_transform(zeta_zf, 2, si).value
+            zp_z = m.deriv_times_power(zeta_zf, 1, si).value
+            assert abs(powers[1, i] - z2) <= 1e-9 * abs(z2)
+            assert abs(derivs[1, i] - zp_z) <= 1e-9 * abs(zp_z)
+
+    def test_scanned_side_trimmed(self, zeta_zf):
+        # the strip (-1, inf) has no upper edge: the grid must end where
+        # t / cosh(t)**2 dies out (near t = e**3.5), not where the scan ends
+        sizes = []
+
+        def z(t):
+            sizes.append(t.size)
+            return m.z_integrand(t)
+
+        zf = m.MellinIntegrand(z=z, convergence_strip=zeta_zf.convergence_strip)
+        s, re_range = _circle(0.57 + 1.57j, 0.1, 64)
+        convolution_powers(zf, s, re_range)
+        assert sum(sizes) < 400
+
+    def test_input_checks(self, zeta_zf):
+        with pytest.raises(m.DomainError):
+            convolution_powers(zeta_zf, [-1.1 + 0j], (-1.2, -0.8))
+        with pytest.raises(ValueError):
+            convolution_powers(zeta_zf, [0.9 + 0j], (0.4, 0.6))
 
 
 def test_integrand_validation():
