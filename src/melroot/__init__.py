@@ -28,11 +28,10 @@ from .mellin import (
     transform,
     transform_derivative,
 )
-from .numerics import csgn, csgn_smooth, digamma, log_gamma, tanh_integral_rep
+from .numerics import csgn, csgn_smooth, digamma, log_gamma
 from .quadrature import (
     QuadratureConfig,
     QuadratureResult,
-    integrate_iterated,
     integrate_periodic,
     integrate_semi_infinite,
 )

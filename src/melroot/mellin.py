@@ -3,13 +3,13 @@
 Given z(t) on (0, inf), this module computes Z(s) = int z(t) t**(s-1) dt,
 its derivative Z'(s) (ln(t) weight), and -- via the Mellin convolution
 theorem -- the powers Z(s)**k and the product Z'(s) * Z(s)**k as genuinely
-iterated integrals of z alone, never of Z. These nest adaptive quadratures,
-one s at a time; contours use :mod:`melroot.logspace` instead.
+iterated integrals of z alone, never of Z. All four are the transform of a
+k-fold Mellin convolution built by nested adaptive quadratures, one s at a
+time; contours use :mod:`melroot.logspace` instead.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -31,9 +31,8 @@ __all__ = [
 @dataclass(frozen=True)
 class MellinIntegrand:
     """A function z(t) on (0, inf) together with its convergence strip for
-    Re(s). ``z`` must accept numpy arrays for contour counts
-    (:mod:`melroot.logspace`); the functions here also take a scalar-only
-    ``z``."""
+    Re(s). ``z`` must accept numpy arrays and return an array of the same
+    shape."""
 
     z: Callable
     convergence_strip: tuple[float, float] = field(default=(0.0, math.inf))
@@ -54,105 +53,76 @@ def _require_in_strip(zf: MellinIntegrand, s: complex) -> complex:
     return s
 
 
+def _integrate(g: Callable, quad: QuadratureConfig, dimension: int) -> QuadratureResult:
+    """:func:`integrate_semi_infinite` with a failure tagged by its nesting
+    level (1 = innermost) unless a deeper level already tagged it."""
+    try:
+        return integrate_semi_infinite(g, quad)
+    except NonConvergenceError as exc:
+        if exc.dimension is None:
+            exc.dimension = dimension
+        raise
+
+
+def _convolution_transform(
+    zf: MellinIntegrand, derivative: bool, k: int, s: complex, quad: QuadratureConfig | None
+) -> QuadratureResult:
+    """Mellin transform at s of c_k = first * z * ... * z (k factors), where
+    first is z, or ln(t) z for ``derivative``, and * is the Mellin convolution
+    (f * z)(t) = int f(u) z(t/u) du/u. By the convolution theorem this is
+    Z(s)**k, or Z'(s) Z(s)**(k-1).
+
+    c_{j+1} is the integral at nesting level j, with the tolerances tightened
+    by 10**(k-j); it depends on neither s nor the outer abscissa, so each
+    level is memoized per abscissa.
+    """
+    s = _require_in_strip(zf, s)
+    quad = quad or QuadratureConfig()
+    z = zf.z
+
+    def level(c: Callable, j: int) -> Callable:
+        q = quad.tightened(10.0 ** (k - j))
+        memo: dict[float, complex] = {}
+
+        def convolved(ts: np.ndarray) -> np.ndarray:
+            out = np.empty(ts.shape, dtype=np.complex128)
+            for i, t in enumerate(ts):
+                if t not in memo:
+                    memo[t] = _integrate(lambda u: c(u) * z(t / u) / u, q, j).value
+                out[i] = memo[t]
+            return out
+
+        return convolved
+
+    c = (lambda t: np.log(t) * z(t)) if derivative else z
+    for j in range(1, k):
+        c = level(c, j)
+    # t**(s-1) in log space: the plain product overflows where t**(Re(s)-1)
+    # alone leaves double range although the weighted value does not.
+    return _integrate(
+        lambda t: np.exp((s - 1.0) * np.log(t) + np.log(np.asarray(c(t), dtype=np.complex128))),
+        quad,
+        k,
+    )
+
+
 def transform(zf: MellinIntegrand, s: complex, quad: QuadratureConfig | None = None) -> QuadratureResult:
     """Z(s) = int_0^inf z(t) t**(s-1) dt."""
-    s = _require_in_strip(zf, s)
-    z = zf.z
-    return integrate_semi_infinite(lambda t: z(t) * t ** (s - 1.0), quad)
+    return _convolution_transform(zf, False, 1, s, quad)
 
 
 def transform_derivative(zf: MellinIntegrand, s: complex, quad: QuadratureConfig | None = None) -> QuadratureResult:
     """Z'(s) = int_0^inf ln(t) z(t) t**(s-1) dt."""
-    s = _require_in_strip(zf, s)
-    z = zf.z
-    return integrate_semi_infinite(lambda t: np.log(t) * z(t) * t ** (s - 1.0), quad)
-
-
-def _annotate(exc: NonConvergenceError, axis: int) -> NonConvergenceError:
-    if exc.dimension is None:
-        exc.dimension = axis
-    return exc
-
-
-def _weighted(value: complex, t: float, s: complex) -> complex:
-    """``value * t**(s-1)`` evaluated in log space.
-
-    The naive product overflows when t**(Re(s)-1) alone exceeds double range
-    even though the combined magnitude is representable (tiny ``value`` at a
-    deep-tail abscissa). Results beyond double range are returned as inf for
-    the quadrature tail guard to discard.
-    """
-    if value == 0:
-        return 0j
-    w = (s - 1.0) * math.log(t) + cmath.log(complex(value))
-    if w.real > 709.0:
-        return complex(math.inf)
-    if w.real < -745.0:
-        return 0j
-    return cmath.exp(w)
+    return _convolution_transform(zf, True, 1, s, quad)
 
 
 def power_transform(zf: MellinIntegrand, k: int, s: complex, quad: QuadratureConfig | None = None) -> QuadratureResult:
-    """Z(s)**k computed from z(t) through the convolution representation.
-
-    k = 1 delegates to :func:`transform`; k = 2 and k = 3 evaluate the 2- and
-    3-fold iterated integrals with the inner tolerances tightened one order
-    per level. Orders above 3 are rejected (each adds a dimension).
-    """
+    """Z(s)**k computed from z(t) through the convolution representation, a
+    k-fold iterated integral. Orders above 3 are rejected (each adds a
+    dimension)."""
     if k < 1 or k > 3:
         raise UnsupportedOrderError(f"power_transform supports k in {{1, 2, 3}}, got {k}")
-    quad = quad or QuadratureConfig()
-    if k == 1:
-        return transform(zf, s, quad)
-    s = _require_in_strip(zf, s)
-    z = zf.z
-
-    if k == 2:
-        inner_q = quad.tightened()
-
-        def outer2(t: float) -> complex:
-            try:
-                inner = integrate_semi_infinite(lambda u1: z(u1) * z(t / u1) / u1, inner_q)
-            except NonConvergenceError as exc:
-                raise _annotate(exc, 1)
-            return _weighted(inner.value, t, s)
-
-        try:
-            return integrate_semi_infinite(outer2, quad)
-        except NonConvergenceError as exc:
-            raise _annotate(exc, 2)
-
-    inner_q = quad.tightened(100.0)
-    mid_q = quad.tightened(10.0)
-    # The innermost convolution depends on u2 only; the DE engine revisits
-    # the same u2 abscissae for every outer t, so memoizing is a large win
-    # without changing the iterated integral being computed.
-    conv_cache: dict[float, complex] = {}
-
-    def conv(u2: float) -> complex:
-        got = conv_cache.get(u2)
-        if got is None:
-            try:
-                got = integrate_semi_infinite(lambda u1: z(u1) * z(u2 / u1) / u1, inner_q).value
-            except NonConvergenceError as exc:
-                raise _annotate(exc, 1)
-            conv_cache[u2] = got
-        return got
-
-    def outer3(t: float) -> complex:
-        def mid(u2: float) -> complex:
-            return conv(u2) * complex(z(t / u2)) / u2
-
-        try:
-            middle = integrate_semi_infinite(mid, mid_q)
-        except NonConvergenceError as exc:
-            raise _annotate(exc, 2)
-        return _weighted(middle.value, t, s)
-
-    try:
-        return integrate_semi_infinite(outer3, quad)
-    except NonConvergenceError as exc:
-        raise _annotate(exc, 3)
+    return _convolution_transform(zf, False, k, s, quad)
 
 
 def deriv_times_power(zf: MellinIntegrand, k: int, s: complex, quad: QuadratureConfig | None = None) -> QuadratureResult:
@@ -161,23 +131,4 @@ def deriv_times_power(zf: MellinIntegrand, k: int, s: complex, quad: QuadratureC
     supported."""
     if k < 0 or k > 1:
         raise UnsupportedOrderError(f"deriv_times_power supports k in {{0, 1}}, got {k}")
-    quad = quad or QuadratureConfig()
-    if k == 0:
-        return transform_derivative(zf, s, quad)
-    s = _require_in_strip(zf, s)
-    z = zf.z
-    inner_q = quad.tightened()
-
-    def outer(t: float) -> complex:
-        try:
-            inner = integrate_semi_infinite(
-                lambda u1: np.log(u1) * z(u1) * z(t / u1) / u1, inner_q
-            )
-        except NonConvergenceError as exc:
-            raise _annotate(exc, 1)
-        return _weighted(inner.value, t, s)
-
-    try:
-        return integrate_semi_infinite(outer, quad)
-    except NonConvergenceError as exc:
-        raise _annotate(exc, 2)
+    return _convolution_transform(zf, True, k + 1, s, quad)

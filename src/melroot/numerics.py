@@ -1,7 +1,6 @@
 """Complex scalar utilities and special functions.
 
-The complex sign function and its smooth tanh surrogate, an integral
-representation of tanh usable inside the convergence strip, and Lanczos
+The complex sign function and its smooth tanh surrogate, and Lanczos
 log-gamma / digamma for the prefactors.
 """
 
@@ -10,15 +9,11 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 from .errors import DomainError, PoleError
-from .quadrature import QuadratureConfig, integrate_unit_interval
 
 __all__ = [
     "csgn",
     "csgn_smooth",
-    "tanh_integral_rep",
     "log_gamma",
     "digamma",
 ]
@@ -51,41 +46,6 @@ def csgn_smooth(x: complex, eps: float) -> complex:
     if abs(w.real) > _TANH_SATURATION:
         return complex(1.0 if w.real > 0.0 else -1.0)
     return cmath.tanh(w)
-
-
-def tanh_integral_rep(x: complex, quad: QuadratureConfig | None = None) -> complex:
-    """Evaluate tanh(x) through its semi-infinite integral representation
-    -(2i/pi) * integral_0^inf (t**(2ix/pi) - 1) / (t**2 - 1) dt.
-
-    Only valid for -pi/2 < Im(x) < 0; arguments outside that strip are
-    rejected. The removable singularity at t = 1 and the tail are handled by
-    folding t -> 1/t onto (0, 1), which pairs the nodes symmetrically about
-    t = 1 and turns the integrand into (t**a - t**-a) / (t**2 - 1).
-    """
-    x = complex(x)
-    if not (-math.pi / 2.0 < x.imag < 0.0):
-        raise DomainError(
-            f"integral representation of tanh converges only for "
-            f"-pi/2 < Im(x) < 0, got Im(x) = {x.imag}"
-        )
-    a = 2j * x / math.pi
-    if quad is None:
-        # The folded integrand behaves like t**(2 Im(x)/pi) at the origin:
-        # integrable everywhere in the strip, but the exponent approaches -1
-        # as Im(x) -> -pi/2, so the last ~0.02 before the edge needs a large
-        # evaluation budget and ultimately fails with NonConvergenceError.
-        quad = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12, max_evals=500_000)
-
-    def folded(t: np.ndarray) -> np.ndarray:
-        ln = np.log(t)
-        den = np.expm1(2.0 * ln)
-        with np.errstate(all="ignore"):
-            out = 2.0 * np.sinh(a * ln) / np.where(den == 0.0, 1.0, den)
-        # t == 1 (ln == 0) is removable with limit a
-        return np.where(den == 0.0, a, out)
-
-    result = integrate_unit_interval(folded, quad)
-    return -2j / math.pi * result.value
 
 
 # Lanczos approximation, g = 7, 9 terms; relative accuracy ~1e-14 on the

@@ -1,14 +1,11 @@
 """Numerical integration engines.
 
-Three entry points:
+Two entry points:
 
 * :func:`integrate_semi_infinite` -- complex-valued integrals over (0, inf),
   evaluated with a double-exponential (exp-sinh) variable transformation.
   Handles algebraic endpoint behavior t**(sigma-1) at 0 and exponentially
-  decaying tails in one scheme.
-* :func:`integrate_iterated` -- 2- and 3-fold iterated semi-infinite
-  integrals, nesting the 1-D engine with the inner tolerance tightened by
-  one order per level.
+  decaying tails in one scheme. Integrands are vectorized over numpy arrays.
 * :func:`integrate_periodic` -- trapezoidal rule over [0, 2*pi) for smooth
   periodic integrands (spectrally convergent).
 
@@ -24,15 +21,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvergenceError, UnsupportedOrderError
+from .errors import NonConvergenceError
 
 __all__ = [
     "QuadratureConfig",
     "QuadratureResult",
     "integrate_semi_infinite",
-    "integrate_iterated",
     "integrate_periodic",
-    "integrate_unit_interval",
 ]
 
 _LAMBDA = math.pi / 2.0
@@ -81,24 +76,45 @@ class QuadratureResult:
 
 
 def _call(g: Callable, ts: np.ndarray) -> np.ndarray:
-    """Evaluate ``g`` on an array, falling back to a scalar loop."""
-    try:
-        out = np.asarray(g(ts), dtype=np.complex128)
-        if out.shape == ts.shape:
-            return out
-    except Exception:
-        pass
-    return np.fromiter(
-        (complex(g(float(t))) for t in ts), dtype=np.complex128, count=len(ts)
-    )
+    """Evaluate ``g`` on the array ``ts``; it must return an array of the
+    same shape."""
+    out = g(ts)
+    if np.shape(out) != ts.shape:
+        raise ValueError(
+            f"integrand returned shape {np.shape(out)} for abscissae of shape "
+            f"{ts.shape}; it must be vectorized over numpy arrays"
+        )
+    return np.asarray(out, dtype=np.complex128)
 
 
-def _de_integrate(sample: Callable[[np.ndarray], np.ndarray], quad: QuadratureConfig) -> QuadratureResult:
-    """Trapezoid-with-level-doubling driver shared by the DE transformations.
+def integrate_semi_infinite(g: Callable, quad: QuadratureConfig | None = None) -> QuadratureResult:
+    """Integrate ``g`` over (0, inf) with the exp-sinh rule, halving the
+    trapezoid step until two levels agree.
 
-    ``sample`` maps an array of trapezoid abscissae u to the fully transformed
-    integrand (Jacobian included, mesh width excluded).
+    ``g`` must map a numpy array of abscissae to an array of the same shape;
+    anything else raises (``ValueError`` for a wrong shape). Any algebraic
+    singularity at 0 must be integrable (no worse than t**(sigma-1) with
+    sigma > 0) and the tail must decay fast enough for the integral to
+    converge absolutely.
+
+    Raises :class:`NonConvergenceError` (carrying the best estimate) if the
+    tolerance is not met within ``quad.max_evals`` evaluations.
     """
+    quad = quad or QuadratureConfig()
+
+    def sample(u: np.ndarray) -> np.ndarray:
+        # transformed integrand: Jacobian included, mesh width excluded
+        t = np.exp(_LAMBDA * np.sinh(u))
+        w = _LAMBDA * np.cosh(u) * t
+        with np.errstate(all="ignore"):
+            vals = _call(g, t) * w
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            # Overflow in the far tails, where the genuine contribution is
+            # below the truncation threshold by construction of _U_CAP.
+            vals = np.where(bad, 0.0, vals)
+        return vals
+
     h = _H0
     n0 = int(_U_CAP / h)
     u = h * np.arange(-n0, n0 + 1)
@@ -137,110 +153,6 @@ def _de_integrate(sample: Callable[[np.ndarray], np.ndarray], quad: QuadratureCo
         best_estimate=total,
         error_estimate=err,
     )
-
-
-def integrate_semi_infinite(g: Callable, quad: QuadratureConfig | None = None) -> QuadratureResult:
-    """Integrate ``g`` over (0, inf).
-
-    ``g`` may be vectorized over numpy arrays (preferred) or scalar-valued.
-    Any algebraic singularity at 0 must be integrable (no worse than
-    t**(sigma-1) with sigma > 0) and the tail must decay fast enough for the
-    integral to converge absolutely.
-
-    Raises :class:`NonConvergenceError` (carrying the best estimate) if the
-    tolerance is not met within ``quad.max_evals`` evaluations.
-    """
-    quad = quad or QuadratureConfig()
-
-    def sample(u: np.ndarray) -> np.ndarray:
-        t = np.exp(_LAMBDA * np.sinh(u))
-        w = _LAMBDA * np.cosh(u) * t
-        with np.errstate(all="ignore"):
-            vals = _call(g, t) * w
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            # Overflow in the far tails, where the genuine contribution is
-            # below the truncation threshold by construction of _U_CAP.
-            vals = np.where(bad, 0.0, vals)
-        return vals
-
-    return _de_integrate(sample, quad)
-
-
-def integrate_unit_interval(g: Callable, quad: QuadratureConfig | None = None) -> QuadratureResult:
-    """Integrate ``g`` over (0, 1) with a tanh-sinh rule.
-
-    Endpoint singularities integrable in the x**(sigma-1) sense are handled
-    by the double-exponential clustering of nodes.
-    """
-    quad = quad or QuadratureConfig()
-
-    def sample(u: np.ndarray) -> np.ndarray:
-        su = _LAMBDA * np.sinh(u)
-        # sigmoid form of (1 + tanh(su))/2: avoids the cancellation that
-        # rounds abscissae near 0 to exactly 0 and loses the x**(sigma-1)
-        # endpoint contribution below ~1e-17
-        e = np.exp(-2.0 * np.abs(su))
-        x = np.where(su < 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
-        with np.errstate(all="ignore"):
-            w = _LAMBDA * np.cosh(u) / (2.0 * np.cosh(su) ** 2)
-            vals = _call(g, x) * w
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            vals = np.where(bad, 0.0, vals)
-        return vals
-
-    return _de_integrate(sample, quad)
-
-
-def integrate_iterated(g: Callable, k: int, quad: QuadratureConfig | None = None) -> QuadratureResult:
-    """k-fold iterated integral of ``g`` over (0, inf)**k, k in {2, 3}.
-
-    ``g`` takes k positive reals; the first argument is integrated innermost,
-    the last outermost. Each nesting level tightens the tolerance by one
-    order of magnitude. Non-convergence of an inner integral propagates with
-    the failing axis attached (1 = innermost).
-    """
-    if k not in (2, 3):
-        raise UnsupportedOrderError(f"iterated integration supports k in {{2, 3}}, got {k}")
-    quad = quad or QuadratureConfig()
-
-    def _inner_value(f: Callable, q: QuadratureConfig, axis: int) -> complex:
-        try:
-            return integrate_semi_infinite(f, q).value
-        except NonConvergenceError as exc:
-            if exc.dimension is None:
-                exc.dimension = axis
-            raise
-
-    if k == 2:
-        inner_q = quad.tightened()
-
-        def outer(t: float) -> complex:
-            return _inner_value(lambda u1: g(u1, t), inner_q, axis=1)
-
-        try:
-            return integrate_semi_infinite(outer, quad)
-        except NonConvergenceError as exc:
-            if exc.dimension is None:
-                exc.dimension = 2
-            raise
-
-    inner_q = quad.tightened(100.0)
-    mid_q = quad.tightened(10.0)
-
-    def outer(t: float) -> complex:
-        def mid(u2: float) -> complex:
-            return _inner_value(lambda u1: g(u1, u2, t), inner_q, axis=1)
-
-        return _inner_value(mid, mid_q, axis=2)
-
-    try:
-        return integrate_semi_infinite(outer, quad)
-    except NonConvergenceError as exc:
-        if exc.dimension is None:
-            exc.dimension = 3
-        raise
 
 
 def integrate_periodic(k: Callable[[float], complex], nodes: int) -> complex:

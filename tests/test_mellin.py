@@ -121,6 +121,29 @@ class TestDerivTimesPower:
             m.deriv_times_power(zeta_zf, 2, 0.5)
 
 
+class TestNestedConvolution:
+    def test_z_called_on_arrays_only(self, zeta_zf):
+        args = []
+
+        def z(t):
+            args.append(type(t))
+            return m.z_integrand(t)
+
+        zf = m.MellinIntegrand(z=z, convergence_strip=zeta_zf.convergence_strip)
+        s = 0.4 - 0.3j
+        for k in (1, 2, 3):
+            m.power_transform(zf, k, s)
+        for k in (0, 1):
+            m.deriv_times_power(zf, k, s)
+        assert args and set(args) == {np.ndarray}
+
+    def test_inner_failure_reports_dimension(self, zeta_zf):
+        # the innermost of the two levels runs out of evaluations first
+        with pytest.raises(m.NonConvergenceError) as exc:
+            m.power_transform(zeta_zf, 2, 0.5, m.QuadratureConfig(max_evals=100))
+        assert exc.value.dimension == 1
+
+
 def _circle(center, radius, nodes):
     """Nodes of a circle and the span of Re s they lie in."""
     s = center + radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)

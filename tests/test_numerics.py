@@ -71,32 +71,6 @@ class TestCsgnSmooth:
             assert errs[0] >= errs[1] >= errs[2]
 
 
-class TestTanhIntegralRep:
-    @pytest.mark.parametrize("x", [0.5 - 0.1j, 1.0 - 0.01j])
-    def test_matches_direct_tanh(self, x):
-        assert abs(m.tanh_integral_rep(x) - cmath.tanh(x)) < 1e-8
-
-    def test_outside_strip_rejected(self):
-        with pytest.raises(m.DomainError):
-            m.tanh_integral_rep(0.3 + 0.1j)
-        with pytest.raises(m.DomainError):
-            m.tanh_integral_rep(1.0)  # boundary Im = 0 excluded
-        with pytest.raises(m.DomainError):
-            m.tanh_integral_rep(0.5 - 2.0j)
-
-    def test_random_points_in_strip(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            x = complex(rng.uniform(-2, 2), rng.uniform(-math.pi / 2 + 0.05, -0.02))
-            assert abs(m.tanh_integral_rep(x) - cmath.tanh(x)) < 1e-9
-
-    def test_strip_edge_fails_honestly(self):
-        # within ~0.02 of Im(x) = -pi/2 the endpoint exponent of the folded
-        # integrand approaches -1 and the quadrature gives up loudly
-        with pytest.raises(m.NonConvergenceError):
-            m.tanh_integral_rep(0.455 - 1.5567j)
-
-
 def _euler_gamma_oracle():
     # harmonic-sum oracle with Euler-Maclaurin tail correction
     n = 2000

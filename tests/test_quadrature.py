@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import melroot as m
-from melroot.quadrature import integrate_unit_interval
 
 
 def test_exponential_decay_unit_integral():
@@ -33,11 +32,14 @@ def test_reports_error_estimate_and_evals():
     assert r.evals >= 100
 
 
-def test_scalar_integrand_fallback():
+def test_scalar_integrand_rejected():
+    # integrands are called once, on whole arrays: no scalar fallback
     import cmath
 
-    r = m.integrate_semi_infinite(lambda t: cmath.exp(-t))
-    assert abs(r.value - 1.0) < 1e-10
+    with pytest.raises(TypeError):
+        m.integrate_semi_infinite(lambda t: cmath.exp(-t))
+    with pytest.raises(ValueError):
+        m.integrate_semi_infinite(lambda t: 1.0)
 
 
 def test_linearity():
@@ -76,62 +78,6 @@ def test_config_validation(kwargs):
         m.QuadratureConfig(**kwargs)
 
 
-class TestIterated:
-    def test_product_of_unit_integrals(self):
-        r = m.integrate_iterated(lambda u, t: np.exp(-u) * np.exp(-t), 2)
-        assert abs(r.value - 1.0) < 1e-7
-
-    def test_product_matches_1d_product(self):
-        quad = m.QuadratureConfig(rel_tol=1e-7)
-        r2 = m.integrate_iterated(lambda u, t: np.exp(-u) * t * np.exp(-t), 2, quad)
-        a = m.integrate_semi_infinite(lambda u: np.exp(-u), quad).value
-        b = m.integrate_semi_infinite(lambda t: t * np.exp(-t), quad).value
-        tol = 5.0 * max(quad.abs_tol, quad.rel_tol * abs(r2.value))
-        assert abs(r2.value - a * b) < tol
-
-    def test_threefold_real(self):
-        # separable integrand whose 3-fold iterated integral is the cube of
-        # a published 10-digit single-integral cross-check value
-        z = lambda t: t / np.cosh(t) ** 2
-        s = 0.4
-
-        def g(u1, u2, t):
-            return (
-                z(u1) * u1 ** (s - 1.0)
-                * z(u2) * u2 ** (s - 1.0)
-                * z(t) * t ** (s - 1.0)
-            )
-
-        quad = m.QuadratureConfig(rel_tol=1e-7, abs_tol=1e-10)
-        r = m.integrate_iterated(g, 3, quad)
-        assert abs(r.value - 0.4875296044) < 1e-6
-
-    def test_threefold_complex(self):
-        z = lambda t: t / np.cosh(t) ** 2
-        s = 0.4 - 0.3j
-
-        def g(u1, u2, t):
-            return (
-                z(u1) * u1 ** (s - 1.0)
-                * z(u2) * u2 ** (s - 1.0)
-                * z(t) * t ** (s - 1.0)
-            )
-
-        quad = m.QuadratureConfig(rel_tol=1e-7, abs_tol=1e-10)
-        r = m.integrate_iterated(g, 3, quad)
-        assert abs(r.value - (0.4103824766 + 0.1549090398j)) < 1e-6
-
-    def test_unsupported_order(self):
-        with pytest.raises(m.UnsupportedOrderError):
-            m.integrate_iterated(lambda *a: 1.0, 4)
-
-    def test_inner_failure_reports_dimension(self):
-        quad = m.QuadratureConfig(max_evals=300)
-        with pytest.raises(m.NonConvergenceError) as exc:
-            m.integrate_iterated(lambda u, t: np.exp(-t) / (1.0 + u), 2, quad)
-        assert exc.value.dimension == 1
-
-
 class TestPeriodic:
     def test_oscillatory_orthogonality(self):
         v = m.integrate_periodic(lambda phi: np.exp(1j * phi), 16)
@@ -150,13 +96,6 @@ class TestPeriodic:
     def test_rejects_nonpositive_nodes(self):
         with pytest.raises(ValueError):
             m.integrate_periodic(lambda phi: 1.0, 0)
-
-
-def test_unit_interval_endpoint_singularity():
-    # int_0^1 x**(-1/2) dx = 2
-    quad = m.QuadratureConfig(rel_tol=1e-11, abs_tol=1e-13)
-    r = integrate_unit_interval(lambda x: x**-0.5, quad)
-    assert abs(r.value - 2.0) < 1e-9
 
 
 @settings(max_examples=20, deadline=None)
