@@ -8,7 +8,8 @@ Subcommands::
     expsum-error       grids of the reciprocal-approximation error
     convolution-check  3-fold convolution vs direct third power of Z
 
-Exit codes: 0 success, 1 unreliable count, 2 domain error, 3 quadrature
+Exit codes: 0 success, 1 unreliable count, 2 invalid arguments (an
+unsupported series order included) or domain error, 3 quadrature
 non-convergence. All commands are deterministic: identical arguments give
 byte-identical output.
 """
@@ -34,7 +35,7 @@ from .contour import (
     integrand_stage2,
     kernel_mellin,
 )
-from .errors import DomainError, NonConvergenceError, PoleError
+from .errors import DomainError, NonConvergenceError, PoleError, UnsupportedOrderError
 from .expsum import PRESETS, ExpSumTable, error_grid
 from .mellin import power_transform, transform
 from .numerics import csgn
@@ -45,18 +46,41 @@ TABLE_DECIMALS = 7
 CHECK_SIGDIGITS = 10
 
 
+def _checked(kind, ok, what):
+    """argparse type: ``kind(text)``, rejected (exit code 2) unless ``ok``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    return parse
+
+
+_POSITIVE_FLOAT = _checked(float, lambda v: v > 0.0, "a positive number")
+_POSITIVE_INT = _checked(int, lambda v: v > 0, "a positive integer")
+_NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "a non-negative integer")
+
+
 def _add_contour_args(p: argparse.ArgumentParser, center=(0.57, 1.57), radius=0.1, nodes=64):
     p.add_argument("--center-re", type=float, default=center[0])
     p.add_argument("--center-im", type=float, default=center[1])
-    p.add_argument("--radius", type=float, default=radius)
-    p.add_argument("--nodes", type=int, default=nodes)
+    p.add_argument("--radius", type=_POSITIVE_FLOAT, default=radius)
+    p.add_argument("--nodes", type=_POSITIVE_INT, default=nodes)
+
+
+def _add_table_args(p: argparse.ArgumentParser):
+    p.add_argument("--preset", choices=sorted(PRESETS), default="appendixC")
+    p.add_argument("--coeff-file", default=None, help="coefficient file overriding --preset")
 
 
 def _add_pipeline_args(p: argparse.ArgumentParser):
-    p.add_argument("--preset", choices=sorted(PRESETS), default="appendixC")
-    p.add_argument("--coeff-file", default=None, help="coefficient file overriding --preset")
-    p.add_argument("--order-n", type=int, default=1)
-    p.add_argument("--eps", type=float, default=None, help="smooth-csgn width (default: exact reference sign)")
+    _add_table_args(p)
+    p.add_argument("--order-n", type=_NON_NEGATIVE_INT, default=1)
+    p.add_argument(
+        "--eps", type=_POSITIVE_FLOAT, default=None, help="smooth-csgn width (default: exact reference sign)"
+    )
 
 
 def _add_output_args(p: argparse.ArgumentParser):
@@ -69,8 +93,8 @@ def _add_grid_args(p: argparse.ArgumentParser):
     p.add_argument("--re-max", type=float, required=True)
     p.add_argument("--im-min", type=float, required=True)
     p.add_argument("--im-max", type=float, required=True)
-    p.add_argument("--grid-nx", type=int, default=64)
-    p.add_argument("--grid-ny", type=int, default=64)
+    p.add_argument("--grid-nx", type=_POSITIVE_INT, default=64)
+    p.add_argument("--grid-ny", type=_POSITIVE_INT, default=64)
 
 
 def _coeff_table(args) -> ExpSumTable:
@@ -99,12 +123,7 @@ def cmd_table1(args) -> int:
     ff = build_zeta_factored()
     c = CircularContour(complex(args.center_re, args.center_im), args.radius)
     table = _coeff_table(args)
-    cfg = PipelineConfig(
-        table=table,
-        series_order=args.order_n,
-        csgn_mode="smooth" if args.eps else "reference",
-        eps=args.eps,
-    )
+    cfg = PipelineConfig(table=table, series_order=args.order_n, eps=args.eps)
     rows = []
     for i in range(9):
         phi = 2.0 * math.pi * i / 8.0
@@ -146,12 +165,7 @@ def cmd_count(args) -> int:
     if args.method == "direct":
         result = count_direct(ff, c)
     else:
-        cfg = PipelineConfig(
-            table=_coeff_table(args),
-            series_order=args.order_n,
-            csgn_mode="smooth" if args.eps else "reference",
-            eps=args.eps,
-        )
+        cfg = PipelineConfig(table=_coeff_table(args), series_order=args.order_n, eps=args.eps)
         result = count_pipeline(ff, c, cfg)
     report = {
         "method": args.method,
@@ -297,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expsum-error", help="error grids of the reciprocal approximation")
     _add_grid_args(p)
-    _add_pipeline_args(p)
+    _add_table_args(p)
     _add_output_args(p)
     p.set_defaults(func=cmd_expsum_error)
 
@@ -316,6 +330,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except DomainError as exc:  # includes PoleError
         print(f"domain error: {exc}", file=sys.stderr)
+        return 2
+    except UnsupportedOrderError as exc:
+        print(f"unsupported order: {exc}", file=sys.stderr)
         return 2
     except NonConvergenceError as exc:
         print(f"quadrature did not converge: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import NonConvergenceError, PoleError, UnsupportedOrderError
-from .expsum import ExpSumTable, inv_approx, inv_approx_truncated
+from .expsum import ExpSumTable, inv_approx, inv_approx_truncated, series_weights
 from .mellin import MellinIntegrand
 from .numerics import csgn, csgn_smooth
 from .quadrature import QuadratureConfig, integrate_periodic
@@ -86,12 +86,15 @@ class PipelineConfig:
     ``series_order`` is capped at 1: each additional order needs the
     Z'(s) * Z(s)**k convolution for k >= 2, which has no supported
     representation here.
+
+    ``eps`` selects the sign factor: without it csgn(f) comes from the
+    reference ``f_reference``; with it, from the smooth surrogate
+    tanh(f / eps) of the convolution-route f.
     """
 
     table: ExpSumTable
     series_order: int = 1
     quad: QuadratureConfig = field(default_factory=QuadratureConfig)
-    csgn_mode: str = "reference"
     eps: float | None = None
 
     def __post_init__(self):
@@ -101,10 +104,8 @@ class PipelineConfig:
             raise UnsupportedOrderError(
                 f"series_order is capped at 1, got {self.series_order}"
             )
-        if self.csgn_mode not in ("reference", "smooth"):
-            raise ValueError(f"csgn_mode must be 'reference' or 'smooth', got {self.csgn_mode!r}")
-        if self.csgn_mode == "smooth" and (self.eps is None or self.eps <= 0.0):
-            raise ValueError("smooth csgn mode requires eps > 0")
+        if self.eps is not None and not self.eps > 0.0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -171,11 +172,11 @@ def integrand_stage2(
 
 
 def _sign_factor(ff: FactoredFunction, s: complex, cfg: PipelineConfig, f_mellin: complex) -> complex:
-    """csgn(f(s)) from the reference, or its smooth surrogate applied to
-    ``f_mellin`` = K(s) Z(s) from the convolution route."""
-    if cfg.csgn_mode == "reference":
+    """csgn(f(s)) from the reference, or, when ``cfg.eps`` is set, its smooth
+    surrogate applied to ``f_mellin`` = K(s) Z(s) from the convolution route."""
+    if cfg.eps is None:
         if ff.f_reference is None:
-            raise ValueError("csgn_mode 'reference' needs f_reference; use 'smooth' otherwise")
+            raise ValueError("the reference sign needs f_reference; set eps otherwise")
         return complex(csgn(ff.f_reference(s)))
     return csgn_smooth(f_mellin, cfg.eps)
 
@@ -186,12 +187,10 @@ def _kernels(ff: FactoredFunction, c: CircularContour, phis, cfg: PipelineConfig
     :func:`~melroot.logspace.convolution_powers` at those angles' nodes.
 
     The double sum over exponential terms j and series orders k collapses
-    over j because the csgn factor does not depend on j.
+    over j (:func:`~melroot.expsum.series_weights`) because the csgn factor
+    does not depend on j.
     """
-    weights = [
-        sum(a * cj**k for a, cj in zip(cfg.table.alpha, cfg.table.c))
-        for k in range(cfg.series_order + 1)
-    ]
+    weights = series_weights(cfg.table, cfg.series_order)
     powers, derivs = mellin
     values = []
     for i, phi in enumerate(phis):
@@ -202,7 +201,7 @@ def _kernels(ff: FactoredFunction, c: CircularContour, phis, cfg: PipelineConfig
         total = 0j
         for k, weight in enumerate(weights):
             body = Kp * Ks**k * powers[k, i] + Ks ** (k + 1) * derivs[k, i]
-            total += sgn ** (k + 1) * ((-1) ** k / math.factorial(k)) * weight * body
+            total += sgn ** (k + 1) * weight * body
         values.append(complex(total * c.velocity(phi) / _TWO_PI_I))
     return values
 

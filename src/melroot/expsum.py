@@ -23,6 +23,7 @@ __all__ = [
     "PRESETS",
     "inv_approx",
     "inv_approx_truncated",
+    "series_weights",
     "error_grid",
 ]
 
@@ -97,24 +98,29 @@ def inv_approx(x: complex, table: ExpSumTable) -> complex:
     return total
 
 
-def inv_approx_truncated(x: complex, table: ExpSumTable, n: int) -> complex:
-    """As :func:`inv_approx`, with exp(w) replaced by its Taylor polynomial
-    of degree ``n``."""
+def series_weights(table: ExpSumTable, n: int) -> list[float]:
+    """b_k = (-1)**k / k! * sum_j alpha_j c_j**k for k = 0..n.
+
+    Truncating each exp(-c_j y) to its degree-``n`` Taylor polynomial turns
+    the exponential sum into sum_k b_k y**k: the sum over j collapses into
+    one weight per power of y.
+    """
     if n < 0:
         raise ValueError(f"series order must be non-negative, got {n}")
+    return [
+        (-1) ** k / math.factorial(k) * sum(a * cj**k for a, cj in zip(table.alpha, table.c))
+        for k in range(n + 1)
+    ]
+
+
+def inv_approx_truncated(x: complex, table: ExpSumTable, n: int) -> complex:
+    """As :func:`inv_approx`, with exp(w) replaced by its Taylor polynomial
+    of degree ``n``: csgn(x) * sum_k b_k (x csgn(x))**k with the
+    :func:`series_weights` b_k."""
     x = complex(x)
     sgn = csgn(x)
     folded = x * sgn
-    total = 0j
-    for a, cj in zip(table.alpha, table.c):
-        w = -cj * folded
-        poly = 0j
-        term = 1.0 + 0j
-        for k in range(n + 1):
-            poly += term
-            term = term * w / (k + 1)
-        total += a * sgn * poly
-    return total
+    return sgn * sum(b * folded**k for k, b in enumerate(series_weights(table, n)))
 
 
 def error_grid(

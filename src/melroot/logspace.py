@@ -1,13 +1,16 @@
 """Mellin quantities at all nodes of a contour from densities in x = ln t.
 
 With x = ln t, Z(s) = int z(t) t**(s-1) dt becomes int g(x) e**(s x) dx with
-g(x) = z(e**x), and the Mellin convolution becomes an ordinary convolution.
-So Z, Z', Z**2 and Z' Z are trapezoid sums h * sum d(x) e**(s x) of the
-densities g, x g, g * g and (x g) * g. None of them depends on s: a contour
-builds them once and each node costs one weighted sum. The trapezoid rule
-converges exponentially for analytic, fast-decaying densities (Trefethen &
-Weideman, "The exponentially convergent trapezoidal rule", SIAM Rev. 56,
-2014).
+g(x) = z(e**x), and Z' is the same integral of x g. On a uniform grid both
+are trapezoid sums h * sum d(x) e**(s x) of densities that do not depend on
+s: a contour builds them once and each node costs one weighted sum. The
+Mellin convolutions behind Z**2 and Z' Z are, in x, the convolutions g * g
+and (x g) * g, and the trapezoid sum of a full discrete convolution is the
+product of its factors' sums (the discrete convolution theorem). So
+Z**2 = Z Z and Z' Z are the 2-fold integrals of z alone on the tensor grid.
+The trapezoid rule converges exponentially for analytic, fast-decaying
+densities (Trefethen & Weideman, "The exponentially convergent trapezoidal
+rule", SIAM Rev. 56, 2014).
 
 Only the approximated counting route needs this module, so
 :mod:`melroot.contour` imports it on first use.
@@ -33,12 +36,7 @@ _SCAN = 40.0
 # The grid stays inside |x| <= _X_MAX, where t = e**x neither under- nor
 # overflows; this also bounds the size of the first grid.
 _X_MAX = 700.0
-# FFT round-off is absolute, a share of the peak of the convolved density,
-# and a node s weights it by e**((Re s - c) x) when the densities are tilted
-# by e**(c x). Tilts are spaced so that |Re s - c| * |x| <= _TILT_SPREAD over
-# the convolution grid: round-off grows by at most e**4 ~ 55 at any node.
-_TILT_SPREAD = 4.0
-# Elements in one block of e**((s - c) x) weights (64 KB of complex128);
+# Elements in one block of e**(s x) weights (64 KB of complex128);
 # small blocks keep the transient arrays, and so peak memory, small.
 _BLOCK = 1 << 12
 
@@ -47,8 +45,8 @@ def _tail_cutoff(margin: float, decay: float) -> float:
     """x > 0 at which x**2 * e**(-margin * x) has fallen to about ``decay``.
 
     Next to a finite strip edge, the densities weighted by e**(s x) decay like
-    |x|**k * e**(-margin |x|), margin = |Re s - edge| and k <= 2 (k = 2 for
-    (x g) * g), so all of them are negligible beyond this point.
+    |x|**k * e**(-margin |x|), margin = |Re s - edge| and k <= 2 (k = 1 for
+    x g; one power to spare), so all of them are negligible past this point.
     """
     x = -math.log(decay) / margin
     x += 2.0 * math.log(max(x, 1.0)) / margin
@@ -69,46 +67,24 @@ def _density(zf: MellinIntegrand, x: np.ndarray) -> np.ndarray:
     return g
 
 
-def _weighted_sums(d: np.ndarray, x: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
-    """h * sum_x d[r](x) e**(w x) for every row r of ``d`` and every w."""
-    rows = max(1, _BLOCK // len(x))
-    out = np.empty((len(d), len(w)), dtype=np.complex128)
-    for i in range(0, len(w), rows):
-        weights = np.outer(x, w[i : i + rows])
-        out[:, i : i + rows] = np.einsum("rn,nm->rm", d, np.exp(weights, out=weights))
-    out *= h
-    return out
-
-
-def _trapezoid_sums(x, g, h, s, tilts, band) -> np.ndarray:
+def _trapezoid_sums(x, g, h, s) -> np.ndarray:
     """Trapezoid sums on the grid ``x`` (step ``h``) at the nodes ``s``:
-    row 0 holds Z and Z', row 1 holds Z**2 and Z' Z. Node i uses the
-    densities tilted by ``tilts[band[i]]``."""
+    row 0 holds Z and Z', row 1 holds Z**2 = Z Z and Z' Z."""
     bad = ~np.isfinite(g)
     if bad.any():
         raise DomainError(f"z(t) is not finite at t = e**{float(x[bad][0]):.6g}")
-    n = len(x)
-    x2 = 2.0 * x[0] + h * np.arange(2 * n - 1)
-    size = 1 << (2 * n - 2).bit_length()
-    out = np.empty((2, 2, len(s)), dtype=np.complex128)
-    for i, c in enumerate(tilts):
-        nodes = np.nonzero(band == i)[0]
-        if nodes.size == 0:
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            # e**(c x) may overflow only where g has underflowed to 0
-            half = np.exp(0.5 * c * x)
-            gc = np.where(g == 0, 0j, g * half * half)
-        factors = np.stack([gc, x * gc])
-        spectra = np.fft.fft(factors, size)
-        spectra[1] *= spectra[0]
-        spectra[0] *= spectra[0]
-        convolved = np.fft.ifft(spectra)[:, : 2 * n - 1]
-        w = s[nodes] - c
-        out[0][:, nodes] = _weighted_sums(factors, x, w, h)
-        # the convolution is itself a trapezoid sum: one more factor h
-        out[1][:, nodes] = _weighted_sums(convolved, x2, w, h * h)
-    return out
+    # g e**(s x) in log space: e**(s x) may overflow only where g has
+    # underflowed to 0, and log 0 = -inf keeps that product 0.
+    with np.errstate(divide="ignore"):
+        log_g = np.log(g)
+    factors = np.stack([np.ones_like(x), x])
+    rows = max(1, _BLOCK // len(x))
+    z = np.empty((2, len(s)), dtype=np.complex128)
+    for i in range(0, len(s), rows):
+        weights = np.outer(x, s[i : i + rows]) + log_g[:, None]
+        z[:, i : i + rows] = factors @ np.exp(weights, out=weights)
+    z *= h
+    return np.stack([z, z * z[0]])
 
 
 def convolution_powers(
@@ -118,17 +94,16 @@ def convolution_powers(
     densities of z built once on a uniform grid in x = ln t.
 
     Returns ``(powers, derivs)``, two arrays of shape (2, len(s)):
-    ``powers[k]`` holds Z**(k+1) and ``derivs[k]`` holds Z' * Z**k. The
-    convolutions g * g and (x g) * g are computed with ``numpy.fft``.
+    ``powers[k]`` holds Z**(k+1) and ``derivs[k]`` holds Z' * Z**k. Z and
+    Z' are one trapezoid sum each over the densities g and x g; Z**2 and
+    Z' Z are their products, which equal the trapezoid sums of the
+    convolutions g * g and (x g) * g on the same grid.
 
     ``re_range`` is the span of Re s over the contour. It must lie inside the
     convergence strip, and every node inside it. Next to a finite strip edge
     the grid ends where |x|**2 e**(-margin |x|) falls below
     ``quad.truncation_decay``; a side without one is scanned and cut where
     |g(x)| e**(Re s x) falls below ``quad.truncation_decay`` times its peak.
-    Before the FFT the densities are tilted by e**(c x), c the Re s of a band
-    of nodes, so that e**(s x) does not amplify the FFT round-off; wide
-    contours with long tails use several bands.
 
     The step starts at 0.5 and halves until two successive steps agree at
     every node, for all four quantities, within ``quad.rel_tol`` or
@@ -170,12 +145,7 @@ def convolution_powers(
     i1 = len(x) - 1 if math.isfinite(hi) else min(int(live[-1]) + 1, len(x) - 1)
     x, g = x[i0 : i1 + 1], g[i0 : i1 + 1]
 
-    reach = 2.0 * float(np.abs(x).max())  # the convolution grid spans 2x
-    n_tilt = max(1, math.ceil((re_hi - re_lo) * reach / (2.0 * _TILT_SPREAD)))
-    tilts = re_lo + (re_hi - re_lo) * (np.arange(n_tilt) + 0.5) / n_tilt
-    band = np.abs(s.real[:, None] - tilts).argmin(axis=1)
-
-    values = _trapezoid_sums(x, g, h, s, tilts, band)
+    values = _trapezoid_sums(x, g, h, s)
     err = math.inf
     while 2 * len(x) - 1 <= quad.max_evals:
         h *= 0.5
@@ -183,7 +153,7 @@ def convolution_powers(
         finer = np.empty(len(x), dtype=np.complex128)
         finer[0::2], finer[1::2] = g, _density(zf, x[1::2])
         g = finer
-        refined = _trapezoid_sums(x, g, h, s, tilts, band)
+        refined = _trapezoid_sums(x, g, h, s)
         delta = np.abs(refined - values)
         values = refined
         err = float(delta.max())

@@ -118,6 +118,32 @@ class TestCount:
         assert rc == 2
 
 
+_GRID = ["--re-min", "0.5", "--re-max", "1", "--im-min", "0", "--im-max", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["count", "--radius", "-1"], id="radius"),
+        pytest.param(["count", "--nodes", "0"], id="nodes"),
+        pytest.param(["count", "--method", "pipeline", "--nodes", "8", "--eps", "-1"], id="eps-negative"),
+        pytest.param(["count", "--method", "pipeline", "--nodes", "8", "--eps", "0"], id="eps-zero"),
+        pytest.param(["count", "--method", "pipeline", "--nodes", "8", "--order-n", "-1"], id="order-negative"),
+        pytest.param(["count", "--method", "pipeline", "--nodes", "8", "--order-n", "2"], id="order-unsupported"),
+        pytest.param(["sign-map", *_GRID, "--grid-nx", "0"], id="grid-nx"),
+        pytest.param(["expsum-error", *_GRID, "--grid-ny", "0"], id="grid-ny"),
+        pytest.param(["expsum-error", *_GRID, "--order-n", "1"], id="expsum-error-order"),
+    ],
+)
+def test_bad_arguments_exit_2(argv, capsys):
+    # exit code 1 means an unreliable count, so bad input must not use it
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the argument
+        rc = exc.code
+    assert rc == 2
+
+
 class TestSignMap:
     def test_signs_and_pole_marker(self, tmp_path):
         path = tmp_path / "map.csv"

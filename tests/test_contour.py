@@ -30,9 +30,11 @@ class TestTypes:
             m.PipelineConfig(table=coeffs, series_order=-1)
 
     def test_pipeline_config_smooth_needs_eps(self, coeffs):
-        with pytest.raises(ValueError):
-            m.PipelineConfig(table=coeffs, csgn_mode="smooth")
-        m.PipelineConfig(table=coeffs, csgn_mode="smooth", eps=0.01)
+        for eps in (0.0, -0.01, math.nan):
+            with pytest.raises(ValueError):
+                m.PipelineConfig(table=coeffs, eps=eps)
+        assert m.PipelineConfig(table=coeffs, eps=0.01).eps == 0.01
+        assert m.PipelineConfig(table=coeffs).eps is None
 
     def test_count_result_rounding(self):
         r = m.CountResult.from_value(-0.999999 + 1e-7j)
@@ -127,7 +129,7 @@ class TestKernel:
 
     def test_smooth_sign_mode(self, zeta_ff, ref_contour, coeffs):
         cfg_ref = m.PipelineConfig(table=coeffs)
-        cfg_smooth = m.PipelineConfig(table=coeffs, csgn_mode="smooth", eps=1e-3)
+        cfg_smooth = m.PipelineConfig(table=coeffs, eps=1e-3)
         phi = 2.0 * math.pi / 8.0
         a = m.kernel_mellin(zeta_ff, ref_contour, phi, cfg_ref)
         b = m.kernel_mellin(zeta_ff, ref_contour, phi, cfg_smooth)
@@ -140,6 +142,19 @@ class TestKernel:
             phi = 2.0 * math.pi * i / c.nodes
             kern = m.kernel_mellin(zeta_ff, c, phi, cfg)
             assert abs(kern - m.integrand_stage2(zeta_ff, c, phi, coeffs, 1)) < 1e-5
+
+    def test_agrees_with_stage2_on_first_zero_circle(self, zeta_ff, coeffs):
+        # |Z**2| ~ 1e-18 here and K**2 ~ 1e18 scales it into the kernel, so
+        # Z**2 must carry no round-off of its own beyond that of Z
+        cfg = m.PipelineConfig(table=coeffs)
+        c = m.CircularContour(complex(0.5, ref.FIRST_ZERO_IM), 0.05, nodes=8)
+        stage2 = []
+        for i in range(c.nodes):
+            phi = 2.0 * math.pi * i / c.nodes
+            stage2.append(m.integrand_stage2(zeta_ff, c, phi, coeffs, 1))
+            assert abs(m.kernel_mellin(zeta_ff, c, phi, cfg) - stage2[-1]) < 1e-6
+        trapezoid = sum(stage2) * (2.0 * math.pi / c.nodes)
+        assert abs(m.count_pipeline(zeta_ff, c, cfg).value - trapezoid) < 1e-8
 
     def test_strip_violation_rejected(self, zeta_ff, coeffs):
         cfg = m.PipelineConfig(table=coeffs)
