@@ -58,16 +58,16 @@ def _checked(kind, ok, what):
     return parse
 
 
-_POSITIVE_FLOAT = _checked(float, lambda v: v > 0.0, "a positive number")
+_FINITE_FLOAT = _checked(float, math.isfinite, "a finite number")
+_POSITIVE_FLOAT = _checked(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
 _POSITIVE_INT = _checked(int, lambda v: v > 0, "a positive integer")
 _NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "a non-negative integer")
 
 
-def _add_contour_args(p: argparse.ArgumentParser, center=(0.57, 1.57), radius=0.1, nodes=64):
-    p.add_argument("--center-re", type=float, default=center[0])
-    p.add_argument("--center-im", type=float, default=center[1])
-    p.add_argument("--radius", type=_POSITIVE_FLOAT, default=radius)
-    p.add_argument("--nodes", type=_POSITIVE_INT, default=nodes)
+def _add_circle_args(p: argparse.ArgumentParser):
+    p.add_argument("--center-re", type=_FINITE_FLOAT, default=0.57)
+    p.add_argument("--center-im", type=_FINITE_FLOAT, default=1.57)
+    p.add_argument("--radius", type=_POSITIVE_FLOAT, default=0.1)
 
 
 def _add_table_args(p: argparse.ArgumentParser):
@@ -89,10 +89,10 @@ def _add_output_args(p: argparse.ArgumentParser):
 
 
 def _add_grid_args(p: argparse.ArgumentParser):
-    p.add_argument("--re-min", type=float, required=True)
-    p.add_argument("--re-max", type=float, required=True)
-    p.add_argument("--im-min", type=float, required=True)
-    p.add_argument("--im-max", type=float, required=True)
+    p.add_argument("--re-min", type=_FINITE_FLOAT, required=True)
+    p.add_argument("--re-max", type=_FINITE_FLOAT, required=True)
+    p.add_argument("--im-min", type=_FINITE_FLOAT, required=True)
+    p.add_argument("--im-max", type=_FINITE_FLOAT, required=True)
     p.add_argument("--grid-nx", type=_POSITIVE_INT, default=64)
     p.add_argument("--grid-ny", type=_POSITIVE_INT, default=64)
 
@@ -291,14 +291,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # table1 always tabulates the published 8 angles, so it takes no --nodes
     p = sub.add_parser("table1", help="stage-by-stage integrand table on a circular contour")
-    _add_contour_args(p)
+    _add_circle_args(p)
     _add_pipeline_args(p)
     _add_output_args(p)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("count", help="count roots minus poles inside a circle")
-    _add_contour_args(p)
+    _add_circle_args(p)
+    p.add_argument("--nodes", type=_POSITIVE_INT, default=64)
     p.add_argument("--method", choices=("direct", "pipeline"), default="direct")
     _add_pipeline_args(p)
     _add_output_args(p)

@@ -93,7 +93,8 @@ def convolution_powers(
     """Z**(k+1) and Z' * Z**k, k = 0, 1, at every node of ``s`` from
     densities of z built once on a uniform grid in x = ln t.
 
-    Returns ``(powers, derivs)``, two arrays of shape (2, len(s)):
+    Returns ``(powers, derivs)``, two arrays of shape (2, len(s)) (empty,
+    without evaluating z, when ``s`` is):
     ``powers[k]`` holds Z**(k+1) and ``derivs[k]`` holds Z' * Z**k. Z and
     Z' are one trapezoid sum each over the densities g and x g; Z**2 and
     Z' Z are their products, which equal the trapezoid sums of the
@@ -126,6 +127,8 @@ def convolution_powers(
     s = np.asarray(s, dtype=np.complex128).reshape(-1)
     if np.any((s.real < re_lo) | (s.real > re_hi)):
         raise ValueError(f"nodes outside the Re(s) range [{re_lo}, {re_hi}]")
+    if s.size == 0:
+        return np.empty((2, 0), dtype=np.complex128), np.empty((2, 0), dtype=np.complex128)
 
     decay = quad.truncation_decay
     x_lo = -_tail_cutoff(re_lo - lo, decay) if math.isfinite(lo) else -_SCAN

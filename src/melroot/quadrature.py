@@ -5,7 +5,8 @@ Two entry points:
 * :func:`integrate_semi_infinite` -- complex-valued integrals over (0, inf),
   evaluated with a double-exponential (exp-sinh) variable transformation.
   Handles algebraic endpoint behavior t**(sigma-1) at 0 and exponentially
-  decaying tails in one scheme. Integrands are vectorized over numpy arrays.
+  decaying tails in one scheme. Integrands are vectorized over numpy arrays
+  and may return many rows of integrals that share one grid.
 * :func:`integrate_periodic` -- trapezoidal rule over [0, 2*pi) for smooth
   periodic integrands (spectrally convergent).
 
@@ -68,21 +69,24 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value plus an a-posteriori error estimate and the evaluation count."""
+    """Value (a complex, or an array with one entry per row of a batched
+    integrand) plus an a-posteriori error estimate and the evaluation count."""
 
-    value: complex
+    value: complex | np.ndarray
     error: float
     evals: int
 
 
-def _call(g: Callable, ts: np.ndarray) -> np.ndarray:
-    """Evaluate ``g`` on the array ``ts``; it must return an array of the
-    same shape."""
+def _call(g: Callable, ts: np.ndarray, lead: tuple | None) -> np.ndarray:
+    """Evaluate ``g`` on the array ``ts``; it must return an array of shape
+    ``lead + ts.shape`` (any leading shape when ``lead`` is None)."""
     out = g(ts)
-    if np.shape(out) != ts.shape:
+    shape = np.shape(out)
+    if shape[-1:] != ts.shape or (lead is not None and shape[:-1] != lead):
         raise ValueError(
-            f"integrand returned shape {np.shape(out)} for abscissae of shape "
-            f"{ts.shape}; it must be vectorized over numpy arrays"
+            f"integrand returned shape {shape} for abscissae of shape "
+            f"{ts.shape}; it must be vectorized over numpy arrays, with the "
+            f"abscissae on its last axis"
         )
     return np.asarray(out, dtype=np.complex128)
 
@@ -91,47 +95,56 @@ def integrate_semi_infinite(g: Callable, quad: QuadratureConfig | None = None) -
     """Integrate ``g`` over (0, inf) with the exp-sinh rule, halving the
     trapezoid step until two levels agree.
 
-    ``g`` must map a numpy array of abscissae to an array of the same shape;
-    anything else raises (``ValueError`` for a wrong shape). Any algebraic
-    singularity at 0 must be integrable (no worse than t**(sigma-1) with
-    sigma > 0) and the tail must decay fast enough for the integral to
-    converge absolutely.
+    ``g`` must map a numpy array of n abscissae to an array of shape
+    (..., n); anything else raises ``ValueError``. Each leading index is one
+    integral, a row, and all rows share the grid: the support is trimmed to
+    the union of the rows' supports in the coarse pass, and the step halves
+    until every row meets its own ``max(abs_tol, rel_tol * |row|)``. ``value``
+    has the leading shape (a plain complex for an integrand of shape (n,),
+    whose arithmetic is that of a single integral), ``error`` is the largest
+    row error and ``evals`` counts abscissae, not rows times abscissae. Any
+    algebraic singularity at 0 must be integrable (no worse than
+    t**(sigma-1) with sigma > 0) and the tail must decay fast enough for the
+    integral to converge absolutely.
 
-    Raises :class:`NonConvergenceError` (carrying the best estimate) if the
-    tolerance is not met within ``quad.max_evals`` evaluations.
+    Raises :class:`NonConvergenceError` (carrying the best estimate of every
+    row) if the tolerance is not met within ``quad.max_evals`` evaluations.
     """
     quad = quad or QuadratureConfig()
 
-    def sample(u: np.ndarray) -> np.ndarray:
+    def sample(u: np.ndarray, lead: tuple | None = None) -> np.ndarray:
         # transformed integrand: Jacobian included, mesh width excluded
         t = np.exp(_LAMBDA * np.sinh(u))
         w = _LAMBDA * np.cosh(u) * t
         with np.errstate(all="ignore"):
-            vals = _call(g, t) * w
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            # Overflow in the far tails, where the genuine contribution is
-            # below the truncation threshold by construction of _U_CAP.
-            vals = np.where(bad, 0.0, vals)
+            vals = _call(g, t, lead) * w
+        # Overflow in the far tails, where the genuine contribution is below
+        # the truncation threshold by construction of _U_CAP.
+        vals[~np.isfinite(vals)] = 0.0
         return vals
+
+    def result(total: np.ndarray, err: np.ndarray) -> QuadratureResult:
+        value = complex(total) if total.ndim == 0 else total
+        return QuadratureResult(value, float(np.max(err)), evals)
 
     h = _H0
     n0 = int(_U_CAP / h)
     u = h * np.arange(-n0, n0 + 1)
     vals = sample(u)
+    lead = vals.shape[:-1]
     evals = len(u)
 
     mags = np.abs(vals)
-    peak = float(mags.max())
-    if peak == 0.0:
-        return QuadratureResult(0j, 0.0, evals)
-
-    # Trim the support once from the coarse pass; refinements stay inside it.
-    keep = np.nonzero(mags > quad.truncation_decay * peak)[0]
+    peak = mags.max(axis=-1, keepdims=True)
+    # Trim the support once from the coarse pass, to the union of the rows'
+    # supports; refinements stay inside it.
+    keep = np.nonzero((mags > quad.truncation_decay * peak).reshape(-1, len(u)).any(axis=0))[0]
+    if keep.size == 0:
+        return result(np.zeros(lead, dtype=np.complex128), np.zeros(lead))
     i_lo = max(int(keep[0]) - 1, 0)
     i_hi = min(int(keep[-1]) + 1, len(u) - 1)
     lo, hi = float(u[i_lo]), float(u[i_hi])
-    total = h * complex(vals[i_lo : i_hi + 1].sum())
+    total = h * vals[..., i_lo : i_hi + 1].sum(axis=-1)
 
     level = 0
     err = math.inf
@@ -140,18 +153,19 @@ def integrate_semi_infinite(g: Callable, quad: QuadratureConfig | None = None) -
         h *= 0.5
         k = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
         k = k[k % 2 != 0]
-        new_total = total / 2.0 + h * complex(sample(h * k).sum())
+        new_total = total / 2.0 + h * sample(h * k, lead).sum(axis=-1)
         evals += len(k)
-        err = abs(new_total - total)
+        err = np.abs(new_total - total)
         total = new_total
-        if level >= _MIN_LEVELS and err <= max(quad.abs_tol, quad.rel_tol * abs(total)):
-            return QuadratureResult(total, err, evals)
+        if level >= _MIN_LEVELS and np.all(err <= np.maximum(quad.abs_tol, quad.rel_tol * np.abs(total))):
+            return result(total, err)
 
+    best = result(total, err)
     raise NonConvergenceError(
         f"tolerance not reached within {quad.max_evals} evaluations "
-        f"(best estimate {total}, last delta {err:.3e})",
-        best_estimate=total,
-        error_estimate=err,
+        f"(last delta {best.error:.3e})",
+        best_estimate=best.value,
+        error_estimate=best.error,
     )
 
 

@@ -125,6 +125,7 @@ _GRID = ["--re-min", "0.5", "--re-max", "1", "--im-min", "0", "--im-max", "1"]
     "argv",
     [
         pytest.param(["count", "--radius", "-1"], id="radius"),
+        pytest.param(["count", "--radius", "inf"], id="radius-inf"),
         pytest.param(["count", "--nodes", "0"], id="nodes"),
         pytest.param(["count", "--method", "pipeline", "--nodes", "8", "--eps", "-1"], id="eps-negative"),
         pytest.param(["count", "--method", "pipeline", "--nodes", "8", "--eps", "0"], id="eps-zero"),
@@ -133,6 +134,18 @@ _GRID = ["--re-min", "0.5", "--re-max", "1", "--im-min", "0", "--im-max", "1"]
         pytest.param(["sign-map", *_GRID, "--grid-nx", "0"], id="grid-nx"),
         pytest.param(["expsum-error", *_GRID, "--grid-ny", "0"], id="grid-ny"),
         pytest.param(["expsum-error", *_GRID, "--order-n", "1"], id="expsum-error-order"),
+        pytest.param(["count", "--method", "direct", "--center-re", "nan"], id="center-re-nan"),
+        pytest.param(["count", "--method", "direct", "--center-im", "inf"], id="center-im-inf"),
+        pytest.param(["table1", "--center-im=-inf"], id="table1-center-im-inf"),
+        pytest.param(["sign-map", "--re-min", "nan", "--re-max", "1", "--im-min", "0", "--im-max", "1"],
+                     id="re-min-nan"),
+        pytest.param(["expsum-error", "--re-min", "0.5", "--re-max", "inf", "--im-min", "0", "--im-max", "1"],
+                     id="re-max-inf"),
+        pytest.param(["sign-map", "--re-min", "0.5", "--re-max", "1", "--im-min=-inf", "--im-max", "1"],
+                     id="im-min-inf"),
+        pytest.param(["expsum-error", "--re-min", "0.5", "--re-max", "1", "--im-min", "0", "--im-max", "nan"],
+                     id="im-max-nan"),
+        pytest.param(["table1", "--nodes", "3"], id="table1-nodes"),
     ],
 )
 def test_bad_arguments_exit_2(argv, capsys):

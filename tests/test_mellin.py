@@ -137,6 +137,18 @@ class TestNestedConvolution:
             m.deriv_times_power(zf, k, s)
         assert args and set(args) == {np.ndarray}
 
+    def test_inner_integrals_batched(self, zeta_zf):
+        # one z call per block of outer abscissae, not one per abscissa
+        calls = []
+
+        def z(t):
+            calls.append(t.shape)
+            return m.z_integrand(t)
+
+        zf = m.MellinIntegrand(z=z, convergence_strip=zeta_zf.convergence_strip)
+        m.power_transform(zf, 3, 0.4 - 0.3j)
+        assert len(calls) < 1000
+
     def test_inner_failure_reports_dimension(self, zeta_zf):
         # the innermost of the two levels runs out of evaluations first
         with pytest.raises(m.NonConvergenceError) as exc:
@@ -198,6 +210,18 @@ class TestConvolutionPowers:
         s, re_range = _circle(0.57 + 1.57j, 0.1, 64)
         convolution_powers(zf, s, re_range)
         assert sum(sizes) < 400
+
+    def test_no_nodes(self, zeta_zf):
+        calls = []
+
+        def z(t):
+            calls.append(t)
+            return m.z_integrand(t)
+
+        zf = m.MellinIntegrand(z=z, convergence_strip=zeta_zf.convergence_strip)
+        powers, derivs = convolution_powers(zf, [], (0.5, 0.6))
+        assert powers.shape == derivs.shape == (2, 0)
+        assert not calls
 
     def test_input_checks(self, zeta_zf):
         with pytest.raises(m.DomainError):

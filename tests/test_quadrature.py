@@ -63,6 +63,43 @@ def test_nonconvergence_carries_best_estimate():
     assert exc.value.error_estimate is not None
 
 
+class TestRows:
+    def test_rows_integrate_independently(self):
+        r = m.integrate_semi_infinite(lambda t: np.stack([np.exp(-t), t * np.exp(-t), np.exp(-2.0 * t)]))
+        assert r.value.shape == (3,)
+        assert np.all(np.abs(r.value - [1.0, 1.0, 0.5]) < 1e-10)
+
+    def test_single_row_is_the_scalar_integral(self):
+        g = lambda t: t / np.cosh(t) ** 2 * t ** (-0.6 - 0.3j)
+        scalar = m.integrate_semi_infinite(g)
+        rows = m.integrate_semi_infinite(lambda t: g(t)[None, :])
+        assert isinstance(scalar.value, complex)
+        assert rows.value.shape == (1,)
+        assert rows.value[0] == scalar.value
+        assert (rows.error, rows.evals) == (scalar.error, scalar.evals)
+
+    def test_abscissae_must_be_the_last_axis(self):
+        with pytest.raises(ValueError):
+            m.integrate_semi_infinite(lambda t: np.stack([np.exp(-t), np.exp(-t)], axis=-1))
+
+    def test_rows_must_not_change_between_calls(self):
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return np.ones((len(calls), 1)) * np.exp(-t)  # one more row on every call
+
+        with pytest.raises(ValueError):
+            m.integrate_semi_infinite(g)
+
+    def test_nonconvergence_carries_every_row(self):
+        quad = m.QuadratureConfig(max_evals=200)
+        with pytest.raises(m.NonConvergenceError) as exc:
+            m.integrate_semi_infinite(lambda t: np.stack([np.exp(-t), 1.0 / (1.0 + t)]), quad)
+        assert np.shape(exc.value.best_estimate) == (2,)
+        assert np.all(np.isfinite(exc.value.best_estimate))
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
