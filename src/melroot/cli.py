@@ -252,12 +252,15 @@ def cmd_expsum_error(args) -> int:
 
 
 def cmd_convolution_check(args) -> int:
-    ff = build_zeta_factored()
-    quad = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13)
     if args.s_re is not None:
         points = [complex(args.s_re, args.s_im or 0.0)]
+    elif args.s_im is not None:
+        print("error: --s-im needs --s-re", file=sys.stderr)
+        return 2
     else:
         points = [0.4 + 0j, 0.4 - 0.3j]
+    ff = build_zeta_factored()
+    quad = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13)
     lines = []
     records = []
     for s in points:
@@ -318,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_expsum_error)
 
     p = sub.add_parser("convolution-check", help="threefold convolution vs direct third power")
-    p.add_argument("--s-re", type=float, default=None)
-    p.add_argument("--s-im", type=float, default=None)
+    p.add_argument("--s-re", type=_FINITE_FLOAT, default=None)
+    p.add_argument("--s-im", type=_FINITE_FLOAT, default=None)
     _add_output_args(p)
     p.set_defaults(func=cmd_convolution_check)
 

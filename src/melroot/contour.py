@@ -50,8 +50,10 @@ class CircularContour:
     nodes: int = 64
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not cmath.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
         if self.nodes < 1:
             raise ValueError(f"nodes must be positive, got {self.nodes}")
 

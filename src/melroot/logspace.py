@@ -111,8 +111,9 @@ def convolution_powers(
     ``quad.abs_tol``; the finer values are returned. ``z`` must accept numpy
     arrays.
 
-    Raises :class:`DomainError` when ``re_range`` leaves the strip (before z
-    is evaluated) or z is not finite on the grid, and
+    Raises :class:`DomainError` when ``re_range`` leaves the strip or a node
+    is not finite (both before z is evaluated) or z is not finite on the
+    grid, and
     :class:`NonConvergenceError`, with the finest values reached as
     ``best_estimate``, when one more halving would exceed ``quad.max_evals``
     grid points.
@@ -125,6 +126,8 @@ def convolution_powers(
             f"Re(s) spans [{re_lo}, {re_hi}], outside the convergence strip ({lo}, {hi})"
         )
     s = np.asarray(s, dtype=np.complex128).reshape(-1)
+    if not np.all(np.isfinite(s)):
+        raise DomainError("nodes must be finite")
     if np.any((s.real < re_lo) | (s.real > re_hi)):
         raise ValueError(f"nodes outside the Re(s) range [{re_lo}, {re_hi}]")
     if s.size == 0:

@@ -10,6 +10,7 @@ time; contours use :mod:`melroot.logspace` instead.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -28,9 +29,10 @@ __all__ = [
 ]
 
 # Outer abscissae integrated together by one batched inner quadrature. At
-# the default tolerances one sample array then holds up to 32 x 512 complex
-# values (256 KB); larger blocks run faster but raise peak memory.
-_ROWS = 32
+# the default tolerances one sample array then holds up to 128 x 512 float64
+# values (512 KB); rows that have converged are not sampled again, so a
+# large block costs little more than its slowest row.
+_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,8 @@ class MellinIntegrand:
     """A function z(t) on (0, inf) together with its convergence strip for
     Re(s). ``z`` must accept numpy arrays and return an array of the same
     shape; the nested levels of :func:`power_transform` and
-    :func:`deriv_times_power` call it on 2-D arrays."""
+    :func:`deriv_times_power` call it on 2-D arrays, one row per outer
+    abscissa still refining. A real ``z`` keeps those levels in float64."""
 
     z: Callable
     convergence_strip: tuple[float, float] = field(default=(0.0, math.inf))
@@ -51,6 +54,8 @@ class MellinIntegrand:
 
 def _require_in_strip(zf: MellinIntegrand, s: complex) -> complex:
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"s = {s} is not finite")
     lo, hi = zf.convergence_strip
     if not (lo < s.real < hi):
         raise DomainError(
@@ -59,11 +64,13 @@ def _require_in_strip(zf: MellinIntegrand, s: complex) -> complex:
     return s
 
 
-def _integrate(g: Callable, quad: QuadratureConfig, dimension: int) -> QuadratureResult:
+def _integrate(
+    g: Callable, quad: QuadratureConfig, dimension: int, rows: np.ndarray | None = None
+) -> QuadratureResult:
     """:func:`integrate_semi_infinite` with a failure tagged by its nesting
     level (1 = innermost) unless a deeper level already tagged it."""
     try:
-        return integrate_semi_infinite(g, quad)
+        return integrate_semi_infinite(g, quad, rows)
     except NonConvergenceError as exc:
         if exc.dimension is None:
             exc.dimension = dimension
@@ -82,8 +89,9 @@ def _convolution_transform(
     by 10**(k-j); it depends on neither s nor the outer abscissa, so each
     level is memoized per abscissa. The abscissae a level has not seen yet
     are sorted and integrated in blocks of ``_ROWS``, each block as one
-    batched quadrature whose rows share the exp-sinh grid in u and refine
-    together until every row has converged.
+    batched quadrature whose rows (one per abscissa t) share the exp-sinh
+    grid in u; a row stops being sampled once it has converged. The levels
+    are real for a real z; only the outer t**(s-1) weight is complex.
     """
     s = _require_in_strip(zf, s)
     quad = quad or QuadratureConfig()
@@ -91,7 +99,10 @@ def _convolution_transform(
 
     def level(c: Callable, j: int) -> Callable:
         q = quad.tightened(10.0 ** (k - j))
-        memo: dict[float, complex] = {}
+        memo: dict[float, float | complex] = {}
+
+        def integrand(u: np.ndarray, ts: np.ndarray) -> np.ndarray:
+            return (c(u) / u) * z(np.divide.outer(ts, u))
 
         def convolved(ts: np.ndarray) -> np.ndarray:
             # sorted() rather than np.unique: numpy's sort path adds about
@@ -99,10 +110,9 @@ def _convolution_transform(
             new = sorted({t for t in ts.tolist() if t not in memo})
             for i in range(0, len(new), _ROWS):
                 block = new[i : i + _ROWS]
-                rows = np.array(block)
-                values = _integrate(lambda u: (c(u) / u) * z(np.divide.outer(rows, u)), q, j).value
+                values = _integrate(integrand, q, j, np.array(block)).value
                 memo.update(zip(block, values.tolist()))
-            return np.array([memo[t] for t in ts.tolist()], dtype=np.complex128)
+            return np.array([memo[t] for t in ts.tolist()])
 
         return convolved
 

@@ -5,8 +5,8 @@ Two entry points:
 * :func:`integrate_semi_infinite` -- complex-valued integrals over (0, inf),
   evaluated with a double-exponential (exp-sinh) variable transformation.
   Handles algebraic endpoint behavior t**(sigma-1) at 0 and exponentially
-  decaying tails in one scheme. Integrands are vectorized over numpy arrays
-  and may return many rows of integrals that share one grid.
+  decaying tails in one scheme. Integrands are vectorized over numpy arrays;
+  a batched integrand computes many rows of integrals on one shared grid.
 * :func:`integrate_periodic` -- trapezoidal rule over [0, 2*pi) for smooth
   periodic integrands (spectrally convergent).
 
@@ -69,96 +69,112 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value (a complex, or an array with one entry per row of a batched
-    integrand) plus an a-posteriori error estimate and the evaluation count."""
+    """Value (a complex, or for a batched integral an array with one entry
+    per row, float64 when the integrand is real) plus an a-posteriori error
+    estimate and the evaluation count."""
 
     value: complex | np.ndarray
     error: float
     evals: int
 
 
-def _call(g: Callable, ts: np.ndarray, lead: tuple | None) -> np.ndarray:
-    """Evaluate ``g`` on the array ``ts``; it must return an array of shape
-    ``lead + ts.shape`` (any leading shape when ``lead`` is None)."""
-    out = g(ts)
-    shape = np.shape(out)
-    if shape[-1:] != ts.shape or (lead is not None and shape[:-1] != lead):
+def _call(g: Callable, ts: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """Evaluate ``g`` on the abscissae ``ts``, as ``g(ts)`` of shape ts.shape,
+    or, with ``rows``, as ``g(ts, rows)`` of shape (len(rows), len(ts)). A
+    real result stays float64; only a complex one becomes complex128."""
+    out = np.asarray(g(ts) if rows is None else g(ts, rows))
+    expected = ts.shape if rows is None else (len(rows), len(ts))
+    if out.shape != expected:
         raise ValueError(
-            f"integrand returned shape {shape} for abscissae of shape "
-            f"{ts.shape}; it must be vectorized over numpy arrays, with the "
+            f"integrand returned shape {out.shape} where {expected} was "
+            f"expected; it must be vectorized over numpy arrays, with the "
             f"abscissae on its last axis"
         )
-    return np.asarray(out, dtype=np.complex128)
+    return out.astype(np.complex128 if np.iscomplexobj(out) else np.float64, copy=False)
 
 
-def integrate_semi_infinite(g: Callable, quad: QuadratureConfig | None = None) -> QuadratureResult:
+def integrate_semi_infinite(
+    g: Callable, quad: QuadratureConfig | None = None, rows: np.ndarray | None = None
+) -> QuadratureResult:
     """Integrate ``g`` over (0, inf) with the exp-sinh rule, halving the
     trapezoid step until two levels agree.
 
-    ``g`` must map a numpy array of n abscissae to an array of shape
-    (..., n); anything else raises ``ValueError``. Each leading index is one
-    integral, a row, and all rows share the grid: the support is trimmed to
-    the union of the rows' supports in the coarse pass, and the step halves
-    until every row meets its own ``max(abs_tol, rel_tol * |row|)``. ``value``
-    has the leading shape (a plain complex for an integrand of shape (n,),
-    whose arithmetic is that of a single integral), ``error`` is the largest
-    row error and ``evals`` counts abscissae, not rows times abscissae. Any
-    algebraic singularity at 0 must be integrable (no worse than
-    t**(sigma-1) with sigma > 0) and the tail must decay fast enough for the
-    integral to converge absolutely.
+    Without ``rows``, ``g`` maps a numpy array of abscissae to an array of
+    the same shape and ``value`` is a complex. With ``rows``, a 1-D array of
+    parameters, each parameter is one integral, a row: ``g(ts, p)`` must
+    return shape (len(p), len(ts)) for the parameters ``p`` of the rows still
+    refining, and ``value`` is an array with one entry per row (float64 if
+    ``g`` is real). Anything else raises ``ValueError``. All rows share the
+    grid: the support is trimmed to the union of the rows' supports in the
+    coarse pass. A row whose last halving changed it by at most
+    ``max(abs_tol, rel_tol * |row|)`` keeps that value and error and is not
+    sampled again; the step halves until every row has. ``error`` is the
+    largest row error and ``evals`` counts abscissae, not rows times
+    abscissae. Any algebraic singularity at 0 must be integrable (no worse
+    than t**(sigma-1) with sigma > 0) and the tail must decay fast enough
+    for the integral to converge absolutely.
 
     Raises :class:`NonConvergenceError` (carrying the best estimate of every
     row) if the tolerance is not met within ``quad.max_evals`` evaluations.
     """
     quad = quad or QuadratureConfig()
+    if rows is not None:
+        rows = np.asarray(rows)
+        if rows.ndim != 1:
+            raise ValueError(f"rows must be a 1-D array, got shape {rows.shape}")
 
-    def sample(u: np.ndarray, lead: tuple | None = None) -> np.ndarray:
+    def sample(u: np.ndarray, p: np.ndarray | None) -> np.ndarray:
         # transformed integrand: Jacobian included, mesh width excluded
         t = np.exp(_LAMBDA * np.sinh(u))
         w = _LAMBDA * np.cosh(u) * t
         with np.errstate(all="ignore"):
-            vals = _call(g, t, lead) * w
+            vals = _call(g, t, p) * w
         # Overflow in the far tails, where the genuine contribution is below
         # the truncation threshold by construction of _U_CAP.
         vals[~np.isfinite(vals)] = 0.0
         return vals
 
     def result(total: np.ndarray, err: np.ndarray) -> QuadratureResult:
-        value = complex(total) if total.ndim == 0 else total
+        value = complex(total[0]) if rows is None else total
         return QuadratureResult(value, float(np.max(err)), evals)
 
     h = _H0
     n0 = int(_U_CAP / h)
     u = h * np.arange(-n0, n0 + 1)
-    vals = sample(u)
-    lead = vals.shape[:-1]
+    # The 1-D form is one row, so both forms share the code below.
+    vals = sample(u, rows).reshape(-1, len(u))
     evals = len(u)
 
     mags = np.abs(vals)
-    peak = mags.max(axis=-1, keepdims=True)
+    peak = mags.max(axis=1, keepdims=True)
     # Trim the support once from the coarse pass, to the union of the rows'
     # supports; refinements stay inside it.
-    keep = np.nonzero((mags > quad.truncation_decay * peak).reshape(-1, len(u)).any(axis=0))[0]
+    keep = np.nonzero((mags > quad.truncation_decay * peak).any(axis=0))[0]
     if keep.size == 0:
-        return result(np.zeros(lead, dtype=np.complex128), np.zeros(lead))
+        return result(np.zeros(len(vals), dtype=vals.dtype), np.zeros(len(vals)))
     i_lo = max(int(keep[0]) - 1, 0)
     i_hi = min(int(keep[-1]) + 1, len(u) - 1)
     lo, hi = float(u[i_lo]), float(u[i_hi])
-    total = h * vals[..., i_lo : i_hi + 1].sum(axis=-1)
+    total = h * vals[:, i_lo : i_hi + 1].sum(axis=1)
+    err = np.full(len(total), math.inf)
+    active = np.arange(len(total))
 
     level = 0
-    err = math.inf
     while evals < quad.max_evals:
         level += 1
         h *= 0.5
         k = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
         k = k[k % 2 != 0]
-        new_total = total / 2.0 + h * sample(h * k, lead).sum(axis=-1)
+        p = None if rows is None else rows[active]
+        new_total = total[active] / 2.0 + h * sample(h * k, p).reshape(-1, len(k)).sum(axis=1)
         evals += len(k)
-        err = np.abs(new_total - total)
-        total = new_total
-        if level >= _MIN_LEVELS and np.all(err <= np.maximum(quad.abs_tol, quad.rel_tol * np.abs(total))):
-            return result(total, err)
+        err[active] = np.abs(new_total - total[active])
+        total[active] = new_total
+        if level >= _MIN_LEVELS:
+            # not (err <= tol) rather than err > tol: a NaN row goes on refining
+            active = active[~(err[active] <= np.maximum(quad.abs_tol, quad.rel_tol * np.abs(new_total)))]
+            if active.size == 0:
+                return result(total, err)
 
     best = result(total, err)
     raise NonConvergenceError(

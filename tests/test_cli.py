@@ -146,6 +146,9 @@ _GRID = ["--re-min", "0.5", "--re-max", "1", "--im-min", "0", "--im-max", "1"]
         pytest.param(["expsum-error", "--re-min", "0.5", "--re-max", "1", "--im-min", "0", "--im-max", "nan"],
                      id="im-max-nan"),
         pytest.param(["table1", "--nodes", "3"], id="table1-nodes"),
+        pytest.param(["convolution-check", "--s-re", "0.4", "--s-im", "nan"], id="s-im-nan"),
+        pytest.param(["convolution-check", "--s-re", "inf"], id="s-re-inf"),
+        pytest.param(["convolution-check", "--s-im", "0.3"], id="s-im-without-s-re"),
     ],
 )
 def test_bad_arguments_exit_2(argv, capsys):

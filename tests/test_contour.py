@@ -17,6 +17,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             m.CircularContour(0j, 1.0, nodes=0)
 
+    @pytest.mark.parametrize(
+        "center, radius",
+        [(complex(math.nan, 1.0), 0.1), (complex(0.5, math.inf), 0.1), (0.5 + 0j, math.inf), (0.5 + 0j, math.nan)],
+    )
+    def test_contour_must_be_finite(self, center, radius):
+        with pytest.raises(ValueError):
+            m.CircularContour(center, radius)
+
     def test_contour_parameterization(self):
         c = m.CircularContour(1 + 2j, 0.5)
         assert abs(c.point(0.0) - (1.5 + 2j)) < 1e-15

@@ -33,6 +33,16 @@ class TestTransform:
         with pytest.raises(m.DomainError):
             m.transform(EXP_DECAY, 0.0)
 
+    @pytest.mark.parametrize("s", [complex(0.4, math.nan), complex(0.4, math.inf), complex(math.nan, 0.0)])
+    def test_non_finite_s_rejected(self, zeta_zf, s):
+        # every sample would be NaN and zeroed, so the value would read 0
+        with pytest.raises(m.DomainError):
+            m.transform(zeta_zf, s)
+        with pytest.raises(m.DomainError):
+            m.power_transform(zeta_zf, 3, s)
+        with pytest.raises(m.DomainError):
+            m.deriv_times_power(zeta_zf, 1, s)
+
     def test_analyticity_cauchy_riemann(self, zeta_zf):
         # finite differences along the real and imaginary directions agree
         s = 0.8 + 1.1j
@@ -149,6 +159,36 @@ class TestNestedConvolution:
         m.power_transform(zf, 3, 0.4 - 0.3j)
         assert len(calls) < 1000
 
+    def test_converged_rows_save_z_points(self, zeta_zf):
+        # one inner quadrature per abscissa evaluated z at 296,647 points for
+        # this Z**3; batched rows that stop refining once they converge must
+        # not cost more
+        points = []
+
+        def z(t):
+            points.append(t.size)
+            return m.z_integrand(t)
+
+        zf = m.MellinIntegrand(z=z, convergence_strip=zeta_zf.convergence_strip)
+        m.power_transform(zf, 3, 0.4 - 0.3j)
+        assert sum(points) < 296_647
+
+    def test_inner_levels_stay_real(self, zeta_zf, monkeypatch):
+        # for a real z only the outer t**(s-1) weight is complex
+        quadrature = m.mellin.integrate_semi_infinite
+        inner = []
+
+        def recording(g, quad=None, rows=None):
+            r = quadrature(g, quad, rows)
+            if rows is not None:
+                inner.append(r.value.dtype)
+            return r
+
+        monkeypatch.setattr(m.mellin, "integrate_semi_infinite", recording)
+        r = m.power_transform(zeta_zf, 3, 0.4 - 0.3j)
+        assert inner and set(inner) == {np.dtype(np.float64)}
+        assert isinstance(r.value, complex)
+
     def test_inner_failure_reports_dimension(self, zeta_zf):
         # the innermost of the two levels runs out of evaluations first
         with pytest.raises(m.NonConvergenceError) as exc:
@@ -221,6 +261,20 @@ class TestConvolutionPowers:
         zf = m.MellinIntegrand(z=z, convergence_strip=zeta_zf.convergence_strip)
         powers, derivs = convolution_powers(zf, [], (0.5, 0.6))
         assert powers.shape == derivs.shape == (2, 0)
+        assert not calls
+
+    @pytest.mark.parametrize("node", [complex(0.55, math.nan), complex(0.55, math.inf)])
+    def test_non_finite_node_rejected(self, zeta_zf, node):
+        # rejected before z is evaluated, not after the grid budget runs out
+        calls = []
+
+        def z(t):
+            calls.append(t)
+            return m.z_integrand(t)
+
+        zf = m.MellinIntegrand(z=z, convergence_strip=zeta_zf.convergence_strip)
+        with pytest.raises(m.DomainError):
+            convolution_powers(zf, [0.55 + 1j, node], (0.5, 0.6))
         assert not calls
 
     def test_input_checks(self, zeta_zf):

@@ -63,16 +63,23 @@ def test_nonconvergence_carries_best_estimate():
     assert exc.value.error_estimate is not None
 
 
+def _damped_cosines(t, p):
+    # int e**-t cos(p t) dt = 1 / (1 + p**2); larger p needs finer steps
+    return np.exp(-t) * np.cos(np.multiply.outer(p, t))
+
+
 class TestRows:
     def test_rows_integrate_independently(self):
-        r = m.integrate_semi_infinite(lambda t: np.stack([np.exp(-t), t * np.exp(-t), np.exp(-2.0 * t)]))
+        gamma = lambda t, p: t ** (p[:, None] - 1.0) * np.exp(-t)
+        r = m.integrate_semi_infinite(gamma, rows=np.array([1.0, 2.0, 0.5]))
         assert r.value.shape == (3,)
-        assert np.all(np.abs(r.value - [1.0, 1.0, 0.5]) < 1e-10)
+        assert np.all(np.abs(r.value - [1.0, 1.0, math.sqrt(math.pi)]) < 1e-10)
 
     def test_single_row_is_the_scalar_integral(self):
         g = lambda t: t / np.cosh(t) ** 2 * t ** (-0.6 - 0.3j)
         scalar = m.integrate_semi_infinite(g)
-        rows = m.integrate_semi_infinite(lambda t: g(t)[None, :])
+        g_rows = lambda t, p: t / np.cosh(t) ** 2 * t ** p[:, None]
+        rows = m.integrate_semi_infinite(g_rows, rows=np.array([-0.6 - 0.3j]))
         assert isinstance(scalar.value, complex)
         assert rows.value.shape == (1,)
         assert rows.value[0] == scalar.value
@@ -80,22 +87,65 @@ class TestRows:
 
     def test_abscissae_must_be_the_last_axis(self):
         with pytest.raises(ValueError):
-            m.integrate_semi_infinite(lambda t: np.stack([np.exp(-t), np.exp(-t)], axis=-1))
+            m.integrate_semi_infinite(lambda t, p: np.stack([np.exp(-t), np.exp(-t)], axis=-1), rows=np.zeros(2))
+        # without rows the integrand has the shape of its abscissae
+        with pytest.raises(ValueError):
+            m.integrate_semi_infinite(lambda t: np.stack([np.exp(-t), np.exp(-t)]))
+        with pytest.raises(ValueError):
+            m.integrate_semi_infinite(lambda t, p: np.exp(-t) * p, rows=np.zeros((2, 1)))
 
     def test_rows_must_not_change_between_calls(self):
         calls = []
 
-        def g(t):
+        def g(t, p):
             calls.append(t)
             return np.ones((len(calls), 1)) * np.exp(-t)  # one more row on every call
 
         with pytest.raises(ValueError):
-            m.integrate_semi_infinite(g)
+            m.integrate_semi_infinite(g, rows=np.zeros(1))
+
+    def test_converged_rows_are_not_sampled_again(self):
+        rows = np.array([0.0, 5.0, 40.0])
+        seen = []
+
+        def g(t, p):
+            seen.append(p.tolist())
+            return _damped_cosines(t, p)
+
+        r = m.integrate_semi_infinite(g, rows=rows)
+        assert np.all(np.abs(r.value - 1.0 / (1.0 + rows**2)) < 1e-10)
+        assert seen[0] == rows.tolist()
+        # each call gets the rows still refining, in order, and a row that
+        # has left never comes back
+        for before, after in zip(seen, seen[1:]):
+            assert after and set(after) <= set(before) and after == sorted(after)
+        assert seen[-1] == [40.0]
+        assert sum(0.0 in p for p in seen) < sum(5.0 in p for p in seen) < len(seen)
+
+    def test_converged_row_keeps_its_error(self):
+        quad = m.QuadratureConfig()
+        r = m.integrate_semi_infinite(_damped_cosines, quad, np.array([0.0, 40.0]))
+        alone = m.integrate_semi_infinite(lambda t: np.exp(-t), quad)
+        # the reported error is the larger row error, here that of the smooth
+        # row, which stopped refining before the oscillatory one
+        assert r.error == alone.error
+        assert r.evals > alone.evals
+
+    def test_real_rows_stay_real(self):
+        p = np.array([0.0, 5.0])
+        real = m.integrate_semi_infinite(_damped_cosines, rows=p)
+        assert real.value.dtype == np.float64
+        cplx = m.integrate_semi_infinite(lambda t, p: np.exp(-t) * np.exp(1j * np.multiply.outer(p, t)), rows=p)
+        assert cplx.value.dtype == np.complex128
+        assert np.all(np.abs(cplx.value - 1.0 / (1.0 - 1j * p)) < 1e-10)
+        assert np.all(np.abs(real.value - cplx.value.real) < 1e-10)
 
     def test_nonconvergence_carries_every_row(self):
         quad = m.QuadratureConfig(max_evals=200)
         with pytest.raises(m.NonConvergenceError) as exc:
-            m.integrate_semi_infinite(lambda t: np.stack([np.exp(-t), 1.0 / (1.0 + t)]), quad)
+            m.integrate_semi_infinite(
+                lambda t, p: np.where(p[:, None] == 0.0, np.exp(-t), 1.0 / (1.0 + t)), quad, np.array([0.0, 1.0])
+            )
         assert np.shape(exc.value.best_estimate) == (2,)
         assert np.all(np.isfinite(exc.value.best_estimate))
 
