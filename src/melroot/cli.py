@@ -8,10 +8,9 @@ Subcommands::
     expsum-error       grids of the reciprocal-approximation error
     convolution-check  3-fold convolution vs direct third power of Z
 
-Exit codes: 0 success, 1 unreliable count, 2 invalid arguments (an
-unsupported series order included) or domain error, 3 quadrature
-non-convergence. All commands are deterministic: identical arguments give
-byte-identical output.
+Exit codes: 0 success, 1 unreliable count, 2 invalid arguments or domain
+error, 3 quadrature non-convergence. All commands are deterministic:
+identical arguments give byte-identical output.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .contour import (
     integrand_stage2,
     kernel_mellin,
 )
-from .errors import DomainError, NonConvergenceError, PoleError, UnsupportedOrderError
+from .errors import DomainError, NonConvergenceError, PoleError
 from .expsum import PRESETS, ExpSumTable, error_grid
 from .mellin import power_transform, transform
 from .numerics import csgn
@@ -79,7 +78,7 @@ def _add_pipeline_args(p: argparse.ArgumentParser):
     _add_table_args(p)
     p.add_argument("--order-n", type=_NON_NEGATIVE_INT, default=1)
     p.add_argument(
-        "--eps", type=_POSITIVE_FLOAT, default=None, help="smooth-csgn width (default: exact reference sign)"
+        "--eps", type=_POSITIVE_FLOAT, default=None, help="smooth-csgn width (default: exact csgn of the pipeline's f)"
     )
 
 
@@ -335,9 +334,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except DomainError as exc:  # includes PoleError
         print(f"domain error: {exc}", file=sys.stderr)
-        return 2
-    except UnsupportedOrderError as exc:
-        print(f"unsupported order: {exc}", file=sys.stderr)
         return 2
     except NonConvergenceError as exc:
         print(f"quadrature did not converge: {exc}", file=sys.stderr)

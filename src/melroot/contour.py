@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import NonConvergenceError, PoleError, UnsupportedOrderError
-from .expsum import ExpSumTable, inv_approx, inv_approx_truncated, series_weights
+from .errors import NonConvergenceError, PoleError
+from .expsum import ExpSumTable, inv_approx, inv_approx_truncated, truncated_series
 from .mellin import MellinIntegrand
 from .numerics import csgn, csgn_smooth
 from .quadrature import QuadratureConfig, integrate_periodic
@@ -70,8 +70,8 @@ class FactoredFunction:
     """f(s) = K(s) * Z(s) with Z the Mellin transform of ``zf.z``.
 
     ``f_reference`` / ``fprime_reference``, when supplied, are independent
-    oracles for f and f' used by the direct route and by the sign factor of
-    the approximated route.
+    oracles for f and f', used by the direct route and the stage integrands.
+    The approximated route needs only ``zf``, ``K`` and ``Kprime``.
     """
 
     zf: MellinIntegrand
@@ -85,13 +85,12 @@ class FactoredFunction:
 class PipelineConfig:
     """Approximation orders and tolerances for the convolution route.
 
-    ``series_order`` is capped at 1: each additional order needs the
-    Z'(s) * Z(s)**k convolution for k >= 2, which has no supported
-    representation here.
+    ``series_order`` is the degree of the Taylor polynomial that replaces
+    each exponential; any non-negative order works, since each order is one
+    more power of the same f = K Z.
 
-    ``eps`` selects the sign factor: without it csgn(f) comes from the
-    reference ``f_reference``; with it, from the smooth surrogate
-    tanh(f / eps) of the convolution-route f.
+    ``eps`` selects the sign factor of the convolution-route f: csgn(f)
+    without it, the smooth surrogate tanh(f / eps) with it.
     """
 
     table: ExpSumTable
@@ -102,10 +101,6 @@ class PipelineConfig:
     def __post_init__(self):
         if self.series_order < 0:
             raise ValueError(f"series_order must be non-negative, got {self.series_order}")
-        if self.series_order > 1:
-            raise UnsupportedOrderError(
-                f"series_order is capped at 1, got {self.series_order}"
-            )
         if self.eps is not None and not self.eps > 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
 
@@ -173,38 +168,25 @@ def integrand_stage2(
     )
 
 
-def _sign_factor(ff: FactoredFunction, s: complex, cfg: PipelineConfig, f_mellin: complex) -> complex:
-    """csgn(f(s)) from the reference, or, when ``cfg.eps`` is set, its smooth
-    surrogate applied to ``f_mellin`` = K(s) Z(s) from the convolution route."""
-    if cfg.eps is None:
-        if ff.f_reference is None:
-            raise ValueError("the reference sign needs f_reference; set eps otherwise")
-        return complex(csgn(ff.f_reference(s)))
-    return csgn_smooth(f_mellin, cfg.eps)
-
-
 def _kernels(ff: FactoredFunction, c: CircularContour, phis, cfg: PipelineConfig, mellin) -> list[complex]:
     """The expanded counting integrand at each angle of ``phis`` from the
-    Mellin quantities ``(powers, derivs)`` of
-    :func:`~melroot.logspace.convolution_powers` at those angles' nodes.
+    ``(Z, Z')`` of :func:`~melroot.logspace.transform_and_derivative` at
+    those angles' nodes.
 
-    The double sum over exponential terms j and series orders k collapses
-    over j (:func:`~melroot.expsum.series_weights`) because the csgn factor
-    does not depend on j.
+    This is :func:`integrand_stage2` with f = K Z and f' = K' Z + K Z' in
+    place of the references: each power Z**k and product Z' Z**k of the
+    expansion is a product of the grid's Z and Z'. The sign factor is
+    csgn(f), or tanh(f / eps) when ``cfg.eps`` is set.
     """
-    weights = series_weights(cfg.table, cfg.series_order)
-    powers, derivs = mellin
     values = []
-    for i, phi in enumerate(phis):
+    for phi, z, zprime in zip(phis, *mellin):
         s = c.point(phi)
         Ks = ff.K(s)
-        Kp = ff.Kprime(s)
-        sgn = _sign_factor(ff, s, cfg, Ks * powers[0, i])
-        total = 0j
-        for k, weight in enumerate(weights):
-            body = Kp * Ks**k * powers[k, i] + Ks ** (k + 1) * derivs[k, i]
-            total += sgn ** (k + 1) * weight * body
-        values.append(complex(total * c.velocity(phi) / _TWO_PI_I))
+        f = Ks * z
+        fprime = ff.Kprime(s) * z + Ks * zprime
+        sgn = csgn(f) if cfg.eps is None else csgn_smooth(f, cfg.eps)
+        series = sgn * truncated_series(sgn * f, cfg.table, cfg.series_order)
+        values.append(complex(fprime * series * c.velocity(phi) / _TWO_PI_I))
     return values
 
 
@@ -218,12 +200,12 @@ def _reduced_kernels(ff: FactoredFunction, c: CircularContour, phis, cfg: Pipeli
     """
     # Imported here: only this route needs it, so `import melroot` does not
     # pay for loading it.
-    from .logspace import convolution_powers
+    from .logspace import transform_and_derivative
 
     nodes = [c.point(phi) for phi in phis]
     re_range = (c.center.real - c.radius, c.center.real + c.radius)
     try:
-        mellin = convolution_powers(ff.zf, nodes, re_range, cfg.quad)
+        mellin = transform_and_derivative(ff.zf, nodes, re_range, cfg.quad)
     except NonConvergenceError as exc:
         raise NonConvergenceError(
             f"Mellin densities did not converge on the contour: {exc}",
@@ -236,11 +218,10 @@ def _reduced_kernels(ff: FactoredFunction, c: CircularContour, phis, cfg: Pipeli
 def kernel_mellin(ff: FactoredFunction, c: CircularContour, phi: float, cfg: PipelineConfig) -> complex:
     """Fully expanded counting-integrand at contour angle phi.
 
-    Every Z-quantity is computed from z(t) through the convolution
-    representations (never from the reference oracle); the reference enters
-    only through the sign factor, matching the construction of the
-    expansion. The Mellin grid is cut for the whole contour, as in
-    :func:`count_pipeline`, and refined until this node's values settle.
+    The stage-2 integrand with f and f' from K, K' and the Mellin transforms
+    Z and Z' of z(t) alone, the sign factor included; the references of
+    ``ff`` are not used. The Mellin grid is cut for the whole contour, as in
+    :func:`count_pipeline`, and refined until this node's Z and Z' settle.
     """
     return _reduced_kernels(ff, c, [phi], cfg, lambda values: values[0])
 
@@ -262,11 +243,12 @@ def count_pipeline(ff: FactoredFunction, c: CircularContour, cfg: PipelineConfig
     The result carries the exponential-sum and series-truncation error; the
     integer rounding is only meaningful when the residual is small.
 
-    The Mellin densities are built once for the contour and evaluated at all
-    its nodes (:func:`~melroot.logspace.convolution_powers`); the kernel values
-    are then summed by the trapezoid rule. A contour that leaves the
-    convergence strip of ``ff.zf`` raises :class:`DomainError` before any
-    density is built.
+    The Mellin densities are built once for the contour and give Z and Z' at
+    all its nodes (:func:`~melroot.logspace.transform_and_derivative`); the
+    kernel values (:func:`kernel_mellin`) are then summed by the trapezoid
+    rule. Only ``ff.zf``, ``ff.K`` and ``ff.Kprime`` are used. A contour that
+    leaves the convergence strip of ``ff.zf`` raises :class:`DomainError`
+    before any density is built.
     """
     step = 2.0 * math.pi / c.nodes
     phis = [step * i for i in range(c.nodes)]

@@ -24,6 +24,7 @@ __all__ = [
     "inv_approx",
     "inv_approx_truncated",
     "series_weights",
+    "truncated_series",
     "error_grid",
 ]
 
@@ -103,24 +104,36 @@ def series_weights(table: ExpSumTable, n: int) -> list[float]:
 
     Truncating each exp(-c_j y) to its degree-``n`` Taylor polynomial turns
     the exponential sum into sum_k b_k y**k: the sum over j collapses into
-    one weight per power of y.
+    one weight per power of y. Each term alpha_j (-c_j)**k / k! is the
+    previous one times -c_j / k, so no c_j**k or k! overflows at high order.
     """
     if n < 0:
         raise ValueError(f"series order must be non-negative, got {n}")
-    return [
-        (-1) ** k / math.factorial(k) * sum(a * cj**k for a, cj in zip(table.alpha, table.c))
-        for k in range(n + 1)
-    ]
+    terms = list(table.alpha)
+    weights = [sum(terms)]
+    for k in range(1, n + 1):
+        terms = [t * -cj / k for t, cj in zip(terms, table.c)]
+        weights.append(sum(terms))
+    return weights
+
+
+def truncated_series(y: complex, table: ExpSumTable, n: int) -> complex:
+    """sum_k b_k y**k with the :func:`series_weights` b_k: the exponential
+    sum sum_j alpha_j exp(-c_j y) with each exponential cut to its degree-``n``
+    Taylor polynomial. Evaluated by Horner's rule, so no power y**k is
+    formed."""
+    total = 0j
+    for b in reversed(series_weights(table, n)):
+        total = total * y + b
+    return total
 
 
 def inv_approx_truncated(x: complex, table: ExpSumTable, n: int) -> complex:
     """As :func:`inv_approx`, with exp(w) replaced by its Taylor polynomial
-    of degree ``n``: csgn(x) * sum_k b_k (x csgn(x))**k with the
-    :func:`series_weights` b_k."""
+    of degree ``n``: csgn(x) * :func:`truncated_series` of x csgn(x)."""
     x = complex(x)
     sgn = csgn(x)
-    folded = x * sgn
-    return sgn * sum(b * folded**k for k, b in enumerate(series_weights(table, n)))
+    return sgn * truncated_series(x * sgn, table, n)
 
 
 def error_grid(

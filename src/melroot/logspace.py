@@ -1,16 +1,16 @@
-"""Mellin quantities at all nodes of a contour from densities in x = ln t.
+"""Mellin transforms at all nodes of a contour from densities in x = ln t.
 
 With x = ln t, Z(s) = int z(t) t**(s-1) dt becomes int g(x) e**(s x) dx with
 g(x) = z(e**x), and Z' is the same integral of x g. On a uniform grid both
 are trapezoid sums h * sum d(x) e**(s x) of densities that do not depend on
-s: a contour builds them once and each node costs one weighted sum. The
-Mellin convolutions behind Z**2 and Z' Z are, in x, the convolutions g * g
-and (x g) * g, and the trapezoid sum of a full discrete convolution is the
-product of its factors' sums (the discrete convolution theorem). So
-Z**2 = Z Z and Z' Z are the 2-fold integrals of z alone on the tensor grid.
-The trapezoid rule converges exponentially for analytic, fast-decaying
-densities (Trefethen & Weideman, "The exponentially convergent trapezoidal
-rule", SIAM Rev. 56, 2014).
+s: a contour builds them once and each node costs one weighted sum. Nothing
+else is needed: the Mellin convolutions behind Z**k and Z' Z**k are, in x,
+convolutions of g and x g, and the trapezoid sum of a full discrete
+convolution is the product of its factors' sums (the discrete convolution
+theorem), so on this grid they are the products of Z and Z'. The trapezoid
+rule converges exponentially for analytic, fast-decaying densities
+(Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
+SIAM Rev. 56, 2014).
 
 Only the approximated counting route needs this module, so
 :mod:`melroot.contour` imports it on first use.
@@ -26,7 +26,7 @@ from .errors import DomainError, NonConvergenceError
 from .mellin import MellinIntegrand
 from .quadrature import QuadratureConfig
 
-__all__ = ["convolution_powers"]
+__all__ = ["transform_and_derivative"]
 
 # Coarsest step of the grid in x = ln t; each refinement halves it.
 _H0 = 0.5
@@ -45,8 +45,8 @@ def _tail_cutoff(margin: float, decay: float) -> float:
     """x > 0 at which x**2 * e**(-margin * x) has fallen to about ``decay``.
 
     Next to a finite strip edge, the densities weighted by e**(s x) decay like
-    |x|**k * e**(-margin |x|), margin = |Re s - edge| and k <= 2 (k = 1 for
-    x g; one power to spare), so all of them are negligible past this point.
+    |x|**k * e**(-margin |x|), margin = |Re s - edge| and k <= 1 (k = 1 for
+    x g), so with one power to spare both are negligible past this point.
     """
     x = -math.log(decay) / margin
     x += 2.0 * math.log(max(x, 1.0)) / margin
@@ -69,7 +69,7 @@ def _density(zf: MellinIntegrand, x: np.ndarray) -> np.ndarray:
 
 def _trapezoid_sums(x, g, h, s) -> np.ndarray:
     """Trapezoid sums on the grid ``x`` (step ``h``) at the nodes ``s``:
-    row 0 holds Z and Z', row 1 holds Z**2 = Z Z and Z' Z."""
+    row 0 holds Z, row 1 holds Z'."""
     bad = ~np.isfinite(g)
     if bad.any():
         raise DomainError(f"z(t) is not finite at t = e**{float(x[bad][0]):.6g}")
@@ -84,21 +84,18 @@ def _trapezoid_sums(x, g, h, s) -> np.ndarray:
         weights = np.outer(x, s[i : i + rows]) + log_g[:, None]
         z[:, i : i + rows] = factors @ np.exp(weights, out=weights)
     z *= h
-    return np.stack([z, z * z[0]])
+    return z
 
 
-def convolution_powers(
+def transform_and_derivative(
     zf: MellinIntegrand, s, re_range: tuple[float, float], quad: QuadratureConfig | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Z**(k+1) and Z' * Z**k, k = 0, 1, at every node of ``s`` from
-    densities of z built once on a uniform grid in x = ln t.
+    """Z and Z' at every node of ``s`` from densities of z built once on a
+    uniform grid in x = ln t.
 
-    Returns ``(powers, derivs)``, two arrays of shape (2, len(s)) (empty,
-    without evaluating z, when ``s`` is):
-    ``powers[k]`` holds Z**(k+1) and ``derivs[k]`` holds Z' * Z**k. Z and
-    Z' are one trapezoid sum each over the densities g and x g; Z**2 and
-    Z' Z are their products, which equal the trapezoid sums of the
-    convolutions g * g and (x g) * g on the same grid.
+    Returns ``(Z, Z')``, two arrays of shape (len(s),) (empty, without
+    evaluating z, when ``s`` is): one trapezoid sum each over the densities g
+    and x g. Any Z**k or Z' Z**k is their product.
 
     ``re_range`` is the span of Re s over the contour. It must lie inside the
     convergence strip, and every node inside it. Next to a finite strip edge
@@ -107,14 +104,13 @@ def convolution_powers(
     |g(x)| e**(Re s x) falls below ``quad.truncation_decay`` times its peak.
 
     The step starts at 0.5 and halves until two successive steps agree at
-    every node, for all four quantities, within ``quad.rel_tol`` or
-    ``quad.abs_tol``; the finer values are returned. ``z`` must accept numpy
-    arrays.
+    every node, for Z and Z', within ``quad.rel_tol`` or ``quad.abs_tol``;
+    the finer values are returned. ``z`` must accept numpy arrays.
 
     Raises :class:`DomainError` when ``re_range`` leaves the strip or a node
     is not finite (both before z is evaluated) or z is not finite on the
     grid, and
-    :class:`NonConvergenceError`, with the finest values reached as
+    :class:`NonConvergenceError`, with the finest ``(Z, Z')`` reached as
     ``best_estimate``, when one more halving would exceed ``quad.max_evals``
     grid points.
     """
@@ -131,7 +127,7 @@ def convolution_powers(
     if np.any((s.real < re_lo) | (s.real > re_hi)):
         raise ValueError(f"nodes outside the Re(s) range [{re_lo}, {re_hi}]")
     if s.size == 0:
-        return np.empty((2, 0), dtype=np.complex128), np.empty((2, 0), dtype=np.complex128)
+        return np.empty(0, dtype=np.complex128), np.empty(0, dtype=np.complex128)
 
     decay = quad.truncation_decay
     x_lo = -_tail_cutoff(re_lo - lo, decay) if math.isfinite(lo) else -_SCAN
@@ -164,10 +160,10 @@ def convolution_powers(
         values = refined
         err = float(delta.max())
         if np.all(delta <= np.maximum(quad.abs_tol, quad.rel_tol * np.abs(refined))):
-            return values[:, 0], values[:, 1]
+            return values[0], values[1]
     raise NonConvergenceError(
         f"grid step {h} in ln t not settled within {quad.max_evals} grid points "
         f"(last delta {err:.3e})",
-        best_estimate=(values[:, 0], values[:, 1]),
+        best_estimate=(values[0], values[1]),
         error_estimate=err,
     )

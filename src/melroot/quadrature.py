@@ -55,8 +55,8 @@ class QuadratureConfig:
             raise ValueError(f"abs_tol must lie in (0, 1), got {self.abs_tol}")
         if self.max_evals < 100:
             raise ValueError(f"max_evals must be >= 100, got {self.max_evals}")
-        if self.truncation_decay <= 0.0:
-            raise ValueError("truncation_decay must be positive")
+        if not (0.0 < self.truncation_decay < 1.0):
+            raise ValueError(f"truncation_decay must lie in (0, 1), got {self.truncation_decay}")
 
     def tightened(self, factor: float = 10.0) -> "QuadratureConfig":
         """Copy with tolerances divided by ``factor`` (for nested integrals)."""

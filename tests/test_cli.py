@@ -67,6 +67,13 @@ class TestTable1:
         got = complex(row["kernel"]["re"], row["kernel"]["im"])
         assert abs(got - ref.COLUMN5[5]) < 1e-6
 
+    def test_kernel_matches_stage2_at_order_3(self, capsys):
+        assert main(["table1", "--order-n", "3", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload) == 9
+        for row in payload:
+            assert row["kernel"] == row["stage2"]
+
 
 class TestCount:
     def test_direct_pole(self, tmp_path, capsys):
@@ -100,6 +107,11 @@ class TestCount:
         assert abs(complex(report["value"]["re"], report["value"]["im"])) < 0.15
         assert report["rounded"] == 0
 
+    def test_pipeline_any_order(self, capsys):
+        rc = main(["count", "--method", "pipeline", "--nodes", "8", "--order-n", "2"])
+        assert rc == 0
+        assert "rounded  0" in capsys.readouterr().out
+
     def test_unreliable_count_exits_nonzero(self, capsys, recwarn):
         # a node landing almost on the pole leaves a huge residual
         rc = main([
@@ -130,7 +142,6 @@ _GRID = ["--re-min", "0.5", "--re-max", "1", "--im-min", "0", "--im-max", "1"]
         pytest.param(["count", "--method", "pipeline", "--nodes", "8", "--eps", "-1"], id="eps-negative"),
         pytest.param(["count", "--method", "pipeline", "--nodes", "8", "--eps", "0"], id="eps-zero"),
         pytest.param(["count", "--method", "pipeline", "--nodes", "8", "--order-n", "-1"], id="order-negative"),
-        pytest.param(["count", "--method", "pipeline", "--nodes", "8", "--order-n", "2"], id="order-unsupported"),
         pytest.param(["sign-map", *_GRID, "--grid-nx", "0"], id="grid-nx"),
         pytest.param(["expsum-error", *_GRID, "--grid-ny", "0"], id="grid-ny"),
         pytest.param(["expsum-error", *_GRID, "--order-n", "1"], id="expsum-error-order"),

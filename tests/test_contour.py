@@ -31,9 +31,8 @@ class TestTypes:
         assert abs(c.point(math.pi / 2) - (1 + 2.5j)) < 1e-15
         assert abs(c.velocity(0.0) - 0.5j) < 1e-15
 
-    def test_pipeline_config_order_cap(self, coeffs):
-        with pytest.raises(m.UnsupportedOrderError):
-            m.PipelineConfig(table=coeffs, series_order=2)
+    def test_pipeline_config_any_order(self, coeffs):
+        assert m.PipelineConfig(table=coeffs, series_order=2).series_order == 2
         with pytest.raises(ValueError):
             m.PipelineConfig(table=coeffs, series_order=-1)
 
@@ -150,6 +149,25 @@ class TestKernel:
             phi = 2.0 * math.pi * i / c.nodes
             kern = m.kernel_mellin(zeta_ff, c, phi, cfg)
             assert abs(kern - m.integrand_stage2(zeta_ff, c, phi, coeffs, 1)) < 1e-5
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_agrees_with_stage2_at_higher_orders(self, zeta_ff, coeffs, order):
+        # each order is one more power of the same f = K Z
+        cfg = m.PipelineConfig(table=coeffs, series_order=order)
+        c = m.CircularContour(0.57 + 1.57j, 0.1, nodes=64)
+        for i in range(c.nodes):
+            phi = 2.0 * math.pi * i / c.nodes
+            kern = m.kernel_mellin(zeta_ff, c, phi, cfg)
+            assert abs(kern - m.integrand_stage2(zeta_ff, c, phi, coeffs, order)) < 1e-12
+
+    def test_needs_no_references(self, zeta_ff, coeffs):
+        # the sign comes from the convolution-route f, so z, K and K' suffice
+        bare = m.FactoredFunction(zf=zeta_ff.zf, K=zeta_ff.K, Kprime=zeta_ff.Kprime)
+        cfg = m.PipelineConfig(table=coeffs)
+        c = m.CircularContour(1.0 + 0j, 0.1, nodes=16)
+        assert m.count_pipeline(bare, c, cfg) == m.count_pipeline(zeta_ff, c, cfg)
+        for phi in (0.0, 1.0, math.pi):
+            assert m.kernel_mellin(bare, c, phi, cfg) == m.kernel_mellin(zeta_ff, c, phi, cfg)
 
     def test_agrees_with_stage2_on_first_zero_circle(self, zeta_ff, coeffs):
         # |Z**2| ~ 1e-18 here and K**2 ~ 1e18 scales it into the kernel, so

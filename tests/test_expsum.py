@@ -113,6 +113,13 @@ class TestInvApproxTruncated:
         with pytest.raises(ValueError):
             m.inv_approx_truncated(1.0, coeffs, -1)
 
+    def test_high_orders_do_not_overflow(self, coeffs):
+        # c_j**1000 and 1000! overflow a float; the weights must not
+        weights = m.expsum.series_weights(coeffs, 1000)
+        assert all(math.isfinite(b) for b in weights)
+        x = -3.0 + 2.0j
+        assert abs(m.inv_approx_truncated(x, coeffs, 1000) - m.inv_approx(x, coeffs)) < 1e-12
+
     def test_monotone_convergence_beyond_threshold(self, coeffs):
         x = 1.5 + 0.4j
         target = m.inv_approx(x, coeffs)

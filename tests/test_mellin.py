@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import melroot as m
-from melroot.logspace import convolution_powers
+from melroot.logspace import transform_and_derivative
 
 EXP_DECAY = m.MellinIntegrand(z=lambda t: np.exp(-t), convergence_strip=(0.0, math.inf))
 
@@ -208,34 +208,34 @@ class TestConvolutionPowers:
         import mpmath as mp
 
         s, re_range = _circle(1.0 + 0.5j, 0.3, 16)
-        powers, derivs = convolution_powers(EXP_DECAY, s, re_range)
+        z, zprime = transform_and_derivative(EXP_DECAY, s, re_range)
         for i, si in enumerate(s):
             gamma = complex(mp.gamma(si))
             zp_z = complex(mp.digamma(si)) * gamma**2
-            assert abs(powers[0, i] - gamma) <= 1e-12 * abs(gamma)
-            assert abs(derivs[1, i] - zp_z) <= 1e-12 * abs(zp_z)
+            assert abs(z[i] - gamma) <= 1e-12 * abs(gamma)
+            assert abs(zprime[i] * z[i] - zp_z) <= 1e-12 * abs(zp_z)
 
     def test_finite_strip_edge(self):
         # z = 1/(1+t) on the strip (0, 1): Z = pi / sin(pi s); the grid's
         # right end comes from the strip's upper edge
         zf = m.MellinIntegrand(z=lambda t: 1.0 / (1.0 + t), convergence_strip=(0.0, 1.0))
         s, re_range = _circle(0.5 + 0.5j, 0.2, 16)
-        powers, _ = convolution_powers(zf, s, re_range)
+        z, _ = transform_and_derivative(zf, s, re_range)
         for i, si in enumerate(s):
-            z = math.pi / cmath.sin(math.pi * si)
-            assert abs(powers[0, i] - z) <= 1e-12 * abs(z)
-            assert abs(powers[1, i] - z * z) <= 1e-12 * abs(z * z)
+            exact = math.pi / cmath.sin(math.pi * si)
+            assert abs(z[i] - exact) <= 1e-12 * abs(exact)
+            assert abs(z[i] * z[i] - exact * exact) <= 1e-12 * abs(exact * exact)
 
     @pytest.mark.parametrize("center,radius,nodes", [(0.57 + 1.57j, 0.1, 64), (1.0 + 0j, 0.1, 16)])
     def test_matches_adaptive_convolutions(self, zeta_zf, center, radius, nodes):
         # the reference circle and the pole circle
         s, re_range = _circle(center, radius, nodes)
-        powers, derivs = convolution_powers(zeta_zf, s, re_range)
+        z, zprime = transform_and_derivative(zeta_zf, s, re_range)
         for i, si in enumerate(s):
             z2 = m.power_transform(zeta_zf, 2, si).value
             zp_z = m.deriv_times_power(zeta_zf, 1, si).value
-            assert abs(powers[1, i] - z2) <= 1e-9 * abs(z2)
-            assert abs(derivs[1, i] - zp_z) <= 1e-9 * abs(zp_z)
+            assert abs(z[i] * z[i] - z2) <= 1e-9 * abs(z2)
+            assert abs(zprime[i] * z[i] - zp_z) <= 1e-9 * abs(zp_z)
 
     def test_scanned_side_trimmed(self, zeta_zf):
         # the strip (-1, inf) has no upper edge: the grid must end where
@@ -248,7 +248,7 @@ class TestConvolutionPowers:
 
         zf = m.MellinIntegrand(z=z, convergence_strip=zeta_zf.convergence_strip)
         s, re_range = _circle(0.57 + 1.57j, 0.1, 64)
-        convolution_powers(zf, s, re_range)
+        transform_and_derivative(zf, s, re_range)
         assert sum(sizes) < 400
 
     def test_no_nodes(self, zeta_zf):
@@ -259,8 +259,8 @@ class TestConvolutionPowers:
             return m.z_integrand(t)
 
         zf = m.MellinIntegrand(z=z, convergence_strip=zeta_zf.convergence_strip)
-        powers, derivs = convolution_powers(zf, [], (0.5, 0.6))
-        assert powers.shape == derivs.shape == (2, 0)
+        empty = transform_and_derivative(zf, [], (0.5, 0.6))
+        assert [values.shape for values in empty] == [(0,), (0,)]
         assert not calls
 
     @pytest.mark.parametrize("node", [complex(0.55, math.nan), complex(0.55, math.inf)])
@@ -274,14 +274,14 @@ class TestConvolutionPowers:
 
         zf = m.MellinIntegrand(z=z, convergence_strip=zeta_zf.convergence_strip)
         with pytest.raises(m.DomainError):
-            convolution_powers(zf, [0.55 + 1j, node], (0.5, 0.6))
+            transform_and_derivative(zf, [0.55 + 1j, node], (0.5, 0.6))
         assert not calls
 
     def test_input_checks(self, zeta_zf):
         with pytest.raises(m.DomainError):
-            convolution_powers(zeta_zf, [-1.1 + 0j], (-1.2, -0.8))
+            transform_and_derivative(zeta_zf, [-1.1 + 0j], (-1.2, -0.8))
         with pytest.raises(ValueError):
-            convolution_powers(zeta_zf, [0.9 + 0j], (0.4, 0.6))
+            transform_and_derivative(zeta_zf, [0.9 + 0j], (0.4, 0.6))
 
 
 def test_integrand_validation():

@@ -158,6 +158,11 @@ class TestRows:
         {"abs_tol": -1e-3},
         {"max_evals": 50},
         {"truncation_decay": 0.0},
+        # no sample exceeds nan * peak or inf * peak, so the trim would keep
+        # nothing and every integral would come out 0 with error 0
+        {"truncation_decay": math.nan},
+        {"truncation_decay": math.inf},
+        {"truncation_decay": 1.0},
     ],
 )
 def test_config_validation(kwargs):
