@@ -228,7 +228,6 @@ def cmd_expsum_error(args) -> int:
         (args.re_min, args.re_max),
         (args.im_min, args.im_max),
         (args.grid_nx, args.grid_ny),
-        flag_origin=True,
     )
     if args.format == "csv":
         buf = io.StringIO()

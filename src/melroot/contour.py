@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import NonConvergenceError, PoleError
+from .errors import DomainError, NonConvergenceError, PoleError
 from .expsum import ExpSumTable, inv_approx, inv_approx_truncated, truncated_series
 from .mellin import MellinIntegrand
 from .numerics import csgn, csgn_smooth
@@ -116,6 +116,9 @@ class CountResult:
 
     @classmethod
     def from_value(cls, value: complex) -> "CountResult":
+        """Raises :class:`DomainError` when ``value`` is not finite."""
+        if not cmath.isfinite(value):
+            raise DomainError(f"the contour integral is not finite: {value}")
         rounded = int(round(value.real))
         return cls(value=value, rounded=rounded, residual=abs(value - rounded))
 

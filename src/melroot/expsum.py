@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError
 from .numerics import csgn
 
 __all__ = [
@@ -141,13 +140,12 @@ def error_grid(
     re_range: tuple[float, float],
     im_range: tuple[float, float],
     samples: tuple[int, int],
-    flag_origin: bool = False,
 ):
     """Sample inv_approx(z) - 1/z on a rectangular grid.
 
     Returns ``(re_axis, im_axis, grid)`` with ``grid[iy, ix]`` the error at
     ``re_axis[ix] + 1j * im_axis[iy]``. The exact origin is outside the
-    domain; with ``flag_origin`` that cell becomes NaN instead of raising.
+    domain; its cell is NaN.
     """
     nx, ny = samples
     if nx < 1 or ny < 1:
@@ -158,10 +156,5 @@ def error_grid(
     for iy, y in enumerate(im_axis):
         for ix, xr in enumerate(re_axis):
             z = complex(xr, y)
-            if z == 0:
-                if flag_origin:
-                    grid[iy, ix] = complex(math.nan, math.nan)
-                    continue
-                raise DomainError("grid contains the origin, where 1/z is undefined")
-            grid[iy, ix] = inv_approx(z, table) - 1.0 / z
+            grid[iy, ix] = complex(math.nan, math.nan) if z == 0 else inv_approx(z, table) - 1.0 / z
     return re_axis, im_axis, grid

@@ -10,6 +10,11 @@ Two entry points:
 * :func:`integrate_periodic` -- trapezoidal rule over [0, 2*pi) for smooth
   periodic integrands (spectrally convergent).
 
+Every adaptive integral in the package is one refinement loop,
+:func:`_halving_trapezoid` (coarse pass, trim, step halving, a stop test per
+row, a budget of sampled abscissae), on a map of (0, inf): the exp-sinh rule
+in u with t = exp(pi/2 sinh u), :mod:`melroot.logspace` in x = ln t.
+
 All engines are pure and re-entrant; summation order is fixed so repeated
 runs are bit-identical.
 """
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -37,6 +42,12 @@ _LAMBDA = math.pi / 2.0
 _U_CAP = 6.5
 _H0 = 0.5
 _MIN_LEVELS = 2
+# The coarse pass keeps the abscissae where some row exceeds this fraction of
+# its largest sample; a finite-edge tail of logspace is cut at the same level.
+TRUNCATION_DECAY = 1e-16
+# Rows times abscissae sampled by one call of a refinement pass (4 MB of
+# complex128), so that a long pass on many rows keeps its arrays small.
+_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -46,7 +57,6 @@ class QuadratureConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     max_evals: int = 200_000
-    truncation_decay: float = 1e-16
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
@@ -55,8 +65,6 @@ class QuadratureConfig:
             raise ValueError(f"abs_tol must lie in (0, 1), got {self.abs_tol}")
         if self.max_evals < 100:
             raise ValueError(f"max_evals must be >= 100, got {self.max_evals}")
-        if not (0.0 < self.truncation_decay < 1.0):
-            raise ValueError(f"truncation_decay must lie in (0, 1), got {self.truncation_decay}")
 
     def tightened(self, factor: float = 10.0) -> "QuadratureConfig":
         """Copy with tolerances divided by ``factor`` (for nested integrals)."""
@@ -93,11 +101,75 @@ def _call(g: Callable, ts: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
     return out.astype(np.complex128 if np.iscomplexobj(out) else np.float64, copy=False)
 
 
+def _halving_trapezoid(
+    sample: Callable, lo: float, hi: float, n_rows: int, quad: QuadratureConfig, value_of: Callable[[np.ndarray], Any]
+) -> QuadratureResult:
+    """Trapezoid sums h * sum_k sample(h k) of ``n_rows`` integrals on one
+    shared grid: the abscissae h k in [lo, hi], with h = 0.5, 0.25, ...
+
+    ``sample(u, active)`` returns the rows ``active`` (ascending row indices)
+    at the abscissae ``u``, shape (len(active), len(u)). The coarse pass trims
+    the support once, to where some row exceeds ``TRUNCATION_DECAY`` times its
+    own peak, plus one step on each side (every row is 0 when that is
+    nowhere); each halving samples the new abscissae inside it. From the
+    second halving on, a row that changed by at most
+    ``max(abs_tol, rel_tol * |row|)`` keeps its value and error and is not
+    sampled again. Halving stops when no row is left, or raises
+    :class:`NonConvergenceError` with ``value_of`` of the finest sums as best
+    estimate once ``quad.max_evals`` abscissae have been sampled.
+
+    Returns ``value_of`` of the sums, the largest row error and the number of
+    abscissae sampled (not rows times abscissae).
+    """
+    h = _H0
+    u = h * np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
+    vals = sample(u, np.arange(n_rows))
+    evals = len(u)
+
+    mags = np.abs(vals)
+    peak = mags.max(axis=1, keepdims=True)
+    keep = np.nonzero((mags > TRUNCATION_DECAY * peak).any(axis=0))[0]
+    if keep.size == 0:
+        return QuadratureResult(value_of(np.zeros(n_rows, dtype=vals.dtype)), 0.0, evals)
+    i_lo = max(int(keep[0]) - 1, 0)
+    i_hi = min(int(keep[-1]) + 1, len(u) - 1)
+    lo, hi = float(u[i_lo]), float(u[i_hi])
+    total = h * vals[:, i_lo : i_hi + 1].sum(axis=1)
+    err = np.full(n_rows, math.inf)
+    active = np.arange(n_rows)
+
+    level = 0
+    while evals < quad.max_evals:
+        level += 1
+        h *= 0.5
+        k = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
+        u = h * k[k % 2 != 0]
+        step = max(1, _CHUNK // len(active))
+        new = sum(sample(u[i : i + step], active).sum(axis=1) for i in range(0, len(u), step))
+        new_total = total[active] / 2.0 + h * new
+        evals += len(u)
+        err[active] = np.abs(new_total - total[active])
+        total[active] = new_total
+        if level >= _MIN_LEVELS:
+            # not (err <= tol) rather than err > tol: a NaN row goes on refining
+            active = active[~(err[active] <= np.maximum(quad.abs_tol, quad.rel_tol * np.abs(new_total)))]
+            if active.size == 0:
+                return QuadratureResult(value_of(total), float(err.max()), evals)
+
+    raise NonConvergenceError(
+        f"tolerance not reached within {quad.max_evals} evaluations "
+        f"(last delta {float(err.max()):.3e})",
+        best_estimate=value_of(total),
+        error_estimate=float(err.max()),
+    )
+
+
 def integrate_semi_infinite(
     g: Callable, quad: QuadratureConfig | None = None, rows: np.ndarray | None = None
 ) -> QuadratureResult:
-    """Integrate ``g`` over (0, inf) with the exp-sinh rule, halving the
-    trapezoid step until two levels agree.
+    """Integrate ``g`` over (0, inf) with the exp-sinh rule: the halving
+    trapezoid of :func:`_halving_trapezoid` in u, with t = exp(pi/2 sinh u)
+    and |u| <= 6.5.
 
     Without ``rows``, ``g`` maps a numpy array of abscissae to an array of
     the same shape and ``value`` is a complex. With ``rows``, a 1-D array of
@@ -105,10 +177,7 @@ def integrate_semi_infinite(
     return shape (len(p), len(ts)) for the parameters ``p`` of the rows still
     refining, and ``value`` is an array with one entry per row (float64 if
     ``g`` is real). Anything else raises ``ValueError``. All rows share the
-    grid: the support is trimmed to the union of the rows' supports in the
-    coarse pass. A row whose last halving changed it by at most
-    ``max(abs_tol, rel_tol * |row|)`` keeps that value and error and is not
-    sampled again; the step halves until every row has. ``error`` is the
+    grid, and a row that has converged is not sampled again. ``error`` is the
     largest row error and ``evals`` counts abscissae, not rows times
     abscissae. Any algebraic singularity at 0 must be integrable (no worse
     than t**(sigma-1) with sigma > 0) and the tail must decay fast enough
@@ -123,66 +192,21 @@ def integrate_semi_infinite(
         if rows.ndim != 1:
             raise ValueError(f"rows must be a 1-D array, got shape {rows.shape}")
 
-    def sample(u: np.ndarray, p: np.ndarray | None) -> np.ndarray:
+    def sample(u: np.ndarray, active: np.ndarray) -> np.ndarray:
         # transformed integrand: Jacobian included, mesh width excluded
         t = np.exp(_LAMBDA * np.sinh(u))
         w = _LAMBDA * np.cosh(u) * t
         with np.errstate(all="ignore"):
-            vals = _call(g, t, p) * w
+            vals = _call(g, t, None if rows is None else rows[active]) * w
         # Overflow in the far tails, where the genuine contribution is below
         # the truncation threshold by construction of _U_CAP.
         vals[~np.isfinite(vals)] = 0.0
-        return vals
+        # the 1-D form is one row
+        return vals.reshape(-1, len(u))
 
-    def result(total: np.ndarray, err: np.ndarray) -> QuadratureResult:
-        value = complex(total[0]) if rows is None else total
-        return QuadratureResult(value, float(np.max(err)), evals)
-
-    h = _H0
-    n0 = int(_U_CAP / h)
-    u = h * np.arange(-n0, n0 + 1)
-    # The 1-D form is one row, so both forms share the code below.
-    vals = sample(u, rows).reshape(-1, len(u))
-    evals = len(u)
-
-    mags = np.abs(vals)
-    peak = mags.max(axis=1, keepdims=True)
-    # Trim the support once from the coarse pass, to the union of the rows'
-    # supports; refinements stay inside it.
-    keep = np.nonzero((mags > quad.truncation_decay * peak).any(axis=0))[0]
-    if keep.size == 0:
-        return result(np.zeros(len(vals), dtype=vals.dtype), np.zeros(len(vals)))
-    i_lo = max(int(keep[0]) - 1, 0)
-    i_hi = min(int(keep[-1]) + 1, len(u) - 1)
-    lo, hi = float(u[i_lo]), float(u[i_hi])
-    total = h * vals[:, i_lo : i_hi + 1].sum(axis=1)
-    err = np.full(len(total), math.inf)
-    active = np.arange(len(total))
-
-    level = 0
-    while evals < quad.max_evals:
-        level += 1
-        h *= 0.5
-        k = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
-        k = k[k % 2 != 0]
-        p = None if rows is None else rows[active]
-        new_total = total[active] / 2.0 + h * sample(h * k, p).reshape(-1, len(k)).sum(axis=1)
-        evals += len(k)
-        err[active] = np.abs(new_total - total[active])
-        total[active] = new_total
-        if level >= _MIN_LEVELS:
-            # not (err <= tol) rather than err > tol: a NaN row goes on refining
-            active = active[~(err[active] <= np.maximum(quad.abs_tol, quad.rel_tol * np.abs(new_total)))]
-            if active.size == 0:
-                return result(total, err)
-
-    best = result(total, err)
-    raise NonConvergenceError(
-        f"tolerance not reached within {quad.max_evals} evaluations "
-        f"(last delta {best.error:.3e})",
-        best_estimate=best.value,
-        error_estimate=best.error,
-    )
+    if rows is None:
+        return _halving_trapezoid(sample, -_U_CAP, _U_CAP, 1, quad, lambda total: complex(total[0]))
+    return _halving_trapezoid(sample, -_U_CAP, _U_CAP, len(rows), quad, lambda total: total)
 
 
 def integrate_periodic(k: Callable[[float], complex], nodes: int) -> complex:

@@ -50,6 +50,11 @@ class TestTypes:
         assert r.reliable
         assert not m.CountResult.from_value(0.5 + 0.2j).reliable
 
+    @pytest.mark.parametrize("value", [complex(math.nan, 0.0), complex(math.inf, 0.0)])
+    def test_count_result_rejects_non_finite(self, value):
+        with pytest.raises(m.DomainError, match=str(value.real)):
+            m.CountResult.from_value(value)
+
 
 class TestDirectIntegrand:
     def test_matches_multiprecision_oracle(self, zeta_ff, ref_contour):
@@ -256,6 +261,21 @@ class TestCounting:
                 call()
             best = info.value.best_estimate
             assert math.isfinite(best.real) and math.isfinite(best.imag)
+
+    @pytest.mark.parametrize("eps", [None, 0.01])
+    def test_pipeline_vanishing_z_rejected(self, zeta_ff, coeffs, eps):
+        # f = K Z = 0 at every node: tanh(f / eps) = 0 would make it a count of 0
+        ff = dataclasses.replace(zeta_ff, zf=dataclasses.replace(zeta_ff.zf, z=np.zeros_like))
+        with pytest.raises(m.DomainError):
+            m.count_pipeline(ff, m.CircularContour(0.57 + 1.57j, 0.1, nodes=8), m.PipelineConfig(table=coeffs, eps=eps))
+
+    def test_non_finite_integral_rejected(self, zeta_ff, coeffs):
+        c = m.CircularContour(0.57 + 1.57j, 0.1, nodes=8)
+        nan = lambda s: complex(math.nan)
+        with pytest.raises(m.DomainError, match="nan"):
+            m.count_pipeline(dataclasses.replace(zeta_ff, K=nan), c, m.PipelineConfig(table=coeffs))
+        with pytest.raises(m.DomainError, match="nan"):
+            m.count_direct(dataclasses.replace(zeta_ff, f_reference=nan), c)
 
     def test_pipeline_strip_checked_before_any_grid(self, zeta_ff, coeffs):
         calls = []

@@ -153,8 +153,7 @@ class TestErrorGrid:
         z = complex(xs[2], ys[1])
         assert grid[1, 2] == m.inv_approx(z, coeffs) - 1.0 / z
 
-    def test_origin_rejected_unless_flagged(self, coeffs):
-        with pytest.raises(m.DomainError):
-            m.error_grid(coeffs, (-1.0, 1.0), (0.0, 0.0), (3, 1))
-        _, _, grid = m.error_grid(coeffs, (-1.0, 1.0), (0.0, 0.0), (3, 1), flag_origin=True)
-        assert np.isnan(grid[0, 1].real)
+    def test_origin_is_nan(self, coeffs):
+        _, _, grid = m.error_grid(coeffs, (-1.0, 1.0), (0.0, 0.0), (3, 1))
+        assert np.isnan(grid[0, 1].real) and np.isnan(grid[0, 1].imag)
+        assert np.all(np.isfinite(grid[0, [0, 2]]))

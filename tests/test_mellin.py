@@ -283,6 +283,32 @@ class TestConvolutionPowers:
         with pytest.raises(ValueError):
             transform_and_derivative(zeta_zf, [0.9 + 0j], (0.4, 0.6))
 
+    @pytest.mark.parametrize(
+        "z,error",
+        [
+            # NaN on 1 < t < 2, inside the support that the grid keeps
+            (lambda t: np.where((t > 1.0) & (t < 2.0), math.nan, m.z_integrand(t)), m.DomainError),
+            (np.zeros_like, m.DomainError),
+            (lambda t: m.z_integrand(t)[:-1], ValueError),
+        ],
+        ids=["nan-inside", "vanishing", "wrong-shape"],
+    )
+    def test_bad_z_rejected(self, zeta_zf, z, error):
+        zf = m.MellinIntegrand(z=z, convergence_strip=zeta_zf.convergence_strip)
+        s, re_range = _circle(0.57 + 1.57j, 0.1, 8)
+        with pytest.raises(error):
+            transform_and_derivative(zf, s, re_range)
+
+    def test_nonconvergence_carries_z_and_zprime(self, zeta_zf):
+        s, re_range = _circle(0.57 + 1.57j, 0.1, 8)
+        with pytest.raises(m.NonConvergenceError) as exc:
+            transform_and_derivative(zeta_zf, s, re_range, m.QuadratureConfig(max_evals=200))
+        best = exc.value.best_estimate
+        assert isinstance(best, tuple) and len(best) == 2
+        for values in best:
+            assert values.shape == (8,)
+            assert np.all(np.isfinite(values))
+
 
 def test_integrand_validation():
     with pytest.raises(ValueError):
