@@ -23,6 +23,8 @@ import math
 import sys
 from typing import Optional
 
+import numpy as np
+
 from .contour import (
     CircularContour,
     CountResult,
@@ -69,9 +71,18 @@ def _add_circle_args(p: argparse.ArgumentParser):
     p.add_argument("--radius", type=_POSITIVE_FLOAT, default=0.1)
 
 
+def _coeff_file(path: str) -> ExpSumTable:
+    """argparse type: the table in the file at ``path``, rejected (exit code
+    2) when the file cannot be read or holds no valid table."""
+    try:
+        return ExpSumTable.from_file(path)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"bad coefficient file {path!r}: {exc}") from exc
+
+
 def _add_table_args(p: argparse.ArgumentParser):
     p.add_argument("--preset", choices=sorted(PRESETS), default="appendixC")
-    p.add_argument("--coeff-file", default=None, help="coefficient file overriding --preset")
+    p.add_argument("--coeff-file", type=_coeff_file, default=None, help="coefficient file overriding --preset")
 
 
 def _add_pipeline_args(p: argparse.ArgumentParser):
@@ -97,9 +108,7 @@ def _add_grid_args(p: argparse.ArgumentParser):
 
 
 def _coeff_table(args) -> ExpSumTable:
-    if args.coeff_file:
-        return ExpSumTable.from_file(args.coeff_file)
-    return PRESETS[args.preset]
+    return PRESETS[args.preset] if args.coeff_file is None else args.coeff_file
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -189,8 +198,6 @@ def cmd_count(args) -> int:
 
 
 def _grid_axes(args):
-    import numpy as np
-
     xs = np.linspace(args.re_min, args.re_max, args.grid_nx)
     ys = np.linspace(args.im_min, args.im_max, args.grid_ny)
     return xs, ys
@@ -198,16 +205,15 @@ def _grid_axes(args):
 
 def cmd_sign_map(args) -> int:
     xs, ys = _grid_axes(args)
-    grid = []
-    for y in ys:
-        row = []
-        for x in xs:
-            s = complex(x, y)
+    zeta = np.ones((len(ys), len(xs)), dtype=np.complex128)
+    pole = np.zeros(zeta.shape, dtype=bool)
+    for iy, y in enumerate(ys):
+        for ix, x in enumerate(xs):
             try:
-                row.append(csgn(zeta_reference(s)))
+                zeta[iy, ix] = zeta_reference(complex(x, y))
             except PoleError:
-                row.append(0)  # pole marker
-        grid.append(row)
+                pole[iy, ix] = True
+    grid = np.where(pole, 0, csgn(zeta)).tolist()  # 0 marks a pole
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)

@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+import numpy as np
 
 from .errors import DomainError, NonConvergenceError, PoleError
 from .expsum import ExpSumTable, inv_approx, inv_approx_truncated, truncated_series
@@ -54,8 +57,8 @@ class CircularContour:
             raise ValueError(f"center must be finite, got {self.center}")
         if not 0.0 < self.radius < math.inf:
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
-        if self.nodes < 1:
-            raise ValueError(f"nodes must be positive, got {self.nodes}")
+        if not isinstance(self.nodes, numbers.Integral) or self.nodes < 1:
+            raise ValueError(f"nodes must be a positive integer, got {self.nodes!r}")
 
     def point(self, phi: float) -> complex:
         return self.center + self.radius * cmath.exp(1j * phi)
@@ -69,14 +72,18 @@ class CircularContour:
 class FactoredFunction:
     """f(s) = K(s) * Z(s) with Z the Mellin transform of ``zf.z``.
 
+    ``K`` and ``Kprime``, like ``zf.z``, must accept a numpy array and act
+    elementwise: the approximated route calls each once per contour, on the
+    array of all its nodes. A scalar result (a constant K) broadcasts.
+
     ``f_reference`` / ``fprime_reference``, when supplied, are independent
     oracles for f and f', used by the direct route and the stage integrands.
     The approximated route needs only ``zf``, ``K`` and ``Kprime``.
     """
 
     zf: MellinIntegrand
-    K: Callable[[complex], complex]
-    Kprime: Callable[[complex], complex]
+    K: Callable[[np.ndarray], np.ndarray]
+    Kprime: Callable[[np.ndarray], np.ndarray]
     f_reference: Optional[Callable[[complex], complex]] = None
     fprime_reference: Optional[Callable[[complex], complex]] = None
 
@@ -99,8 +106,8 @@ class PipelineConfig:
     eps: float | None = None
 
     def __post_init__(self):
-        if self.series_order < 0:
-            raise ValueError(f"series_order must be non-negative, got {self.series_order}")
+        if not isinstance(self.series_order, numbers.Integral) or self.series_order < 0:
+            raise ValueError(f"series_order must be a non-negative integer, got {self.series_order!r}")
         if self.eps is not None and not self.eps > 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
 
@@ -171,31 +178,29 @@ def integrand_stage2(
     )
 
 
-def _kernels(ff: FactoredFunction, c: CircularContour, phis, cfg: PipelineConfig, mellin) -> list[complex]:
-    """The expanded counting integrand at each angle of ``phis`` from the
-    ``(Z, Z')`` of :func:`~melroot.logspace.transform_and_derivative` at
-    those angles' nodes.
+def _kernels(ff: FactoredFunction, nodes, velocities, cfg: PipelineConfig, mellin) -> np.ndarray:
+    """The expanded counting integrand at ``nodes`` (with ds/dphi
+    ``velocities``) from the ``(Z, Z')`` of
+    :func:`~melroot.logspace.transform_and_derivative` there, as one array.
 
     This is :func:`integrand_stage2` with f = K Z and f' = K' Z + K Z' in
     place of the references: each power Z**k and product Z' Z**k of the
     expansion is a product of the grid's Z and Z'. The sign factor is
-    csgn(f), or tanh(f / eps) when ``cfg.eps`` is set.
+    csgn(f), or tanh(f / eps) when ``cfg.eps`` is set. K and K' are called
+    once each, on the whole node array.
     """
-    values = []
-    for phi, z, zprime in zip(phis, *mellin):
-        s = c.point(phi)
-        Ks = ff.K(s)
-        f = Ks * z
-        fprime = ff.Kprime(s) * z + Ks * zprime
-        sgn = csgn(f) if cfg.eps is None else csgn_smooth(f, cfg.eps)
-        series = sgn * truncated_series(sgn * f, cfg.table, cfg.series_order)
-        values.append(complex(fprime * series * c.velocity(phi) / _TWO_PI_I))
-    return values
+    z, zprime = mellin
+    Ks = ff.K(nodes)
+    f = Ks * z
+    fprime = ff.Kprime(nodes) * z + Ks * zprime
+    sgn = csgn(f) if cfg.eps is None else csgn_smooth(f, cfg.eps)
+    series = sgn * truncated_series(sgn * f, cfg.table, cfg.series_order)
+    return fprime * series * velocities / _TWO_PI_I
 
 
 def _reduced_kernels(ff: FactoredFunction, c: CircularContour, phis, cfg: PipelineConfig, reduce: Callable):
-    """``reduce`` of the kernel values at ``phis``, all of them from one set
-    of Mellin densities built for the whole contour.
+    """``reduce`` of the list of kernel values at ``phis``, all of them from
+    one set of Mellin densities built for the whole contour.
 
     A :class:`NonConvergenceError` of the densities is re-raised with
     ``reduce`` of the kernel values from the finest grid reached as its best
@@ -205,17 +210,23 @@ def _reduced_kernels(ff: FactoredFunction, c: CircularContour, phis, cfg: Pipeli
     # pay for loading it.
     from .logspace import transform_and_derivative
 
-    nodes = [c.point(phi) for phi in phis]
+    rotation = np.exp(1j * np.asarray(phis, dtype=float))
+    nodes = c.center + c.radius * rotation
+    velocities = 1j * c.radius * rotation
+
+    def kernels(mellin) -> list[complex]:
+        return _kernels(ff, nodes, velocities, cfg, mellin).tolist()
+
     re_range = (c.center.real - c.radius, c.center.real + c.radius)
     try:
         mellin = transform_and_derivative(ff.zf, nodes, re_range, cfg.quad)
     except NonConvergenceError as exc:
         raise NonConvergenceError(
             f"Mellin densities did not converge on the contour: {exc}",
-            best_estimate=reduce(_kernels(ff, c, phis, cfg, exc.best_estimate)),
+            best_estimate=reduce(kernels(exc.best_estimate)),
             error_estimate=exc.error_estimate,
         ) from exc
-    return reduce(_kernels(ff, c, phis, cfg, mellin))
+    return reduce(kernels(mellin))
 
 
 def kernel_mellin(ff: FactoredFunction, c: CircularContour, phi: float, cfg: PipelineConfig) -> complex:

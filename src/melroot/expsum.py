@@ -8,8 +8,8 @@ series up to a chosen order.
 
 from __future__ import annotations
 
-import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,8 +44,8 @@ class ExpSumTable:
             )
         if len(self.alpha) < 1:
             raise ValueError("coefficient table must contain at least one term")
-        if any(a <= 0.0 for a in self.alpha) or any(x <= 0.0 for x in self.c):
-            raise ValueError("all coefficients must be strictly positive")
+        if not all(0.0 < v < math.inf for v in self.alpha + self.c):
+            raise ValueError("all coefficients must be finite and strictly positive")
         if any(b <= a for a, b in zip(self.c, self.c[1:])):
             raise ValueError("rates c must be strictly increasing")
 
@@ -82,19 +82,18 @@ PRESETS: dict[str, ExpSumTable] = {
 }
 
 
-def inv_approx(x: complex, table: ExpSumTable) -> complex:
-    """Exponential-sum approximation of 1/x with the csgn fold.
+def inv_approx(x, table: ExpSumTable):
+    """Exponential-sum approximation of 1/x with the csgn fold, elementwise.
 
     Returns sum_j alpha_j * csgn(x) * exp(-c_j * x * csgn(x)). The fold
     guarantees Re(c_j * x * csgn(x)) >= 0, the convergence condition of the
     underlying approximation, and makes the result an odd function of x.
     """
-    x = complex(x)
     sgn = csgn(x)
     folded = x * sgn
     total = 0j
     for a, cj in zip(table.alpha, table.c):
-        total += a * sgn * cmath.exp(-cj * folded)
+        total += a * sgn * np.exp(-cj * folded)
     return total
 
 
@@ -106,8 +105,8 @@ def series_weights(table: ExpSumTable, n: int) -> list[float]:
     one weight per power of y. Each term alpha_j (-c_j)**k / k! is the
     previous one times -c_j / k, so no c_j**k or k! overflows at high order.
     """
-    if n < 0:
-        raise ValueError(f"series order must be non-negative, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"series order must be a non-negative integer, got {n!r}")
     terms = list(table.alpha)
     weights = [sum(terms)]
     for k in range(1, n + 1):
@@ -116,21 +115,20 @@ def series_weights(table: ExpSumTable, n: int) -> list[float]:
     return weights
 
 
-def truncated_series(y: complex, table: ExpSumTable, n: int) -> complex:
+def truncated_series(y, table: ExpSumTable, n: int):
     """sum_k b_k y**k with the :func:`series_weights` b_k: the exponential
     sum sum_j alpha_j exp(-c_j y) with each exponential cut to its degree-``n``
     Taylor polynomial. Evaluated by Horner's rule, so no power y**k is
-    formed."""
+    formed; elementwise over an array ``y``."""
     total = 0j
     for b in reversed(series_weights(table, n)):
         total = total * y + b
     return total
 
 
-def inv_approx_truncated(x: complex, table: ExpSumTable, n: int) -> complex:
+def inv_approx_truncated(x, table: ExpSumTable, n: int):
     """As :func:`inv_approx`, with exp(w) replaced by its Taylor polynomial
     of degree ``n``: csgn(x) * :func:`truncated_series` of x csgn(x)."""
-    x = complex(x)
     sgn = csgn(x)
     return sgn * truncated_series(x * sgn, table, n)
 
@@ -152,9 +150,9 @@ def error_grid(
         raise ValueError("grid dimensions must be positive")
     re_axis = np.linspace(re_range[0], re_range[1], nx)
     im_axis = np.linspace(im_range[0], im_range[1], ny)
-    grid = np.empty((ny, nx), dtype=np.complex128)
-    for iy, y in enumerate(im_axis):
-        for ix, xr in enumerate(re_axis):
-            z = complex(xr, y)
-            grid[iy, ix] = complex(math.nan, math.nan) if z == 0 else inv_approx(z, table) - 1.0 / z
+    z = re_axis[None, :] + 1j * im_axis[:, None]
+    origin = z == 0
+    z[origin] = 1.0
+    grid = inv_approx(z, table) - 1.0 / z
+    grid[origin] = complex(math.nan, math.nan)
     return re_axis, im_axis, grid

@@ -1,17 +1,22 @@
-"""Complex scalar utilities and special functions.
+"""Complex special functions, elementwise over numpy arrays.
 
 The complex sign function and its smooth tanh surrogate, and Lanczos
-log-gamma / digamma for the prefactors.
+log-gamma / digamma for the prefactors. Each takes a scalar or an array: a
+scalar gives a scalar (``csgn`` an int, the others a complex), an array
+gives an array of its shape. A pole or domain error at any element raises.
 """
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
+
+import numpy as np
 
 from .errors import DomainError, PoleError
 
 __all__ = [
+    "elementwise",
     "csgn",
     "csgn_smooth",
     "log_gamma",
@@ -23,18 +28,31 @@ __all__ = [
 _TANH_SATURATION = 350.0
 
 
-def csgn(x: complex) -> int:
+def elementwise(fn):
+    """Let ``fn(x, *args)``, written for a complex array ``x`` of at least
+    one dimension, take a scalar or an array: a scalar ``x`` runs as a
+    one-element array and gives a Python scalar, so it gets exactly the
+    value it would have as an element of an array."""
+
+    @functools.wraps(fn)
+    def wrapper(x, *args):
+        values = fn(np.atleast_1d(np.asarray(x, dtype=np.complex128)), *args)
+        return values if np.ndim(x) else values[0].item()
+
+    return wrapper
+
+
+@elementwise
+def csgn(x):
     """Complex sign: sign of Re(x), falling back to sign of Im(x) on the
-    imaginary axis. Undefined at 0."""
-    x = complex(x)
-    if x == 0:
+    imaginary axis; +1 or -1 at each element. Undefined at 0."""
+    if np.any(x == 0):
         raise DomainError("csgn(0) is undefined")
-    if x.real != 0.0:
-        return 1 if x.real > 0.0 else -1
-    return 1 if x.imag > 0.0 else -1
+    return np.where(np.where(x.real != 0.0, x.real, x.imag) > 0.0, 1, -1)
 
 
-def csgn_smooth(x: complex, eps: float) -> complex:
+@elementwise
+def csgn_smooth(x, eps: float):
     """Smooth surrogate tanh(x/eps) for :func:`csgn`.
 
     Converges pointwise to csgn(x) for Re(x) != 0 as eps -> 0. Saturated
@@ -42,10 +60,12 @@ def csgn_smooth(x: complex, eps: float) -> complex:
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    w = complex(x) / eps
-    if abs(w.real) > _TANH_SATURATION:
-        return complex(1.0 if w.real > 0.0 else -1.0)
-    return cmath.tanh(w)
+    with np.errstate(over="ignore"):
+        w = x / eps
+    out = np.where(w.real > 0.0, 1.0 + 0j, -1.0 + 0j)
+    live = np.abs(w.real) <= _TANH_SATURATION
+    out[live] = np.tanh(w[live])
+    return out
 
 
 # Lanczos approximation, g = 7, 9 terms; relative accuracy ~1e-14 on the
@@ -63,34 +83,39 @@ _LANCZOS = (
     1.5056327351493116e-7,
 )
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
 
 
-def _is_nonpositive_integer(z: complex) -> bool:
-    return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
+def _reject_poles(z: np.ndarray, name: str) -> None:
+    poles = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
+    if poles.any():
+        raise PoleError(f"{name} has a pole at {complex(z[poles][0])}")
 
 
-def log_gamma(z: complex) -> complex:
+@elementwise
+def log_gamma(z):
     """log Gamma(z) for complex z (Lanczos; reflection for Re(z) < 0.5).
 
     The imaginary part is not guaranteed to be the analytically continued
     branch across the reflection seam; exp(log_gamma(z)) is always Gamma(z).
     """
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise PoleError(f"Gamma has a pole at {z}")
-    if z.real < 0.5:
-        s = cmath.sin(math.pi * z)
-        if s == 0:
-            raise PoleError(f"Gamma has a pole at {z}")
-        return math.log(math.pi) - cmath.log(s) - log_gamma(1.0 - z)
-    zm = z - 1.0
-    acc = complex(_LANCZOS[0])
+    _reject_poles(z, "Gamma")
+    reflect = z.real < 0.5
+    zm = np.where(reflect, 1.0 - z, z) - 1.0
+    acc = np.full_like(zm, _LANCZOS[0])
     for i in range(1, len(_LANCZOS)):
         acc += _LANCZOS[i] / (zm + i)
     t = zm + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (zm + 0.5) * cmath.log(t) - t + cmath.log(acc)
+    out = _HALF_LOG_TWO_PI + (zm + 0.5) * np.log(t) - t + np.log(acc)
+    if reflect.any():
+        sin = np.sin(math.pi * z[reflect])
+        if np.any(sin == 0):
+            raise PoleError(f"Gamma has a pole at {complex(z[reflect][sin == 0][0])}")
+        out[reflect] = _LOG_PI - np.log(sin) - out[reflect]
+    return out
 
 
+_DIGAMMA_SHIFT = 10
 # psi(z) ~ ln z - 1/(2z) - sum B_2n / (2n z^(2n)); coefficients B_2n/(2n)
 _DIGAMMA_ASYMPTOTIC = (
     1.0 / 12.0,
@@ -103,19 +128,24 @@ _DIGAMMA_ASYMPTOTIC = (
 )
 
 
-def digamma(z: complex) -> complex:
-    """psi(z) = d/dz log Gamma(z) for complex z."""
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise PoleError(f"digamma has a pole at {z}")
-    if z.real < 0.5:
-        return digamma(1.0 - z) - math.pi / cmath.tan(math.pi * z)
-    acc = 0j
-    while z.real < 10.0:
-        acc -= 1.0 / z
-        z += 1.0
-    inv2 = 1.0 / (z * z)
-    tail = 0j
+@elementwise
+def digamma(z):
+    """psi(z) = d/dz log Gamma(z) for complex z (recurrence over ten steps,
+    then the asymptotic series; reflection for Re(z) < 0.5)."""
+    _reject_poles(z, "digamma")
+    reflect = z.real < 0.5
+    w = np.where(reflect, 1.0 - z, z)
+    # psi(w) = psi(w + 10) - sum_{k < 10} 1 / (w + k), and Re(w + 10) > 10
+    # is in the range of the asymptotic series
+    acc = np.zeros_like(w)
+    for k in range(_DIGAMMA_SHIFT):
+        acc -= 1.0 / (w + k)
+    w = w + _DIGAMMA_SHIFT
+    inv2 = 1.0 / (w * w)
+    tail = np.zeros_like(w)
     for coeff in reversed(_DIGAMMA_ASYMPTOTIC):
         tail = inv2 * (coeff + tail)
-    return acc + cmath.log(z) - 0.5 / z - tail
+    out = acc + np.log(w) - 0.5 / w - tail
+    if reflect.any():
+        out[reflect] -= math.pi / np.tan(math.pi * z[reflect])
+    return out

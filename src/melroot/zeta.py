@@ -19,7 +19,7 @@ import numpy as np
 from .contour import FactoredFunction
 from .errors import PoleError
 from .mellin import MellinIntegrand
-from .numerics import digamma, log_gamma
+from .numerics import digamma, elementwise, log_gamma
 
 __all__ = [
     "z_integrand",
@@ -56,19 +56,24 @@ _ETA_LOGS = [math.log(k + 1) for k in range(_ETA_TERMS)]
 _CONDITIONING_CUTOFF = 1e-6
 
 
-def _eta_factor(s: complex) -> complex:
-    """1 - 2**(1-s), the factor relating eta and zeta; validated for poles
-    and conditioning."""
-    lam = 1.0 - cmath.exp((1.0 - s) * _LN2)
+def _check_eta_factor(lam: complex, s: complex) -> None:
+    """Reject 1 - 2**(1-s) = 0 at s, and warn when it is ill-conditioned."""
     if lam == 0:
         raise PoleError(f"zeta representation is singular at s = {s}")
     if abs(lam) < _CONDITIONING_CUTOFF:
         warnings.warn(
-            f"1 - 2**(1-s) = {lam:.2e} at s = {s}: eta-series evaluation is "
+            f"1 - 2**(1-s) = {lam:.2e} at s = {s}: the eta-zeta factor is "
             f"ill-conditioned this close to the Re(s) = 1 resonance line",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
+
+
+def _eta_factor(s: complex) -> complex:
+    """1 - 2**(1-s) at one point, the factor relating eta and zeta in the
+    reference oracles; validated by :func:`_check_eta_factor`."""
+    lam = 1.0 - cmath.exp((1.0 - s) * _LN2)
+    _check_eta_factor(lam, s)
     return lam
 
 
@@ -103,19 +108,28 @@ def z_integrand(t):
     return t / np.cosh(t) ** 2
 
 
-def prefactor(s: complex) -> complex:
-    """K(s) = 2**(s-1) / ((1 - 2**(1-s)) * Gamma(s+1))."""
-    s = complex(s)
-    lam = _eta_factor(s)
-    return cmath.exp((s - 1.0) * _LN2 - log_gamma(s + 1.0)) / lam
+def _prefactor_terms(s: np.ndarray):
+    """(K(s), 2**(1-s), 1 - 2**(1-s)) at each element of ``s``; the element of smallest
+    |1 - 2**(1-s)| is validated by :func:`_check_eta_factor`."""
+    two = np.exp((1.0 - s) * _LN2)
+    lam = 1.0 - two
+    worst = np.argmin(np.abs(lam))
+    _check_eta_factor(lam.flat[worst], s.flat[worst])
+    return np.exp((s - 1.0) * _LN2 - log_gamma(s + 1.0)) / lam, two, lam
 
 
-def prefactor_derivative(s: complex) -> complex:
-    """K'(s) = K(s) * (ln 2 - 2**(1-s) ln 2 / (1 - 2**(1-s)) - psi(s+1))."""
-    s = complex(s)
-    lam = _eta_factor(s)
-    log_deriv = _LN2 - cmath.exp((1.0 - s) * _LN2) * _LN2 / lam - digamma(s + 1.0)
-    return prefactor(s) * log_deriv
+@elementwise
+def prefactor(s):
+    """K(s) = 2**(s-1) / ((1 - 2**(1-s)) * Gamma(s+1)), elementwise."""
+    return _prefactor_terms(s)[0]
+
+
+@elementwise
+def prefactor_derivative(s):
+    """K'(s) = K(s) * (ln 2 - 2**(1-s) ln 2 / (1 - 2**(1-s)) - psi(s+1)),
+    elementwise."""
+    K, two, lam = _prefactor_terms(s)
+    return K * (_LN2 - two * _LN2 / lam - digamma(s + 1.0))
 
 
 def build_zeta_factored() -> FactoredFunction:

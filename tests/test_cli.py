@@ -131,6 +131,10 @@ class TestCount:
 
 
 _GRID = ["--re-min", "0.5", "--re-max", "1", "--im-min", "0", "--im-max", "1"]
+# coefficient files written for test_bad_arguments_exit_2; "{tmp}" in an
+# argument is its directory
+_COEFF_FILES = {"unparsable.txt": "1.0 abc\n", "invalid.txt": "0.5 1.0\n1.0 inf\n"}
+_PIPELINE = ["count", "--method", "pipeline", "--nodes", "8"]
 
 
 @pytest.mark.parametrize(
@@ -160,15 +164,26 @@ _GRID = ["--re-min", "0.5", "--re-max", "1", "--im-min", "0", "--im-max", "1"]
         pytest.param(["convolution-check", "--s-re", "0.4", "--s-im", "nan"], id="s-im-nan"),
         pytest.param(["convolution-check", "--s-re", "inf"], id="s-re-inf"),
         pytest.param(["convolution-check", "--s-im", "0.3"], id="s-im-without-s-re"),
+        pytest.param([*_PIPELINE, "--coeff-file", "{tmp}/unparsable.txt"], id="count-coeff-unparsable"),
+        pytest.param([*_PIPELINE, "--coeff-file", "{tmp}/missing.txt"], id="count-coeff-missing"),
+        pytest.param([*_PIPELINE, "--coeff-file", "{tmp}/invalid.txt"], id="count-coeff-invalid"),
+        pytest.param(["expsum-error", *_GRID, "--coeff-file", "{tmp}/unparsable.txt"], id="expsum-error-coeff-unparsable"),
+        pytest.param(["expsum-error", *_GRID, "--coeff-file", "{tmp}/missing.txt"], id="expsum-error-coeff-missing"),
+        pytest.param(["expsum-error", *_GRID, "--coeff-file", "{tmp}/invalid.txt"], id="expsum-error-coeff-invalid"),
     ],
 )
-def test_bad_arguments_exit_2(argv, capsys):
+def test_bad_arguments_exit_2(argv, capsys, tmp_path):
     # exit code 1 means an unreliable count, so bad input must not use it
+    for name, text in _COEFF_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     try:
         rc = main(argv)
     except SystemExit as exc:  # argparse rejects the argument
         rc = exc.code
     assert rc == 2
+    if "--coeff-file" in argv:
+        assert "bad coefficient file" in capsys.readouterr().err
 
 
 class TestSignMap:

@@ -16,6 +16,9 @@ class TestTypes:
             m.CircularContour(0j, -1.0)
         with pytest.raises(ValueError):
             m.CircularContour(0j, 1.0, nodes=0)
+        with pytest.raises(ValueError, match="integer"):
+            m.CircularContour(0j, 1.0, nodes=2.5)
+        assert m.CircularContour(0j, 1.0, nodes=np.int64(8)).nodes == 8
 
     @pytest.mark.parametrize(
         "center, radius",
@@ -35,6 +38,8 @@ class TestTypes:
         assert m.PipelineConfig(table=coeffs, series_order=2).series_order == 2
         with pytest.raises(ValueError):
             m.PipelineConfig(table=coeffs, series_order=-1)
+        with pytest.raises(ValueError, match="integer"):
+            m.PipelineConfig(table=coeffs, series_order=1.5)
 
     def test_pipeline_config_smooth_needs_eps(self, coeffs):
         for eps in (0.0, -0.01, math.nan):
@@ -155,7 +160,7 @@ class TestKernel:
             kern = m.kernel_mellin(zeta_ff, c, phi, cfg)
             assert abs(kern - m.integrand_stage2(zeta_ff, c, phi, coeffs, 1)) < 1e-5
 
-    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("order", [1, 2, 3])
     def test_agrees_with_stage2_at_higher_orders(self, zeta_ff, coeffs, order):
         # each order is one more power of the same f = K Z
         cfg = m.PipelineConfig(table=coeffs, series_order=order)
@@ -252,6 +257,22 @@ class TestCounting:
         c = m.CircularContour(0.57 + 1.57j, 0.1, nodes=64)
         trapezoid = m.integrate_periodic(lambda phi: m.kernel_mellin(zeta_ff, c, phi, cfg), c.nodes)
         assert abs(m.count_pipeline(zeta_ff, c, cfg).value - trapezoid) < 1e-15
+
+    def test_pipeline_calls_prefactors_once_on_all_nodes(self, zeta_ff, coeffs):
+        calls = []
+
+        def recorded(name, fn):
+            def wrapper(s):
+                calls.append((name, np.shape(s)))
+                return fn(s)
+
+            return wrapper
+
+        ff = dataclasses.replace(zeta_ff, K=recorded("K", zeta_ff.K), Kprime=recorded("Kprime", zeta_ff.Kprime))
+        c = m.CircularContour(0.57 + 1.57j, 0.1, nodes=64)
+        cfg = m.PipelineConfig(table=coeffs)
+        assert m.count_pipeline(ff, c, cfg) == m.count_pipeline(zeta_ff, c, cfg)
+        assert calls == [("K", (64,)), ("Kprime", (64,))]
 
     def test_pipeline_grid_budget_exhausted(self, zeta_ff, coeffs):
         cfg = m.PipelineConfig(table=coeffs, quad=m.QuadratureConfig(max_evals=100))

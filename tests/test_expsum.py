@@ -25,6 +25,15 @@ class TestExpSumTable:
         with pytest.raises(ValueError):
             m.ExpSumTable((1.0, 2.0), (0.1, 0.0))
 
+    @pytest.mark.parametrize(
+        "alpha, c",
+        [((math.nan,), (1.0,)), ((1.0,), (math.inf,)), ((1.0,), (math.nan,))],
+        ids=["alpha-nan", "c-inf", "c-nan"],
+    )
+    def test_non_finite_entries(self, alpha, c):
+        with pytest.raises(ValueError, match="finite"):
+            m.ExpSumTable(alpha, c)
+
     def test_rates_must_increase(self):
         with pytest.raises(ValueError):
             m.ExpSumTable((1.0, 2.0), (0.5, 0.5))
@@ -92,6 +101,12 @@ class TestInvApprox:
         with pytest.raises(m.DomainError):
             m.inv_approx(0.0, coeffs)
 
+    def test_array_matches_scalar_values(self, coeffs):
+        x = np.array([[1.0 + 0.5j, -2.0 + 1j], [-0.1j, 3.0 - 4.0j]])
+        values = m.inv_approx(x, coeffs)
+        assert values.shape == x.shape
+        assert values.ravel().tolist() == [m.inv_approx(complex(v), coeffs) for v in x.ravel()]
+
     def test_coarse_on_contour_values(self, zeta_ff, ref_contour, coeffs):
         # the approximation is deliberately coarse where |f| is small
         for phi in contour_angles():
@@ -112,6 +127,10 @@ class TestInvApproxTruncated:
     def test_negative_order_rejected(self, coeffs):
         with pytest.raises(ValueError):
             m.inv_approx_truncated(1.0, coeffs, -1)
+
+    def test_non_integer_order_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="integer"):
+            m.inv_approx_truncated(1.0, coeffs, 1.5)
 
     def test_high_orders_do_not_overflow(self, coeffs):
         # c_j**1000 and 1000! overflow a float; the weights must not
@@ -152,6 +171,16 @@ class TestErrorGrid:
         assert grid.shape == (3, 4)
         z = complex(xs[2], ys[1])
         assert grid[1, 2] == m.inv_approx(z, coeffs) - 1.0 / z
+
+    def test_matches_cell_by_cell_loop(self, coeffs):
+        xs, ys, grid = m.error_grid(coeffs, (-2.0, 3.0), (-4.0, 4.0), (11, 9))
+        for iy, y in enumerate(ys):
+            for ix, x in enumerate(xs):
+                z = complex(x, y)
+                if z == 0:
+                    continue
+                want = m.inv_approx(z, coeffs) - 1.0 / z
+                assert abs(grid[iy, ix] - want) <= 1e-15 * max(1.0, abs(want))
 
     def test_origin_is_nan(self, coeffs):
         _, _, grid = m.error_grid(coeffs, (-1.0, 1.0), (0.0, 0.0), (3, 1))

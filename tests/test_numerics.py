@@ -127,3 +127,45 @@ class TestGammaFunctions:
             assert abs(m.digamma(s) - complex(mp.digamma(s))) < 1e-10 * max(
                 1.0, abs(complex(mp.digamma(s)))
             )
+
+
+class TestElementwise:
+    # one implementation serves scalars and arrays: each element of an array
+    # result is the function's value at that element alone
+    # Re z < 0.5 (reflection) and Re z >= 0.5, on and off the real axis
+    Z = np.array([-3.7 + 0.2j, -0.5 + 0j, 0.25 - 4.0j, 0.49 + 0j, 0.5 + 0j, 1.0 + 0j, 2.3 + 0.7j, 9.5 - 30.0j, 15.0 + 1j])
+
+    @pytest.mark.parametrize("f", [m.log_gamma, m.digamma])
+    def test_gamma_functions_match_scalar_values(self, f):
+        values = f(self.Z)
+        assert values.shape == self.Z.shape
+        scalars = [f(complex(z)) for z in self.Z]
+        assert all(type(v) is complex for v in scalars)
+        assert values.tolist() == scalars
+        assert np.array_equal(f(self.Z.reshape(3, 3)), values.reshape(3, 3))
+
+    @pytest.mark.parametrize("f", [m.log_gamma, m.digamma])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_pole_anywhere_in_array_rejected(self, f, where):
+        z = np.array([1.5 + 1j, 0.3 - 2j, 2.0, -0.5 + 0j, 7.0 + 0j])
+        z[where] = -2.0
+        with pytest.raises(m.PoleError):
+            f(z)
+
+    def test_csgn_matches_scalar_values(self):
+        x = np.array([1 + 1j, -2 + 5j, -3j, 3j, -1e-300 + 0j, complex(math.nan, 1.0)])
+        scalars = [m.csgn(complex(v)) for v in x]
+        assert all(type(v) is int for v in scalars)
+        assert scalars == [1, -1, -1, 1, -1, -1]
+        assert m.csgn(x).tolist() == scalars
+
+    def test_csgn_zero_anywhere_rejected(self):
+        with pytest.raises(m.DomainError):
+            m.csgn(np.array([1.0 + 1j, 0j, -1.0 + 0j]))
+
+    def test_csgn_smooth_matches_scalar_values(self):
+        x = np.array([0.5 + 0.2j, -0.3 - 1j, 0j, 1e300 + 5j, -1e300 + 5j])
+        scalars = [m.csgn_smooth(complex(v), 1e-3) for v in x]
+        assert all(type(v) is complex for v in scalars)
+        assert scalars[2:] == [0j, 1 + 0j, -1 + 0j]
+        assert m.csgn_smooth(x, 1e-3).tolist() == scalars

@@ -124,3 +124,24 @@ class TestBuildZetaFactored:
     def test_strip(self, zeta_ff):
         assert zeta_ff.zf.convergence_strip[0] == -1.0
         assert math.isinf(zeta_ff.zf.convergence_strip[1])
+
+
+class TestPrefactorArrays:
+    S = np.array([0.57 + 1.57j, -0.5 + 3.0j, 0.4 + 0j, 2.0 - 14.0j, 0.5 + 14.134725j])
+
+    @pytest.mark.parametrize("f", [m.prefactor, m.prefactor_derivative])
+    def test_matches_scalar_values(self, f):
+        values = f(self.S)
+        assert values.shape == self.S.shape
+        assert values.tolist() == [f(complex(s)) for s in self.S]
+
+    @pytest.mark.parametrize("f", [m.prefactor, m.prefactor_derivative])
+    def test_pole_anywhere_in_array_rejected(self, f):
+        with pytest.raises(m.PoleError):
+            f(np.array([0.57 + 1.57j, 1.0 + 0j, 2.0 + 0j]))
+
+    @pytest.mark.parametrize("f", [m.prefactor, m.prefactor_derivative])
+    def test_conditioning_warning_from_any_element(self, f):
+        near = complex(1.0, 2.0 * math.pi / math.log(2.0)) + 1e-8
+        with pytest.warns(RuntimeWarning, match="resonance"):
+            f(np.array([0.57 + 1.57j, near, 2.0 + 0j]))
