@@ -78,7 +78,12 @@ class FactoredFunction:
 
     ``f_reference`` / ``fprime_reference``, when supplied, are independent
     oracles for f and f', used by the direct route and the stage integrands.
-    The approximated route needs only ``zf``, ``K`` and ``Kprime``.
+    The approximated route needs only ``zf``, ``K`` and ``Kprime``. Each
+    integrand calls ``f_reference`` and then ``fprime_reference`` at the same
+    s, once each per node. The zeta model
+    (:func:`~melroot.zeta.build_zeta_factored`) relies on that: its two
+    references share one evaluation that keeps its last point, so the f'
+    call reuses the eta-series pass of the f call before it.
     """
 
     zf: MellinIntegrand
@@ -143,23 +148,34 @@ def _require_references(ff: FactoredFunction) -> None:
         )
 
 
-def integrand_direct(ff: FactoredFunction, c: CircularContour, phi: float) -> complex:
-    """(1/2*pi*i) * f'(s)/f(s) * ds/dphi at s = s(phi), from the references."""
-    _require_references(ff)
-    s = c.point(phi)
+def _point_and_velocity(c: CircularContour, phi: float) -> tuple[complex, complex]:
+    """``c.point(phi)`` and ``c.velocity(phi)`` from one e**(i*phi)."""
+    rotation = cmath.exp(1j * phi)
+    return c.center + c.radius * rotation, 1j * c.radius * rotation
+
+
+def _direct_value(ff: FactoredFunction, c: CircularContour, phi: float) -> complex:
+    """:func:`integrand_direct` without the check that the references are set."""
+    s, velocity = _point_and_velocity(c, phi)
     f = ff.f_reference(s)
     if f == 0:
         raise PoleError(f"f vanishes on the contour at phi = {phi}")
-    return ff.fprime_reference(s) / f * c.velocity(phi) / _TWO_PI_I
+    return ff.fprime_reference(s) / f * velocity / _TWO_PI_I
+
+
+def integrand_direct(ff: FactoredFunction, c: CircularContour, phi: float) -> complex:
+    """(1/2*pi*i) * f'(s)/f(s) * ds/dphi at s = s(phi), from the references."""
+    _require_references(ff)
+    return _direct_value(ff, c, phi)
 
 
 def integrand_stage1(ff: FactoredFunction, c: CircularContour, phi: float, table: ExpSumTable) -> complex:
     """Direct integrand with 1/f replaced by the exponential-sum
     approximation of the reciprocal."""
     _require_references(ff)
-    s = c.point(phi)
+    s, velocity = _point_and_velocity(c, phi)
     f = ff.f_reference(s)
-    return ff.fprime_reference(s) * inv_approx(f, table) * c.velocity(phi) / _TWO_PI_I
+    return ff.fprime_reference(s) * inv_approx(f, table) * velocity / _TWO_PI_I
 
 
 def integrand_stage2(
@@ -168,14 +184,9 @@ def integrand_stage2(
     """As stage 1, with each exponential truncated to its degree-``n``
     Taylor polynomial."""
     _require_references(ff)
-    s = c.point(phi)
+    s, velocity = _point_and_velocity(c, phi)
     f = ff.f_reference(s)
-    return (
-        ff.fprime_reference(s)
-        * inv_approx_truncated(f, table, n)
-        * c.velocity(phi)
-        / _TWO_PI_I
-    )
+    return ff.fprime_reference(s) * inv_approx_truncated(f, table, n) * velocity / _TWO_PI_I
 
 
 def _kernels(ff: FactoredFunction, nodes, velocities, cfg: PipelineConfig, mellin) -> np.ndarray:
@@ -247,7 +258,7 @@ def count_direct(ff: FactoredFunction, c: CircularContour) -> CountResult:
     count for contours staying clear of all roots and poles.
     """
     _require_references(ff)
-    value = integrate_periodic(lambda phi: integrand_direct(ff, c, phi), c.nodes)
+    value = integrate_periodic(lambda phi: _direct_value(ff, c, phi), c.nodes)
     return CountResult.from_value(value)
 
 

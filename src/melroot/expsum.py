@@ -143,11 +143,12 @@ def error_grid(
 
     Returns ``(re_axis, im_axis, grid)`` with ``grid[iy, ix]`` the error at
     ``re_axis[ix] + 1j * im_axis[iy]``. The exact origin is outside the
-    domain; its cell is NaN.
+    domain; its cell is NaN. Both ``samples`` must be positive integers, else
+    ``ValueError``.
     """
     nx, ny = samples
-    if nx < 1 or ny < 1:
-        raise ValueError("grid dimensions must be positive")
+    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in samples):
+        raise ValueError(f"grid dimensions must be positive integers, got {samples!r}")
     re_axis = np.linspace(re_range[0], re_range[1], nx)
     im_axis = np.linspace(im_range[0], im_range[1], ny)
     z = re_axis[None, :] + 1j * im_axis[:, None]

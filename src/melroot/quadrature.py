@@ -22,12 +22,13 @@ runs are bit-identical.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
 
-from .errors import NonConvergenceError
+from .errors import DomainError, NonConvergenceError
 
 __all__ = [
     "QuadratureConfig",
@@ -101,6 +102,12 @@ def _call(g: Callable, ts: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
     return out.astype(np.complex128 if np.iscomplexobj(out) else np.float64, copy=False)
 
 
+def _raise_not_finite(lo: float, hi: float):
+    raise DomainError(
+        f"the integrand is not finite inside its support, [{lo:g}, {hi:g}] in the mapped variable"
+    )
+
+
 def _halving_trapezoid(
     sample: Callable, lo: float, hi: float, n_rows: int, quad: QuadratureConfig, value_of: Callable[[np.ndarray], Any]
 ) -> QuadratureResult:
@@ -111,7 +118,9 @@ def _halving_trapezoid(
     at the abscissae ``u``, shape (len(active), len(u)). The coarse pass trims
     the support once, to where some row exceeds ``TRUNCATION_DECAY`` times its
     own peak, plus one step on each side (every row is 0 when that is
-    nowhere); each halving samples the new abscissae inside it. From the
+    nowhere); each halving samples the new abscissae inside it. A non-finite
+    sample is read as 0 outside that support and raises :class:`DomainError`
+    inside it (a sampler that must forgive one zeroes it itself). From the
     second halving on, a row that changed by at most
     ``max(abs_tol, rel_tol * |row|)`` keeps its value and error and is not
     sampled again. Halving stops when no row is left, or raises
@@ -125,6 +134,10 @@ def _halving_trapezoid(
     u = h * np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
     vals = sample(u, np.arange(n_rows))
     evals = len(u)
+    finite = np.isfinite(vals)
+    all_finite = bool(finite.all())
+    if not all_finite:
+        vals[~finite] = 0.0
 
     mags = np.abs(vals)
     peak = mags.max(axis=1, keepdims=True)
@@ -134,6 +147,8 @@ def _halving_trapezoid(
     i_lo = max(int(keep[0]) - 1, 0)
     i_hi = min(int(keep[-1]) + 1, len(u) - 1)
     lo, hi = float(u[i_lo]), float(u[i_hi])
+    if not (all_finite or finite[:, i_lo : i_hi + 1].all()):
+        _raise_not_finite(lo, hi)
     total = h * vals[:, i_lo : i_hi + 1].sum(axis=1)
     err = np.full(n_rows, math.inf)
     active = np.arange(n_rows)
@@ -146,6 +161,8 @@ def _halving_trapezoid(
         u = h * k[k % 2 != 0]
         step = max(1, _CHUNK // len(active))
         new = sum(sample(u[i : i + step], active).sum(axis=1) for i in range(0, len(u), step))
+        if not np.isfinite(new).all():
+            _raise_not_finite(lo, hi)
         new_total = total[active] / 2.0 + h * new
         evals += len(u)
         err[active] = np.abs(new_total - total[active])
@@ -183,6 +200,12 @@ def integrate_semi_infinite(
     than t**(sigma-1) with sigma > 0) and the tail must decay fast enough
     for the integral to converge absolutely.
 
+    A non-finite value of ``g`` times the Jacobian is read as 0 in the tails
+    that the coarse pass trims away, where it is overflow below the
+    truncation threshold. Inside the support it raises :class:`DomainError`
+    in the 1-D form; with ``rows`` it is read as 0 there too, since one row's
+    weight can overflow inside another row's support.
+
     Raises :class:`NonConvergenceError` (carrying the best estimate of every
     row) if the tolerance is not met within ``quad.max_evals`` evaluations.
     """
@@ -198,9 +221,10 @@ def integrate_semi_infinite(
         w = _LAMBDA * np.cosh(u) * t
         with np.errstate(all="ignore"):
             vals = _call(g, t, None if rows is None else rows[active]) * w
-        # Overflow in the far tails, where the genuine contribution is below
-        # the truncation threshold by construction of _U_CAP.
-        vals[~np.isfinite(vals)] = 0.0
+        if rows is not None:
+            # One row's weight can overflow inside the support that another
+            # row keeps; such a sample is far below that row's own threshold.
+            vals[~np.isfinite(vals)] = 0.0
         # the 1-D form is one row
         return vals.reshape(-1, len(u))
 
@@ -214,9 +238,10 @@ def integrate_periodic(k: Callable[[float], complex], nodes: int) -> complex:
 
     Spectrally accurate for integrands analytic in a strip around the real
     axis. Convergence checking (node doubling) is the caller's contract.
+    ``nodes`` must be a positive integer, else ``ValueError``.
     """
-    if nodes < 1:
-        raise ValueError(f"nodes must be positive, got {nodes}")
+    if not isinstance(nodes, numbers.Integral) or nodes < 1:
+        raise ValueError(f"nodes must be a positive integer, got {nodes!r}")
     step = 2.0 * math.pi / nodes
     total = 0j
     for i in range(nodes):

@@ -56,8 +56,9 @@ _ETA_LOGS = [math.log(k + 1) for k in range(_ETA_TERMS)]
 _CONDITIONING_CUTOFF = 1e-6
 
 
-def _check_eta_factor(lam: complex, s: complex) -> None:
-    """Reject 1 - 2**(1-s) = 0 at s, and warn when it is ill-conditioned."""
+def _check_eta_factor(lam: complex, s: complex, stacklevel: int = 4) -> None:
+    """Reject 1 - 2**(1-s) = 0 at s, and warn when it is ill-conditioned;
+    ``stacklevel`` is that of :func:`warnings.warn`."""
     if lam == 0:
         raise PoleError(f"zeta representation is singular at s = {s}")
     if abs(lam) < _CONDITIONING_CUTOFF:
@@ -65,41 +66,67 @@ def _check_eta_factor(lam: complex, s: complex) -> None:
             f"1 - 2**(1-s) = {lam:.2e} at s = {s}: the eta-zeta factor is "
             f"ill-conditioned this close to the Re(s) = 1 resonance line",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=stacklevel,
         )
 
 
-def _eta_factor(s: complex) -> complex:
-    """1 - 2**(1-s) at one point, the factor relating eta and zeta in the
-    reference oracles; validated by :func:`_check_eta_factor`."""
-    lam = 1.0 - cmath.exp((1.0 - s) * _LN2)
-    _check_eta_factor(lam, s)
-    return lam
-
-
-def zeta_reference(s: complex) -> complex:
-    """zeta(s) via the accelerated eta series; >=10 significant digits for
-    Re(s) > -1, |Im(s)| <= 20. Pole at s = 1."""
+def _zeta_and_prime(s: complex, stacklevel: int = 4) -> tuple[complex, complex]:
+    """(zeta(s), zeta'(s)) from one pass of the accelerated eta series: zeta'
+    is the term-wise derivative, summed beside zeta's terms. The default
+    ``stacklevel`` points a conditioning warning at the caller of the
+    function that calls this one."""
     s = complex(s)
-    lam = _eta_factor(s)
-    acc = 0j
-    for w, ln in zip(_ETA_SIGNED, _ETA_LOGS):
-        acc += w * cmath.exp(-s * ln)
-    return -acc / lam
-
-
-def zeta_prime_reference(s: complex) -> complex:
-    """d/ds zeta(s), term-wise differentiated accelerated eta series."""
-    s = complex(s)
-    lam = _eta_factor(s)
-    lam_prime = cmath.exp((1.0 - s) * _LN2) * _LN2
+    two = cmath.exp((1.0 - s) * _LN2)
+    lam = 1.0 - two
+    _check_eta_factor(lam, s, stacklevel)
+    lam_prime = two * _LN2
     acc = 0j
     acc_prime = 0j
     for w, ln in zip(_ETA_SIGNED, _ETA_LOGS):
         term = w * cmath.exp(-s * ln)
         acc += term
         acc_prime -= ln * term
-    return -acc_prime / lam + acc * lam_prime / lam**2
+    return -acc / lam, -acc_prime / lam + acc * lam_prime / lam**2
+
+
+def zeta_reference(s: complex) -> complex:
+    """zeta(s) via the accelerated eta series; >=10 significant digits for
+    Re(s) > -1, |Im(s)| <= 20. Pole at s = 1."""
+    return _zeta_and_prime(s)[0]
+
+
+def zeta_prime_reference(s: complex) -> complex:
+    """d/ds zeta(s), term-wise differentiated accelerated eta series."""
+    return _zeta_and_prime(s)[1]
+
+
+class _SharedEtaPass:
+    """zeta and zeta' of one model from one eta-series pass per point.
+
+    The last point evaluated is kept as one tuple (s, zeta(s), zeta'(s)),
+    matched by ``==`` and replaced in a single assignment, so f then f' (or
+    f' then f) at the same s pays for one pass, and no caller can pair the
+    zeta of one point with the zeta' of another. A point that raises
+    :class:`PoleError` is not kept.
+    """
+
+    def __init__(self):
+        # NaN equals no point, so the first call evaluates
+        self._last = (complex(math.nan), 0j, 0j)
+
+    def _at(self, s) -> tuple[complex, complex, complex]:
+        s = complex(s)
+        last = self._last
+        if last[0] != s:
+            # a warning points at the caller of zeta or zeta_prime
+            last = self._last = (s, *_zeta_and_prime(s, stacklevel=5))
+        return last
+
+    def zeta(self, s: complex) -> complex:
+        return self._at(s)[1]
+
+    def zeta_prime(self, s: complex) -> complex:
+        return self._at(s)[2]
 
 
 def z_integrand(t):
@@ -134,12 +161,17 @@ def prefactor_derivative(s):
 
 def build_zeta_factored() -> FactoredFunction:
     """The zeta function wired as a factored Mellin representation, with the
-    eta-series oracle attached as the reference for f and f'."""
+    eta-series oracle attached as the reference for f and f'.
+
+    Both references draw on one evaluation owned by this model, so f and f'
+    at the same s cost one series pass; each returns the value of
+    :func:`zeta_reference` or :func:`zeta_prime_reference` there."""
     zf = MellinIntegrand(z=z_integrand, convergence_strip=(-1.0, math.inf))
+    shared = _SharedEtaPass()
     return FactoredFunction(
         zf=zf,
         K=prefactor,
         Kprime=prefactor_derivative,
-        f_reference=zeta_reference,
-        fprime_reference=zeta_prime_reference,
+        f_reference=shared.zeta,
+        fprime_reference=shared.zeta_prime,
     )

@@ -182,6 +182,15 @@ class TestErrorGrid:
                 want = m.inv_approx(z, coeffs) - 1.0 / z
                 assert abs(grid[iy, ix] - want) <= 1e-15 * max(1.0, abs(want))
 
+    @pytest.mark.parametrize("samples", [(2.5, 2), (2, 2.5), (np.float64(3.0), 2)])
+    def test_non_integer_sizes_rejected(self, coeffs, samples):
+        with pytest.raises(ValueError, match="integers"):
+            m.error_grid(coeffs, (0.5, 2.0), (-1.0, 1.0), samples)
+
+    def test_numpy_integer_sizes_accepted(self, coeffs):
+        got = m.error_grid(coeffs, (0.5, 2.0), (-1.0, 1.0), (np.int64(4), np.int32(3)))[2]
+        assert np.array_equal(got, m.error_grid(coeffs, (0.5, 2.0), (-1.0, 1.0), (4, 3))[2])
+
     def test_origin_is_nan(self, coeffs):
         _, _, grid = m.error_grid(coeffs, (-1.0, 1.0), (0.0, 0.0), (3, 1))
         assert np.isnan(grid[0, 1].real) and np.isnan(grid[0, 1].imag)

@@ -43,6 +43,18 @@ class TestTransform:
         with pytest.raises(m.DomainError):
             m.deriv_times_power(zeta_zf, 1, s)
 
+    def test_interior_nan_rejected(self):
+        points = []
+
+        def z(t):
+            points.append(t.size)
+            return np.where((t > 1.0) & (t < 2.0), math.nan, np.exp(-t))
+
+        with pytest.raises(m.DomainError):
+            m.transform(m.MellinIntegrand(z=z, convergence_strip=(0.0, math.inf)), 1.0)
+        # the first halving samples 1 < t < 2; the budget is 200,000
+        assert sum(points) < 1_000
+
     def test_analyticity_cauchy_riemann(self, zeta_zf):
         # finite differences along the real and imaginary directions agree
         s = 0.8 + 1.1j

@@ -63,6 +63,39 @@ def test_nonconvergence_carries_best_estimate():
     assert exc.value.error_estimate is not None
 
 
+class TestNonFinite:
+    def test_tail_overflow_read_as_zero(self):
+        # t**5 overflows where e**-t is 0, so the far tail samples are NaN
+        samples = []
+
+        def g(t):
+            with np.errstate(all="ignore"):
+                v = t**5 * np.exp(-t)
+            samples.append(v)
+            return v
+
+        r = m.integrate_semi_infinite(g)
+        assert not np.isfinite(np.concatenate(samples)).all()
+        assert abs(r.value - 120.0) < 1e-8 * 120.0
+
+    def test_interior_nan_of_coarse_pass_raises(self):
+        # t = 1 is a coarse abscissa (u = 0)
+        g = lambda t: np.where(t == 1.0, math.nan, np.exp(-t))
+        with pytest.raises(m.DomainError):
+            m.integrate_semi_infinite(g)
+
+    def test_rows_read_overflow_as_zero(self):
+        # row 1 overflows to NaN at t > 5e7, inside the slowly decaying
+        # support of row 0
+        def g(t, rows):
+            with np.errstate(all="ignore"):
+                return np.stack([1.0 / (1.0 + t) ** 2 if r == 0 else t**40 * np.exp(-t) for r in rows])
+
+        r = m.integrate_semi_infinite(g, rows=np.array([0, 1]))
+        assert abs(r.value[0] - 1.0) < 1e-8
+        assert abs(r.value[1] - math.factorial(40)) < 1e-8 * math.factorial(40)
+
+
 def _damped_cosines(t, p):
     # int e**-t cos(p t) dt = 1 / (1 + p**2); larger p needs finer steps
     return np.exp(-t) * np.cos(np.multiply.outer(p, t))
@@ -197,6 +230,15 @@ class TestPeriodic:
     def test_rejects_nonpositive_nodes(self):
         with pytest.raises(ValueError):
             m.integrate_periodic(lambda phi: 1.0, 0)
+
+    @pytest.mark.parametrize("nodes", [2.5, 3.0, np.float64(4.0)])
+    def test_rejects_non_integer_nodes(self, nodes):
+        with pytest.raises(ValueError, match="integer"):
+            m.integrate_periodic(lambda phi: 1.0, nodes)
+
+    def test_accepts_numpy_integer_nodes(self):
+        k = lambda phi: np.exp(np.sin(phi))
+        assert m.integrate_periodic(k, np.int64(16)) == m.integrate_periodic(k, 16)
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import melroot as m
+from melroot import zeta as zeta_module
 
 
 class TestZetaReference:
@@ -24,8 +26,13 @@ class TestZetaReference:
     def test_conditioning_warning_near_resonance(self):
         # 1 - 2**(1-s) vanishes along Re(s) = 1 at Im(s) = 2*pi*k/ln 2
         s = complex(1.0, 2.0 * math.pi / math.log(2.0)) + 1e-8
-        with pytest.warns(RuntimeWarning):
-            m.zeta_reference(s)
+        ff = m.build_zeta_factored()
+        for reference in (m.zeta_reference, m.zeta_prime_reference, ff.f_reference, ff.fprime_reference):
+            s += 1e-12  # a new point each time, so the model evaluates afresh
+            with pytest.warns(RuntimeWarning) as record:
+                reference(s)
+            # the warning names the line that called the reference
+            assert record[0].filename == __file__
 
     def test_against_multiprecision(self):
         import mpmath as mp
@@ -124,6 +131,44 @@ class TestBuildZetaFactored:
     def test_strip(self, zeta_ff):
         assert zeta_ff.zf.convergence_strip[0] == -1.0
         assert math.isinf(zeta_ff.zf.convergence_strip[1])
+
+
+class TestSharedEtaPass:
+    """The zeta model's f and f' references share one eta-series pass."""
+
+    def test_count_direct_runs_one_pass_per_node(self, monkeypatch):
+        passes = []
+        series = zeta_module._zeta_and_prime
+
+        def counted(s, **kwargs):
+            passes.append(s)
+            return series(s, **kwargs)
+
+        monkeypatch.setattr(zeta_module, "_zeta_and_prime", counted)
+        m.count_direct(m.build_zeta_factored(), m.CircularContour(0.57 + 1.57j, 0.1, nodes=128))
+        assert len(passes) == 128
+
+    def test_interleaved_calls_match_module_functions(self):
+        ff = m.build_zeta_factored()
+        s1, s2 = 0.57 + 1.57j, 0.5 + 14.134725j
+        got = [ff.f_reference(s1), ff.fprime_reference(s2), ff.f_reference(s2), ff.fprime_reference(s1)]
+        want = [m.zeta_reference(s1), m.zeta_prime_reference(s2), m.zeta_reference(s2), m.zeta_prime_reference(s1)]
+        assert got == want
+
+    def test_pole_raises_and_is_not_kept(self):
+        ff = m.build_zeta_factored()
+        s = 0.57 + 1.57j
+        ff.f_reference(s)
+        for reference in (ff.f_reference, ff.fprime_reference, ff.f_reference):
+            with pytest.raises(m.PoleError):
+                reference(1.0)
+        assert ff.fprime_reference(s) == m.zeta_prime_reference(s)
+
+    def test_count_direct_matches_stateless_references(self):
+        ff = m.build_zeta_factored()
+        stateless = dataclasses.replace(ff, f_reference=m.zeta_reference, fprime_reference=m.zeta_prime_reference)
+        for c in (m.CircularContour(0.57 + 1.57j, 0.1, nodes=64), m.CircularContour(1.0 + 0j, 0.1, nodes=128)):
+            assert m.count_direct(ff, c) == m.count_direct(stateless, c)
 
 
 class TestPrefactorArrays:
