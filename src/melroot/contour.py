@@ -74,7 +74,8 @@ class FactoredFunction:
 
     ``K`` and ``Kprime``, like ``zf.z``, must accept a numpy array and act
     elementwise: the approximated route calls each once per contour, on the
-    array of all its nodes. A scalar result (a constant K) broadcasts.
+    array of all its nodes. A scalar result (a constant K) broadcasts. The
+    zeta model's K and K' share one prefactor pass per node array.
 
     ``f_reference`` / ``fprime_reference``, when supplied, are independent
     oracles for f and f', used by the direct route and the stage integrands.
@@ -210,7 +211,7 @@ def _kernels(ff: FactoredFunction, nodes, velocities, cfg: PipelineConfig, melli
 
 
 def _reduced_kernels(ff: FactoredFunction, c: CircularContour, phis, cfg: PipelineConfig, reduce: Callable):
-    """``reduce`` of the list of kernel values at ``phis``, all of them from
+    """``reduce`` of the array of kernel values at ``phis``, all of them from
     one set of Mellin densities built for the whole contour.
 
     A :class:`NonConvergenceError` of the densities is re-raised with
@@ -225,8 +226,8 @@ def _reduced_kernels(ff: FactoredFunction, c: CircularContour, phis, cfg: Pipeli
     nodes = c.center + c.radius * rotation
     velocities = 1j * c.radius * rotation
 
-    def kernels(mellin) -> list[complex]:
-        return _kernels(ff, nodes, velocities, cfg, mellin).tolist()
+    def kernels(mellin) -> np.ndarray:
+        return _kernels(ff, nodes, velocities, cfg, mellin)
 
     re_range = (c.center.real - c.radius, c.center.real + c.radius)
     try:
@@ -248,7 +249,7 @@ def kernel_mellin(ff: FactoredFunction, c: CircularContour, phi: float, cfg: Pip
     ``ff`` are not used. The Mellin grid is cut for the whole contour, as in
     :func:`count_pipeline`, and refined until this node's Z and Z' settle.
     """
-    return _reduced_kernels(ff, c, [phi], cfg, lambda values: values[0])
+    return _reduced_kernels(ff, c, [phi], cfg, lambda values: complex(values[0]))
 
 
 def count_direct(ff: FactoredFunction, c: CircularContour) -> CountResult:
@@ -277,5 +278,5 @@ def count_pipeline(ff: FactoredFunction, c: CircularContour, cfg: PipelineConfig
     """
     step = 2.0 * math.pi / c.nodes
     phis = [step * i for i in range(c.nodes)]
-    value = _reduced_kernels(ff, c, phis, cfg, lambda values: sum(values) * step)
+    value = _reduced_kernels(ff, c, phis, cfg, lambda values: complex(values.sum()) * step)
     return CountResult.from_value(value)

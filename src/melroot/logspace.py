@@ -119,21 +119,33 @@ def transform_and_derivative(
         bad = ~np.isfinite(g)
         if bad.any():
             raise DomainError(f"z(t) is not finite at t = e**{float(x[bad][0]):.6g}")
-        # g e**(s x) in log space: e**(s x) may overflow only where g has
-        # underflowed to 0, and log 0 = -inf keeps that product 0.
-        with np.errstate(divide="ignore"):
-            log_g = np.log(g)
-        node = rows % n
-        used = np.zeros(n, dtype=bool)
-        used[node] = True
-        # one exponential per node, shared by its Z and Z' rows; a row's node
-        # is at position cumsum(used) - 1 among the nodes used
-        weights = np.outer(s[used], x)
+        # g e**(s x) in log space, formed only where g is not 0 (the product
+        # is 0 elsewhere): e**(s x) may overflow only where g is tiny.
+        live = g != 0
+        all_live = bool(live.all())
+        if not all_live:
+            x, g = x[live], g[live]
+        log_g = np.log(g)
+        every_row = len(rows) == 2 * n
+        if not every_row:
+            node = rows % n
+            used = np.zeros(n, dtype=bool)
+            used[node] = True
+        # one exponential per node, shared by its Z and Z' rows
+        weights = np.outer(s if every_row else s[used], x)
         weights += log_g
         np.exp(weights, out=weights)
-        vals = weights[np.cumsum(used)[node] - 1]
-        vals[rows >= n] *= x
-        return vals
+        if every_row:
+            vals = np.concatenate((weights, weights * x))
+        else:
+            # a row's node is at position cumsum(used) - 1 among the nodes used
+            vals = weights[np.cumsum(used)[node] - 1]
+            vals[rows >= n] *= x
+        if all_live:
+            return vals
+        out = np.zeros((len(rows), len(live)), dtype=np.complex128)
+        out[:, live] = vals
+        return out
 
     z, zprime = _halving_trapezoid(sample, x_lo, x_hi, 2 * n, quad, lambda total: (total[:n], total[n:])).value
     if not z.any():

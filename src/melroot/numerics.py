@@ -82,8 +82,26 @@ _LANCZOS = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
+# coefficients and shifts of the Lanczos terms after the first,
+# c_i / (z - 1 + i) for i = 1..8
+_LANCZOS_TAIL = np.array(_LANCZOS[1:])
+_LANCZOS_SHIFTS = np.arange(1.0, len(_LANCZOS))
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
+
+
+def _leading(terms: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``terms`` shaped to broadcast against ``x`` along a new leading axis."""
+    return terms.reshape(terms.shape + (1,) * x.ndim)
+
+
+def _fold(op: np.ufunc, initial, terms: np.ndarray) -> np.ndarray:
+    """((initial op terms[0]) op terms[1]) op ... along the leading axis, in
+    that order at every element, as a loop of array operations would give it;
+    ``terms`` is overwritten. ``accumulate`` keeps the order, while a
+    ``reduce`` may sum pairwise and round differently."""
+    op(initial, terms[0], out=terms[0])
+    return op.accumulate(terms, axis=0)[-1]
 
 
 def _reject_poles(z: np.ndarray, name: str) -> None:
@@ -102,9 +120,7 @@ def log_gamma(z):
     _reject_poles(z, "Gamma")
     reflect = z.real < 0.5
     zm = np.where(reflect, 1.0 - z, z) - 1.0
-    acc = np.full_like(zm, _LANCZOS[0])
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (zm + i)
+    acc = _fold(np.add, _LANCZOS[0], _leading(_LANCZOS_TAIL, zm) / (zm + _leading(_LANCZOS_SHIFTS, zm)))
     t = zm + _LANCZOS_G + 0.5
     out = _HALF_LOG_TWO_PI + (zm + 0.5) * np.log(t) - t + np.log(acc)
     if reflect.any():
@@ -115,7 +131,7 @@ def log_gamma(z):
     return out
 
 
-_DIGAMMA_SHIFT = 10
+_DIGAMMA_SHIFTS = np.arange(10.0)
 # psi(z) ~ ln z - 1/(2z) - sum B_2n / (2n z^(2n)); coefficients B_2n/(2n)
 _DIGAMMA_ASYMPTOTIC = (
     1.0 / 12.0,
@@ -137,10 +153,8 @@ def digamma(z):
     w = np.where(reflect, 1.0 - z, z)
     # psi(w) = psi(w + 10) - sum_{k < 10} 1 / (w + k), and Re(w + 10) > 10
     # is in the range of the asymptotic series
-    acc = np.zeros_like(w)
-    for k in range(_DIGAMMA_SHIFT):
-        acc -= 1.0 / (w + k)
-    w = w + _DIGAMMA_SHIFT
+    acc = _fold(np.subtract, 0.0, 1.0 / (w + _leading(_DIGAMMA_SHIFTS, w)))
+    w = w + len(_DIGAMMA_SHIFTS)
     inv2 = 1.0 / (w * w)
     tail = np.zeros_like(w)
     for coeff in reversed(_DIGAMMA_ASYMPTOTIC):

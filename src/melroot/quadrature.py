@@ -120,7 +120,8 @@ def _halving_trapezoid(
     own peak, plus one step on each side (every row is 0 when that is
     nowhere); each halving samples the new abscissae inside it. A non-finite
     sample is read as 0 outside that support and raises :class:`DomainError`
-    inside it (a sampler that must forgive one zeroes it itself). From the
+    inside it (a sampler that must forgive one zeroes it itself), as does a
+    row that is not finite at any abscissa of the coarse pass. From the
     second halving on, a row that changed by at most
     ``max(abs_tol, rel_tol * |row|)`` keeps its value and error and is not
     sampled again. Halving stops when no row is left, or raises
@@ -137,6 +138,10 @@ def _halving_trapezoid(
     finite = np.isfinite(vals)
     all_finite = bool(finite.all())
     if not all_finite:
+        if not finite.any(axis=1).all():
+            raise DomainError(
+                f"the integrand is not finite at any abscissa of the coarse pass over [{lo:g}, {hi:g}]"
+            )
         vals[~finite] = 0.0
 
     mags = np.abs(vals)
@@ -202,9 +207,10 @@ def integrate_semi_infinite(
 
     A non-finite value of ``g`` times the Jacobian is read as 0 in the tails
     that the coarse pass trims away, where it is overflow below the
-    truncation threshold. Inside the support it raises :class:`DomainError`
-    in the 1-D form; with ``rows`` it is read as 0 there too, since one row's
-    weight can overflow inside another row's support.
+    truncation threshold. Inside the support, or at every abscissa of the
+    coarse pass, it raises :class:`DomainError` in the 1-D form; with
+    ``rows`` it is read as 0 everywhere, since one row's weight can overflow
+    inside another row's support.
 
     Raises :class:`NonConvergenceError` (carrying the best estimate of every
     row) if the tolerance is not met within ``quad.max_evals`` evaluations.

@@ -135,28 +135,70 @@ def z_integrand(t):
     return t / np.cosh(t) ** 2
 
 
-def _prefactor_terms(s: np.ndarray):
+def _prefactor_terms(s: np.ndarray, stacklevel: int):
     """(K(s), 2**(1-s), 1 - 2**(1-s)) at each element of ``s``; the element of smallest
-    |1 - 2**(1-s)| is validated by :func:`_check_eta_factor`."""
+    |1 - 2**(1-s)| is validated by :func:`_check_eta_factor` with ``stacklevel``."""
     two = np.exp((1.0 - s) * _LN2)
     lam = 1.0 - two
     worst = np.argmin(np.abs(lam))
-    _check_eta_factor(lam.flat[worst], s.flat[worst])
+    _check_eta_factor(lam.flat[worst], s.flat[worst], stacklevel)
     return np.exp((s - 1.0) * _LN2 - log_gamma(s + 1.0)) / lam, two, lam
 
 
+def _derivative(s: np.ndarray, K: np.ndarray, two: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """K'(s) from the terms of :func:`_prefactor_terms` at ``s``."""
+    return K * (_LN2 - two * _LN2 / lam - digamma(s + 1.0))
+
+
+# A conditioning warning names the caller of prefactor or
+# prefactor_derivative: above _check_eta_factor sit _prefactor_terms, the
+# function itself and the elementwise wrapper.
 @elementwise
 def prefactor(s):
     """K(s) = 2**(s-1) / ((1 - 2**(1-s)) * Gamma(s+1)), elementwise."""
-    return _prefactor_terms(s)[0]
+    return _prefactor_terms(s, stacklevel=5)[0]
 
 
 @elementwise
 def prefactor_derivative(s):
     """K'(s) = K(s) * (ln 2 - 2**(1-s) ln 2 / (1 - 2**(1-s)) - psi(s+1)),
     elementwise."""
-    K, two, lam = _prefactor_terms(s)
-    return K * (_LN2 - two * _LN2 / lam - digamma(s + 1.0))
+    return _derivative(s, *_prefactor_terms(s, stacklevel=5))
+
+
+class _SharedPrefactorPass:
+    """K and K' of one model from one prefactor pass per node array.
+
+    ``K`` and ``Kprime`` take a scalar or an array, as :func:`prefactor` and
+    :func:`prefactor_derivative` do, and return the same values. The last
+    node array evaluated is kept as one tuple (a copy of the nodes, K,
+    2**(1-s), 1 - 2**(1-s)), matched by value and replaced in a single
+    assignment: K then K' (or K' then K) on the same nodes computes
+    log-gamma once and checks, and warns about, the eta factor once, and a
+    node array edited in place between the two calls no longer matches its
+    copy. Nodes that raise :class:`PoleError` are not kept.
+    """
+
+    def __init__(self):
+        # NaN equals no node, so the first call evaluates
+        self._last = (np.full(1, complex(math.nan)), None, None, None)
+        self.K = elementwise(self._K)
+        self.Kprime = elementwise(self._Kprime)
+
+    def _at(self, s: np.ndarray):
+        last = self._last
+        if not np.array_equal(last[0], s):
+            # above _check_eta_factor sit _prefactor_terms, this method, _K or
+            # _Kprime and the elementwise wrapper: a warning names their caller
+            last = self._last = (s.copy(), *_prefactor_terms(s, stacklevel=6))
+        return last
+
+    def _K(self, s: np.ndarray) -> np.ndarray:
+        # a copy, so that no caller can edit the kept K
+        return self._at(s)[1].copy()
+
+    def _Kprime(self, s: np.ndarray) -> np.ndarray:
+        return _derivative(*self._at(s))
 
 
 def build_zeta_factored() -> FactoredFunction:
@@ -165,13 +207,17 @@ def build_zeta_factored() -> FactoredFunction:
 
     Both references draw on one evaluation owned by this model, so f and f'
     at the same s cost one series pass; each returns the value of
-    :func:`zeta_reference` or :func:`zeta_prime_reference` there."""
+    :func:`zeta_reference` or :func:`zeta_prime_reference` there. K and K'
+    likewise share one prefactor pass per node array, so a contour computes
+    log-gamma once; they return the values of :func:`prefactor` and
+    :func:`prefactor_derivative`."""
     zf = MellinIntegrand(z=z_integrand, convergence_strip=(-1.0, math.inf))
     shared = _SharedEtaPass()
+    prefactors = _SharedPrefactorPass()
     return FactoredFunction(
         zf=zf,
-        K=prefactor,
-        Kprime=prefactor_derivative,
+        K=prefactors.K,
+        Kprime=prefactors.Kprime,
         f_reference=shared.zeta,
         fprime_reference=shared.zeta_prime,
     )

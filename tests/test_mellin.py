@@ -55,6 +55,12 @@ class TestTransform:
         # the first halving samples 1 < t < 2; the budget is 200,000
         assert sum(points) < 1_000
 
+    def test_all_nan_rejected(self):
+        # NaN at every coarse abscissa would otherwise read as Z = 0
+        zf = m.MellinIntegrand(z=lambda t: np.full_like(t, math.nan), convergence_strip=(0.0, math.inf))
+        with pytest.raises(m.DomainError):
+            m.transform(zf, 1.0)
+
     def test_analyticity_cauchy_riemann(self, zeta_zf):
         # finite differences along the real and imaginary directions agree
         s = 0.8 + 1.1j
@@ -263,6 +269,22 @@ class TestConvolutionPowers:
         transform_and_derivative(zf, s, re_range)
         assert sum(sizes) < 400
 
+    def test_compact_support_matches_adaptive_transforms(self):
+        # z is exactly 0 for t >= 3, so the sampler forms no exponential on
+        # most of the coarse pass, which scans out to t = e**40
+        def z(t):
+            with np.errstate(divide="ignore"):
+                return np.exp(-1.0 / np.maximum(3.0 - t, 0.0))
+
+        zf = m.MellinIntegrand(z=z, convergence_strip=(0.0, math.inf))
+        s = np.array([0.5 + 0j, 1.0 + 2.0j, 1.7 - 0.5j, 0.8 + 8.0j])
+        z_values, zprime = transform_and_derivative(zf, s, (0.5, 1.7))
+        for i, si in enumerate(s):
+            exact = m.transform(zf, si).value
+            exact_prime = m.transform_derivative(zf, si).value
+            assert abs(z_values[i] - exact) <= 1e-10 * abs(exact)
+            assert abs(zprime[i] - exact_prime) <= 1e-10 * abs(exact_prime)
+
     def test_no_nodes(self, zeta_zf):
         calls = []
 
@@ -300,6 +322,7 @@ class TestConvolutionPowers:
         [
             # NaN on 1 < t < 2, inside the support that the grid keeps
             (lambda t: np.where((t > 1.0) & (t < 2.0), math.nan, m.z_integrand(t)), m.DomainError),
+            # 0 everywhere: no column is live, and Z = 0 at every node
             (np.zeros_like, m.DomainError),
             (lambda t: m.z_integrand(t)[:-1], ValueError),
         ],

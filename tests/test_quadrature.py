@@ -84,6 +84,17 @@ class TestNonFinite:
         with pytest.raises(m.DomainError):
             m.integrate_semi_infinite(g)
 
+    def test_nan_everywhere_raises(self):
+        # no coarse abscissa is finite, so there is no support to read as 0
+        with pytest.raises(m.DomainError):
+            m.integrate_semi_infinite(lambda t: np.full_like(t, math.nan))
+
+    def test_rows_read_nan_everywhere_as_zero(self):
+        g = lambda t, rows: np.stack([np.exp(-t) if r == 0 else np.full_like(t, math.nan) for r in rows])
+        r = m.integrate_semi_infinite(g, rows=np.array([0, 1]))
+        assert abs(r.value[0] - 1.0) < 1e-10
+        assert r.value[1] == 0.0
+
     def test_rows_read_overflow_as_zero(self):
         # row 1 overflows to NaN at t > 5e7, inside the slowly decaying
         # support of row 0

@@ -190,3 +190,78 @@ class TestPrefactorArrays:
         near = complex(1.0, 2.0 * math.pi / math.log(2.0)) + 1e-8
         with pytest.warns(RuntimeWarning, match="resonance"):
             f(np.array([0.57 + 1.57j, near, 2.0 + 0j]))
+
+
+class TestSharedPrefactorPass:
+    """The zeta model's K and K' share one prefactor pass per node array."""
+
+    S = TestPrefactorArrays.S
+    NEAR = complex(1.0, 2.0 * math.pi / math.log(2.0)) + 1e-8
+
+    def test_values_match_module_functions(self):
+        ff = m.build_zeta_factored()
+        for K, prefactor in ((ff.K, m.prefactor), (ff.Kprime, m.prefactor_derivative)):
+            assert K(self.S).tobytes() == prefactor(self.S).tobytes()
+            for s in self.S:
+                value = K(complex(s))
+                assert type(value) is complex
+                assert np.array(value).tobytes() == np.array(prefactor(complex(s))).tobytes()
+
+    def test_interleaved_calls_are_never_stale(self):
+        ff = m.build_zeta_factored()
+        a, b = self.S, self.S[::-1] + 0.01
+        got = [ff.K(a), ff.K(b), ff.Kprime(a), ff.Kprime(b), ff.K(a), ff.Kprime(a)]
+        want = [m.prefactor(a), m.prefactor(b), m.prefactor_derivative(a), m.prefactor_derivative(b)]
+        want += [m.prefactor(a), m.prefactor_derivative(a)]
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+    def test_edits_between_calls_are_not_stale(self):
+        ff = m.build_zeta_factored()
+        a = self.S.copy()
+        K = ff.K(a)
+        K[:] = 0.0  # an edit of the returned K does not reach the kept one
+        assert ff.Kprime(a).tobytes() == m.prefactor_derivative(a).tobytes()
+        ff.K(a)
+        a[1] += 0.25  # the nodes themselves, edited in place
+        assert ff.Kprime(a).tobytes() == m.prefactor_derivative(a).tobytes()
+        assert ff.K(a).tobytes() == m.prefactor(a).tobytes()
+
+    def test_pole_raises_and_is_not_kept(self):
+        ff = m.build_zeta_factored()
+        ff.K(self.S)
+        for K in (ff.K, ff.Kprime, ff.K):
+            with pytest.raises(m.PoleError):
+                K(np.array([0.57 + 1.57j, 1.0 + 0j]))
+        assert ff.Kprime(self.S).tobytes() == m.prefactor_derivative(self.S).tobytes()
+
+    def test_count_pipeline_runs_one_log_gamma_and_one_digamma(self, monkeypatch, coeffs):
+        calls = []
+        for name in ("log_gamma", "digamma"):
+
+            def counted(z, fn=getattr(zeta_module, name), name=name):
+                calls.append(name)
+                return fn(z)
+
+            monkeypatch.setattr(zeta_module, name, counted)
+        c = m.CircularContour(1.0 + 0j, 0.1, nodes=16)
+        m.count_pipeline(m.build_zeta_factored(), c, m.PipelineConfig(table=coeffs))
+        assert sorted(calls) == ["digamma", "log_gamma"]
+
+    def test_conditioning_warning_names_the_caller(self):
+        ff = m.build_zeta_factored()
+        s = self.NEAR
+        for f in (m.prefactor, m.prefactor_derivative, ff.K, ff.Kprime):
+            s += 1e-12  # new nodes for each function, so the model evaluates afresh
+            for nodes in (s, np.array([0.57 + 1.57j, s])):
+                with pytest.warns(RuntimeWarning) as record:
+                    f(nodes)
+                assert [w.filename for w in record] == [__file__]
+
+    def test_conditioning_warning_once_per_node_array(self):
+        ff = m.build_zeta_factored()
+        nodes = np.array([0.57 + 1.57j, self.NEAR])
+        with pytest.warns(RuntimeWarning) as record:
+            ff.K(nodes)
+            ff.Kprime(nodes)
+            ff.K(nodes)
+        assert len(record) == 1
