@@ -132,18 +132,15 @@ def cmd_table1(args) -> int:
     c = CircularContour(complex(args.center_re, args.center_im), args.radius)
     table = _coeff_table(args)
     cfg = PipelineConfig(table=table, series_order=args.order_n, eps=args.eps)
-    rows = []
-    for i in range(9):
-        phi = 2.0 * math.pi * i / 8.0
-        rows.append(
-            (
-                i / 8.0,
-                integrand_direct(ff, c, phi),
-                integrand_stage1(ff, c, phi, table),
-                integrand_stage2(ff, c, phi, table, args.order_n),
-                kernel_mellin(ff, c, phi, cfg),
-            )
-        )
+    # the published 8 angles and phi = 2 pi again
+    phis = 2.0 * math.pi * np.arange(9) / 8.0
+    values = zip(
+        integrand_direct(ff, c, phis).tolist(),
+        integrand_stage1(ff, c, phis, table).tolist(),
+        integrand_stage2(ff, c, phis, table, args.order_n).tolist(),
+        kernel_mellin(ff, c, phis, cfg).tolist(),
+    )
+    rows = [(i / 8.0, *row) for i, row in enumerate(values)]
     columns = ("direct", "stage1", "stage2", "kernel")
     if args.format == "csv":
         buf = io.StringIO()

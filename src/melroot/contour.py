@@ -25,7 +25,7 @@ from .errors import DomainError, NonConvergenceError, PoleError
 from .expsum import ExpSumTable, inv_approx, inv_approx_truncated, truncated_series
 from .mellin import MellinIntegrand
 from .numerics import csgn, csgn_smooth
-from .quadrature import QuadratureConfig, integrate_periodic
+from .quadrature import QuadratureConfig
 
 __all__ = [
     "CircularContour",
@@ -60,38 +60,35 @@ class CircularContour:
         if not isinstance(self.nodes, numbers.Integral) or self.nodes < 1:
             raise ValueError(f"nodes must be a positive integer, got {self.nodes!r}")
 
-    def point(self, phi: float) -> complex:
-        return self.center + self.radius * cmath.exp(1j * phi)
+    def point(self, phi):
+        """s(phi) at an angle or at each angle of an array."""
+        return self.center + self.radius * np.exp(1j * phi)
 
-    def velocity(self, phi: float) -> complex:
-        """ds/dphi = i * radius * e**(i*phi)."""
-        return 1j * self.radius * cmath.exp(1j * phi)
+    def velocity(self, phi):
+        """ds/dphi = i * radius * e**(i*phi), as :meth:`point`."""
+        return 1j * self.radius * np.exp(1j * phi)
 
 
 @dataclass(frozen=True)
 class FactoredFunction:
     """f(s) = K(s) * Z(s) with Z the Mellin transform of ``zf.z``.
 
-    ``K`` and ``Kprime``, like ``zf.z``, must accept a numpy array and act
-    elementwise: the approximated route calls each once per contour, on the
-    array of all its nodes. A scalar result (a constant K) broadcasts. The
-    zeta model's K and K' share one prefactor pass per node array.
+    ``K``, ``Kprime`` and, when supplied, ``f_reference`` and
+    ``fprime_reference``, like ``zf.z``, must accept a numpy array and act
+    elementwise; a scalar result (a constant) broadcasts. Every counting
+    route calls each callable it uses once per contour, on the array of all
+    its nodes, and the integrands once per array of angles.
 
-    ``f_reference`` / ``fprime_reference``, when supplied, are independent
-    oracles for f and f', used by the direct route and the stage integrands.
-    The approximated route needs only ``zf``, ``K`` and ``Kprime``. Each
-    integrand calls ``f_reference`` and then ``fprime_reference`` at the same
-    s, once each per node. The zeta model
-    (:func:`~melroot.zeta.build_zeta_factored`) relies on that: its two
-    references share one evaluation that keeps its last point, so the f'
-    call reuses the eta-series pass of the f call before it.
+    The references are independent oracles for f and f', used by the direct
+    route and the stage integrands; the approximated route needs only
+    ``zf``, ``K`` and ``Kprime``.
     """
 
     zf: MellinIntegrand
     K: Callable[[np.ndarray], np.ndarray]
     Kprime: Callable[[np.ndarray], np.ndarray]
-    f_reference: Optional[Callable[[complex], complex]] = None
-    fprime_reference: Optional[Callable[[complex], complex]] = None
+    f_reference: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    fprime_reference: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -114,8 +111,8 @@ class PipelineConfig:
     def __post_init__(self):
         if not isinstance(self.series_order, numbers.Integral) or self.series_order < 0:
             raise ValueError(f"series_order must be a non-negative integer, got {self.series_order!r}")
-        if self.eps is not None and not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if self.eps is not None and not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -142,52 +139,44 @@ class CountResult:
         return self.residual < 0.25
 
 
-def _require_references(ff: FactoredFunction) -> None:
+def _reference_integrand(ff: FactoredFunction, c: CircularContour, phi, combine: Callable) -> complex | np.ndarray:
+    """(1/2*pi*i) * combine(f, f') * ds/dphi at s = s(phi), with f and f' from
+    one call of each reference on the nodes of the angle ``phi`` or of the
+    array of angles ``phi``. A scalar angle gives a complex, an array an
+    array of its shape."""
     if ff.f_reference is None or ff.fprime_reference is None:
-        raise ValueError(
-            "direct evaluation needs both f_reference and fprime_reference"
-        )
-
-
-def _point_and_velocity(c: CircularContour, phi: float) -> tuple[complex, complex]:
-    """``c.point(phi)`` and ``c.velocity(phi)`` from one e**(i*phi)."""
-    rotation = cmath.exp(1j * phi)
-    return c.center + c.radius * rotation, 1j * c.radius * rotation
-
-
-def _direct_value(ff: FactoredFunction, c: CircularContour, phi: float) -> complex:
-    """:func:`integrand_direct` without the check that the references are set."""
-    s, velocity = _point_and_velocity(c, phi)
+        raise ValueError("direct evaluation needs both f_reference and fprime_reference")
+    phis = np.atleast_1d(np.asarray(phi, dtype=float))
+    s = c.point(phis)
     f = ff.f_reference(s)
-    if f == 0:
-        raise PoleError(f"f vanishes on the contour at phi = {phi}")
-    return ff.fprime_reference(s) / f * velocity / _TWO_PI_I
+    zero = np.broadcast_to(f == 0, s.shape)
+    if zero.any():
+        raise PoleError(f"f vanishes on the contour at phi = {phis[zero][0]}")
+    fprime = ff.fprime_reference(s)
+    # a NaN f or f' gives a NaN value without a warning, as in scalar arithmetic
+    with np.errstate(invalid="ignore"):
+        values = combine(f, fprime) * c.velocity(phis) / _TWO_PI_I
+    return values if np.ndim(phi) else complex(values[0])
 
 
-def integrand_direct(ff: FactoredFunction, c: CircularContour, phi: float) -> complex:
-    """(1/2*pi*i) * f'(s)/f(s) * ds/dphi at s = s(phi), from the references."""
-    _require_references(ff)
-    return _direct_value(ff, c, phi)
+def integrand_direct(ff: FactoredFunction, c: CircularContour, phi) -> complex | np.ndarray:
+    """(1/2*pi*i) * f'(s)/f(s) * ds/dphi at s = s(phi), from the references;
+    ``phi`` is an angle or an array of angles."""
+    return _reference_integrand(ff, c, phi, lambda f, fprime: fprime / f)
 
 
-def integrand_stage1(ff: FactoredFunction, c: CircularContour, phi: float, table: ExpSumTable) -> complex:
+def integrand_stage1(ff: FactoredFunction, c: CircularContour, phi, table: ExpSumTable) -> complex | np.ndarray:
     """Direct integrand with 1/f replaced by the exponential-sum
     approximation of the reciprocal."""
-    _require_references(ff)
-    s, velocity = _point_and_velocity(c, phi)
-    f = ff.f_reference(s)
-    return ff.fprime_reference(s) * inv_approx(f, table) * velocity / _TWO_PI_I
+    return _reference_integrand(ff, c, phi, lambda f, fprime: fprime * inv_approx(f, table))
 
 
 def integrand_stage2(
-    ff: FactoredFunction, c: CircularContour, phi: float, table: ExpSumTable, n: int
-) -> complex:
+    ff: FactoredFunction, c: CircularContour, phi, table: ExpSumTable, n: int
+) -> complex | np.ndarray:
     """As stage 1, with each exponential truncated to its degree-``n``
     Taylor polynomial."""
-    _require_references(ff)
-    s, velocity = _point_and_velocity(c, phi)
-    f = ff.f_reference(s)
-    return ff.fprime_reference(s) * inv_approx_truncated(f, table, n) * velocity / _TWO_PI_I
+    return _reference_integrand(ff, c, phi, lambda f, fprime: fprime * inv_approx_truncated(f, table, n))
 
 
 def _kernels(ff: FactoredFunction, nodes, velocities, cfg: PipelineConfig, mellin) -> np.ndarray:
@@ -222,9 +211,7 @@ def _reduced_kernels(ff: FactoredFunction, c: CircularContour, phis, cfg: Pipeli
     # pay for loading it.
     from .logspace import transform_and_derivative
 
-    rotation = np.exp(1j * np.asarray(phis, dtype=float))
-    nodes = c.center + c.radius * rotation
-    velocities = 1j * c.radius * rotation
+    nodes, velocities = c.point(phis), c.velocity(phis)
 
     def kernels(mellin) -> np.ndarray:
         return _kernels(ff, nodes, velocities, cfg, mellin)
@@ -241,26 +228,30 @@ def _reduced_kernels(ff: FactoredFunction, c: CircularContour, phis, cfg: Pipeli
     return reduce(kernels(mellin))
 
 
-def kernel_mellin(ff: FactoredFunction, c: CircularContour, phi: float, cfg: PipelineConfig) -> complex:
-    """Fully expanded counting-integrand at contour angle phi.
+def kernel_mellin(ff: FactoredFunction, c: CircularContour, phi, cfg: PipelineConfig) -> complex | np.ndarray:
+    """Fully expanded counting-integrand at the contour angle ``phi``, or at
+    each angle of an array.
 
     The stage-2 integrand with f and f' from K, K' and the Mellin transforms
     Z and Z' of z(t) alone, the sign factor included; the references of
     ``ff`` are not used. The Mellin grid is cut for the whole contour, as in
-    :func:`count_pipeline`, and refined until this node's Z and Z' settle.
+    :func:`count_pipeline`, and refined until Z and Z' settle at every angle
+    asked for. A scalar angle gives a complex, an array an array of its
+    shape.
     """
-    return _reduced_kernels(ff, c, [phi], cfg, lambda values: complex(values[0]))
+    phis = np.atleast_1d(np.asarray(phi, dtype=float))
+    return _reduced_kernels(ff, c, phis, cfg, lambda values: values if np.ndim(phi) else complex(values[0]))
 
 
 def count_direct(ff: FactoredFunction, c: CircularContour) -> CountResult:
     """Roots minus poles inside the contour, from the reference f'/f.
 
     Exact up to trapezoid error, which decays spectrally with the node
-    count for contours staying clear of all roots and poles.
+    count for contours staying clear of all roots and poles. The integrand
+    is one array computation (:func:`integrand_direct`) over all nodes.
     """
-    _require_references(ff)
-    value = integrate_periodic(lambda phi: _direct_value(ff, c, phi), c.nodes)
-    return CountResult.from_value(value)
+    step = 2.0 * math.pi / c.nodes
+    return CountResult.from_value(complex(integrand_direct(ff, c, step * np.arange(c.nodes)).sum()) * step)
 
 
 def count_pipeline(ff: FactoredFunction, c: CircularContour, cfg: PipelineConfig) -> CountResult:
@@ -277,6 +268,5 @@ def count_pipeline(ff: FactoredFunction, c: CircularContour, cfg: PipelineConfig
     before any density is built.
     """
     step = 2.0 * math.pi / c.nodes
-    phis = [step * i for i in range(c.nodes)]
-    value = _reduced_kernels(ff, c, phis, cfg, lambda values: complex(values.sum()) * step)
+    value = _reduced_kernels(ff, c, step * np.arange(c.nodes), cfg, lambda values: complex(values.sum()) * step)
     return CountResult.from_value(value)

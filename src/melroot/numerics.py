@@ -58,8 +58,8 @@ def csgn_smooth(x, eps: float):
     Converges pointwise to csgn(x) for Re(x) != 0 as eps -> 0. Saturated
     arguments short-circuit to +/-1 instead of overflowing.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     with np.errstate(over="ignore"):
         w = x / eps
     out = np.where(w.real > 0.0, 1.0 + 0j, -1.0 + 0j)

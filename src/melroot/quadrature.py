@@ -64,8 +64,8 @@ class QuadratureConfig:
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if not (0.0 < self.abs_tol < 1.0):
             raise ValueError(f"abs_tol must lie in (0, 1), got {self.abs_tol}")
-        if self.max_evals < 100:
-            raise ValueError(f"max_evals must be >= 100, got {self.max_evals}")
+        if not isinstance(self.max_evals, numbers.Integral) or self.max_evals < 100:
+            raise ValueError(f"max_evals must be an integer >= 100, got {self.max_evals!r}")
 
     def tightened(self, factor: float = 10.0) -> "QuadratureConfig":
         """Copy with tolerances divided by ``factor`` (for nested integrals)."""

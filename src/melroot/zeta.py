@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -54,31 +56,46 @@ _ETA_SIGNED = [((-1) ** k) * w for k, w in enumerate(_ETA_W)]
 _ETA_LOGS = [math.log(k + 1) for k in range(_ETA_TERMS)]
 
 _CONDITIONING_CUTOFF = 1e-6
+_PACKAGE = __name__.partition(".")[0]
 
 
-def _check_eta_factor(lam: complex, s: complex, stacklevel: int = 4) -> None:
-    """Reject 1 - 2**(1-s) = 0 at s, and warn when it is ill-conditioned;
-    ``stacklevel`` is that of :func:`warnings.warn`."""
+def _warn_caller(message: str) -> None:
+    """Issue ``message`` as a :class:`RuntimeWarning` that names the first
+    frame outside the melroot package, however deep inside it the warning
+    starts."""
+    frame = sys._getframe(1)
+    while frame.f_back is not None and frame.f_globals.get("__name__", "").partition(".")[0] == _PACKAGE:
+        frame = frame.f_back
+    caller = frame.f_globals
+    warnings.warn_explicit(
+        message,
+        RuntimeWarning,
+        frame.f_code.co_filename,
+        frame.f_lineno,
+        module=caller.get("__name__"),
+        registry=caller.setdefault("__warningregistry__", {}),
+        module_globals=caller,
+    )
+
+
+def _check_eta_factor(lam: complex, s: complex) -> None:
+    """Reject 1 - 2**(1-s) = 0 at s, and warn when it is ill-conditioned."""
     if lam == 0:
         raise PoleError(f"zeta representation is singular at s = {s}")
     if abs(lam) < _CONDITIONING_CUTOFF:
-        warnings.warn(
+        _warn_caller(
             f"1 - 2**(1-s) = {lam:.2e} at s = {s}: the eta-zeta factor is "
-            f"ill-conditioned this close to the Re(s) = 1 resonance line",
-            RuntimeWarning,
-            stacklevel=stacklevel,
+            f"ill-conditioned this close to the Re(s) = 1 resonance line"
         )
 
 
-def _zeta_and_prime(s: complex, stacklevel: int = 4) -> tuple[complex, complex]:
+def _zeta_and_prime(s: complex) -> tuple[complex, complex]:
     """(zeta(s), zeta'(s)) from one pass of the accelerated eta series: zeta'
-    is the term-wise derivative, summed beside zeta's terms. The default
-    ``stacklevel`` points a conditioning warning at the caller of the
-    function that calls this one."""
+    is the term-wise derivative, summed beside zeta's terms."""
     s = complex(s)
     two = cmath.exp((1.0 - s) * _LN2)
     lam = 1.0 - two
-    _check_eta_factor(lam, s, stacklevel)
+    _check_eta_factor(lam, s)
     lam_prime = two * _LN2
     acc = 0j
     acc_prime = 0j
@@ -100,124 +117,83 @@ def zeta_prime_reference(s: complex) -> complex:
     return _zeta_and_prime(s)[1]
 
 
-class _SharedEtaPass:
-    """zeta and zeta' of one model from one eta-series pass per point.
-
-    The last point evaluated is kept as one tuple (s, zeta(s), zeta'(s)),
-    matched by ``==`` and replaced in a single assignment, so f then f' (or
-    f' then f) at the same s pays for one pass, and no caller can pair the
-    zeta of one point with the zeta' of another. A point that raises
-    :class:`PoleError` is not kept.
-    """
-
-    def __init__(self):
-        # NaN equals no point, so the first call evaluates
-        self._last = (complex(math.nan), 0j, 0j)
-
-    def _at(self, s) -> tuple[complex, complex, complex]:
-        s = complex(s)
-        last = self._last
-        if last[0] != s:
-            # a warning points at the caller of zeta or zeta_prime
-            last = self._last = (s, *_zeta_and_prime(s, stacklevel=5))
-        return last
-
-    def zeta(self, s: complex) -> complex:
-        return self._at(s)[1]
-
-    def zeta_prime(self, s: complex) -> complex:
-        return self._at(s)[2]
-
-
 def z_integrand(t):
     """z(t) = t / cosh(t)**2, the function whose Mellin transform carries
     zeta; accepts scalars or numpy arrays."""
     return t / np.cosh(t) ** 2
 
 
-def _prefactor_terms(s: np.ndarray, stacklevel: int):
-    """(K(s), 2**(1-s), 1 - 2**(1-s)) at each element of ``s``; the element of smallest
-    |1 - 2**(1-s)| is validated by :func:`_check_eta_factor` with ``stacklevel``."""
+def _prefactor_terms(s: np.ndarray):
+    """(K(s), 2**(1-s), 1 - 2**(1-s)) at each element of ``s``; the element of
+    smallest |1 - 2**(1-s)| is validated by :func:`_check_eta_factor`."""
     two = np.exp((1.0 - s) * _LN2)
     lam = 1.0 - two
     worst = np.argmin(np.abs(lam))
-    _check_eta_factor(lam.flat[worst], s.flat[worst], stacklevel)
+    _check_eta_factor(lam.flat[worst], s.flat[worst])
     return np.exp((s - 1.0) * _LN2 - log_gamma(s + 1.0)) / lam, two, lam
 
 
-def _derivative(s: np.ndarray, K: np.ndarray, two: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """K'(s) from the terms of :func:`_prefactor_terms` at ``s``."""
-    return K * (_LN2 - two * _LN2 / lam - digamma(s + 1.0))
+def _prefactor_pass(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K(s), K'(s)) at each element of ``s``, from one log-gamma and one
+    digamma pass."""
+    K, two, lam = _prefactor_terms(s)
+    return K, K * (_LN2 - two * _LN2 / lam - digamma(s + 1.0))
 
 
-# A conditioning warning names the caller of prefactor or
-# prefactor_derivative: above _check_eta_factor sit _prefactor_terms, the
-# function itself and the elementwise wrapper.
 @elementwise
 def prefactor(s):
     """K(s) = 2**(s-1) / ((1 - 2**(1-s)) * Gamma(s+1)), elementwise."""
-    return _prefactor_terms(s, stacklevel=5)[0]
+    return _prefactor_terms(s)[0]
 
 
 @elementwise
 def prefactor_derivative(s):
     """K'(s) = K(s) * (ln 2 - 2**(1-s) ln 2 / (1 - 2**(1-s)) - psi(s+1)),
     elementwise."""
-    return _derivative(s, *_prefactor_terms(s, stacklevel=5))
+    return _prefactor_pass(s)[1]
 
 
-class _SharedPrefactorPass:
-    """K and K' of one model from one prefactor pass per node array.
+def _eta_pass(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(zeta(s), zeta'(s)) at each element of ``s``, from one
+    :func:`_zeta_and_prime` pass per element."""
+    values = np.array([_zeta_and_prime(x) for x in s.flat], dtype=np.complex128).reshape(s.shape + (2,))
+    return values[..., 0], values[..., 1]
 
-    ``K`` and ``Kprime`` take a scalar or an array, as :func:`prefactor` and
-    :func:`prefactor_derivative` do, and return the same values. The last
-    node array evaluated is kept as one tuple (a copy of the nodes, K,
-    2**(1-s), 1 - 2**(1-s)), matched by value and replaced in a single
-    assignment: K then K' (or K' then K) on the same nodes computes
-    log-gamma once and checks, and warns about, the eta factor once, and a
-    node array edited in place between the two calls no longer matches its
-    copy. Nodes that raise :class:`PoleError` are not kept.
+
+def _kept_evaluation(evaluate: Callable, count: int) -> tuple[Callable, ...]:
+    """``count`` elementwise callables, the i-th giving ``evaluate(s)[i]``,
+    that share one evaluation per node array.
+
+    The last node array evaluated is kept as one tuple (a copy of the nodes,
+    the results of ``evaluate``), matched by value and replaced in a single
+    assignment: calling each callable on the same nodes, in any order,
+    evaluates once, and nodes edited in place between the calls no longer
+    match their copy. Nodes that raise keep nothing, and each call returns a
+    copy, so no caller can edit the kept results.
     """
+    # NaN equals no node, so the first call evaluates
+    kept = (np.full(1, complex(math.nan)), ())
 
-    def __init__(self):
-        # NaN equals no node, so the first call evaluates
-        self._last = (np.full(1, complex(math.nan)), None, None, None)
-        self.K = elementwise(self._K)
-        self.Kprime = elementwise(self._Kprime)
+    def results(s: np.ndarray) -> tuple:
+        nonlocal kept
+        if not np.array_equal(kept[0], s):
+            kept = (s.copy(), evaluate(s))
+        return kept[1]
 
-    def _at(self, s: np.ndarray):
-        last = self._last
-        if not np.array_equal(last[0], s):
-            # above _check_eta_factor sit _prefactor_terms, this method, _K or
-            # _Kprime and the elementwise wrapper: a warning names their caller
-            last = self._last = (s.copy(), *_prefactor_terms(s, stacklevel=6))
-        return last
-
-    def _K(self, s: np.ndarray) -> np.ndarray:
-        # a copy, so that no caller can edit the kept K
-        return self._at(s)[1].copy()
-
-    def _Kprime(self, s: np.ndarray) -> np.ndarray:
-        return _derivative(*self._at(s))
+    return tuple(elementwise(lambda s, i=i: results(s)[i].copy()) for i in range(count))
 
 
 def build_zeta_factored() -> FactoredFunction:
     """The zeta function wired as a factored Mellin representation, with the
     eta-series oracle attached as the reference for f and f'.
 
-    Both references draw on one evaluation owned by this model, so f and f'
-    at the same s cost one series pass; each returns the value of
-    :func:`zeta_reference` or :func:`zeta_prime_reference` there. K and K'
-    likewise share one prefactor pass per node array, so a contour computes
-    log-gamma once; they return the values of :func:`prefactor` and
-    :func:`prefactor_derivative`."""
+    All four callables take a scalar or a node array. f and f' share one
+    kept evaluation (:func:`_kept_evaluation`), so a node array costs one
+    eta-series pass per node, and K and K' share another, so it costs one
+    log-gamma and one digamma pass. Each returns the values of
+    :func:`zeta_reference`, :func:`zeta_prime_reference`, :func:`prefactor`
+    or :func:`prefactor_derivative` there."""
     zf = MellinIntegrand(z=z_integrand, convergence_strip=(-1.0, math.inf))
-    shared = _SharedEtaPass()
-    prefactors = _SharedPrefactorPass()
-    return FactoredFunction(
-        zf=zf,
-        K=prefactors.K,
-        Kprime=prefactors.Kprime,
-        f_reference=shared.zeta,
-        fprime_reference=shared.zeta_prime,
-    )
+    K, Kprime = _kept_evaluation(_prefactor_pass, 2)
+    zeta, zeta_prime = _kept_evaluation(_eta_pass, 2)
+    return FactoredFunction(zf=zf, K=K, Kprime=Kprime, f_reference=zeta, fprime_reference=zeta_prime)

@@ -42,7 +42,8 @@ class TestTypes:
             m.PipelineConfig(table=coeffs, series_order=1.5)
 
     def test_pipeline_config_smooth_needs_eps(self, coeffs):
-        for eps in (0.0, -0.01, math.nan):
+        # an infinite eps counted the pole circle as 0, flagged reliable
+        for eps in (0.0, -0.01, math.nan, math.inf):
             with pytest.raises(ValueError):
                 m.PipelineConfig(table=coeffs, eps=eps)
         assert m.PipelineConfig(table=coeffs, eps=0.01).eps == 0.01
@@ -82,6 +83,8 @@ class TestDirectIntegrand:
         c = m.CircularContour(-1 + 0j, 1.0)  # passes through 0 at phi = 0
         with pytest.raises(m.PoleError):
             m.integrand_direct(ff, c, 0.0)
+        with pytest.raises(m.PoleError, match="phi = 0.0"):
+            m.integrand_direct(ff, c, np.array([math.pi, 0.0]))
 
     def test_references_required(self, zeta_zf):
         ff = m.FactoredFunction(zf=zeta_zf, K=lambda s: 1.0, Kprime=lambda s: 0.0)
@@ -90,6 +93,47 @@ class TestDirectIntegrand:
             m.integrand_direct(ff, c, 0.0)
         with pytest.raises(ValueError):
             m.count_direct(ff, c)
+
+
+class TestAngleArrays:
+    """Each integrand takes an angle or an array of angles."""
+
+    @pytest.mark.parametrize(
+        "integrand",
+        [
+            lambda ff, c, phi, t: m.integrand_direct(ff, c, phi),
+            lambda ff, c, phi, t: m.integrand_stage1(ff, c, phi, t),
+            lambda ff, c, phi, t: m.integrand_stage2(ff, c, phi, t, 1),
+            lambda ff, c, phi, t: m.integrand_stage2(ff, c, phi, t, 3),
+        ],
+        ids=["direct", "stage1", "stage2-order1", "stage2-order3"],
+    )
+    @pytest.mark.parametrize("center, radius", [(0.57 + 1.57j, 0.1), (1.0 + 0j, 0.1), (0.5 + 14.134725j, 0.05)])
+    def test_reference_integrands_equal_their_scalar_loop(self, zeta_ff, coeffs, integrand, center, radius):
+        c = m.CircularContour(center, radius)
+        phis = 2.0 * math.pi * np.arange(64) / 64 + 0.1
+        values = integrand(zeta_ff, c, phis, coeffs)
+        loop = [integrand(zeta_ff, c, phi, coeffs) for phi in phis]
+        assert all(type(v) is complex for v in loop)
+        assert values.shape == phis.shape
+        assert values.tolist() == loop
+
+    def test_kernel_matches_its_scalar_loop(self, zeta_ff, ref_contour, coeffs):
+        # the grid settles for the angles asked for, so only round-off differs
+        cfg = m.PipelineConfig(table=coeffs)
+        phis = np.array(contour_angles())
+        values = m.kernel_mellin(zeta_ff, ref_contour, phis, cfg)
+        loop = np.array([m.kernel_mellin(zeta_ff, ref_contour, phi, cfg) for phi in phis])
+        assert values.shape == phis.shape
+        assert np.all(np.abs(values - loop) <= 1e-12 * np.abs(loop))
+
+    def test_counts_are_sums_of_the_integrand_arrays(self, zeta_ff, coeffs):
+        cfg = m.PipelineConfig(table=coeffs)
+        c = m.CircularContour(0.57 + 1.57j, 0.1, nodes=64)
+        step = 2.0 * math.pi / c.nodes
+        phis = step * np.arange(c.nodes)
+        assert m.count_pipeline(zeta_ff, c, cfg).value == complex(m.kernel_mellin(zeta_ff, c, phis, cfg).sum()) * step
+        assert m.count_direct(zeta_ff, c).value == complex(m.integrand_direct(zeta_ff, c, phis).sum()) * step
 
 
 class TestStages:

@@ -57,8 +57,10 @@ class TestCsgnSmooth:
         assert m.csgn_smooth(-1e300 + 5j, 1e-3) == -1.0
 
     def test_eps_must_be_positive(self):
-        with pytest.raises(ValueError):
-            m.csgn_smooth(1.0, 0.0)
+        # an infinite eps would make tanh(x / eps) = 0, which is not a sign
+        for eps in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                m.csgn_smooth(1 + 1j, eps)
 
     def test_converges_to_csgn_monotonically(self):
         rng = np.random.default_rng(7)

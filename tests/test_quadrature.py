@@ -216,6 +216,9 @@ class TestRows:
         {"rel_tol": 1.5},
         {"abs_tol": -1e-3},
         {"max_evals": 50},
+        # only the rejection is tested: an unbounded budget never stops halving
+        {"max_evals": math.inf},
+        {"max_evals": 150.5},
     ],
 )
 def test_config_validation(kwargs):

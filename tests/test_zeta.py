@@ -133,44 +133,6 @@ class TestBuildZetaFactored:
         assert math.isinf(zeta_ff.zf.convergence_strip[1])
 
 
-class TestSharedEtaPass:
-    """The zeta model's f and f' references share one eta-series pass."""
-
-    def test_count_direct_runs_one_pass_per_node(self, monkeypatch):
-        passes = []
-        series = zeta_module._zeta_and_prime
-
-        def counted(s, **kwargs):
-            passes.append(s)
-            return series(s, **kwargs)
-
-        monkeypatch.setattr(zeta_module, "_zeta_and_prime", counted)
-        m.count_direct(m.build_zeta_factored(), m.CircularContour(0.57 + 1.57j, 0.1, nodes=128))
-        assert len(passes) == 128
-
-    def test_interleaved_calls_match_module_functions(self):
-        ff = m.build_zeta_factored()
-        s1, s2 = 0.57 + 1.57j, 0.5 + 14.134725j
-        got = [ff.f_reference(s1), ff.fprime_reference(s2), ff.f_reference(s2), ff.fprime_reference(s1)]
-        want = [m.zeta_reference(s1), m.zeta_prime_reference(s2), m.zeta_reference(s2), m.zeta_prime_reference(s1)]
-        assert got == want
-
-    def test_pole_raises_and_is_not_kept(self):
-        ff = m.build_zeta_factored()
-        s = 0.57 + 1.57j
-        ff.f_reference(s)
-        for reference in (ff.f_reference, ff.fprime_reference, ff.f_reference):
-            with pytest.raises(m.PoleError):
-                reference(1.0)
-        assert ff.fprime_reference(s) == m.zeta_prime_reference(s)
-
-    def test_count_direct_matches_stateless_references(self):
-        ff = m.build_zeta_factored()
-        stateless = dataclasses.replace(ff, f_reference=m.zeta_reference, fprime_reference=m.zeta_prime_reference)
-        for c in (m.CircularContour(0.57 + 1.57j, 0.1, nodes=64), m.CircularContour(1.0 + 0j, 0.1, nodes=128)):
-            assert m.count_direct(ff, c) == m.count_direct(stateless, c)
-
-
 class TestPrefactorArrays:
     S = np.array([0.57 + 1.57j, -0.5 + 3.0j, 0.4 + 0j, 2.0 - 14.0j, 0.5 + 14.134725j])
 
@@ -192,47 +154,154 @@ class TestPrefactorArrays:
             f(np.array([0.57 + 1.57j, near, 2.0 + 0j]))
 
 
-class TestSharedPrefactorPass:
-    """The zeta model's K and K' share one prefactor pass per node array."""
+NEAR = complex(1.0, 2.0 * math.pi / math.log(2.0)) + 1e-8  # 1 - 2**(1-s) ~ 1e-8
+
+
+class KeptEvaluationCases:
+    """Cases for two model callables that share one kept evaluation
+    (``zeta._kept_evaluation``), run against each pair that the zeta model
+    wires that way; the subclasses name the pair."""
 
     S = TestPrefactorArrays.S
-    NEAR = complex(1.0, 2.0 * math.pi / math.log(2.0)) + 1e-8
+
+    def pair(self, ff):
+        """The two model callables and the stateless functions they match."""
+        raise NotImplementedError
+
+    def count(self, ff, c, coeffs):
+        """A count whose only evaluations of the pair are on its node array."""
+        raise NotImplementedError
 
     def test_values_match_module_functions(self):
         ff = m.build_zeta_factored()
-        for K, prefactor in ((ff.K, m.prefactor), (ff.Kprime, m.prefactor_derivative)):
-            assert K(self.S).tobytes() == prefactor(self.S).tobytes()
+        for kept, stateless in zip(*self.pair(ff)):
+            assert kept(self.S).tobytes() == stateless(self.S).tobytes()
             for s in self.S:
-                value = K(complex(s))
+                value = kept(complex(s))
                 assert type(value) is complex
-                assert np.array(value).tobytes() == np.array(prefactor(complex(s))).tobytes()
+                assert np.array(value).tobytes() == np.array(stateless(complex(s))).tobytes()
 
     def test_interleaved_calls_are_never_stale(self):
         ff = m.build_zeta_factored()
+        (f, g), (f0, g0) = self.pair(ff)
         a, b = self.S, self.S[::-1] + 0.01
-        got = [ff.K(a), ff.K(b), ff.Kprime(a), ff.Kprime(b), ff.K(a), ff.Kprime(a)]
-        want = [m.prefactor(a), m.prefactor(b), m.prefactor_derivative(a), m.prefactor_derivative(b)]
-        want += [m.prefactor(a), m.prefactor_derivative(a)]
+        got = [f(a), f(b), g(a), g(b), f(a), g(a)]
+        want = [f0(a), f0(b), g0(a), g0(b), f0(a), g0(a)]
         assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
     def test_edits_between_calls_are_not_stale(self):
         ff = m.build_zeta_factored()
+        (f, g), (f0, g0) = self.pair(ff)
         a = self.S.copy()
-        K = ff.K(a)
-        K[:] = 0.0  # an edit of the returned K does not reach the kept one
-        assert ff.Kprime(a).tobytes() == m.prefactor_derivative(a).tobytes()
-        ff.K(a)
+        values = f(a)
+        values[:] = 0.0  # an edit of a returned array does not reach the kept one
+        assert f(a).tobytes() == f0(a).tobytes()
+        assert g(a).tobytes() == g0(a).tobytes()
         a[1] += 0.25  # the nodes themselves, edited in place
-        assert ff.Kprime(a).tobytes() == m.prefactor_derivative(a).tobytes()
-        assert ff.K(a).tobytes() == m.prefactor(a).tobytes()
+        assert g(a).tobytes() == g0(a).tobytes()
+        assert f(a).tobytes() == f0(a).tobytes()
 
     def test_pole_raises_and_is_not_kept(self):
         ff = m.build_zeta_factored()
-        ff.K(self.S)
-        for K in (ff.K, ff.Kprime, ff.K):
-            with pytest.raises(m.PoleError):
-                K(np.array([0.57 + 1.57j, 1.0 + 0j]))
-        assert ff.Kprime(self.S).tobytes() == m.prefactor_derivative(self.S).tobytes()
+        (f, g), (_, g0) = self.pair(ff)
+        f(self.S)
+        for kept in (f, g, f):
+            for pole in (1.0, np.array([0.57 + 1.57j, 1.0 + 0j])):
+                with pytest.raises(m.PoleError):
+                    kept(pole)
+        assert g(self.S).tobytes() == g0(self.S).tobytes()
+
+    def test_conditioning_warning_names_the_caller(self):
+        ff = m.build_zeta_factored()
+        s = NEAR
+        for f in self.pair(ff)[0]:
+            s += 1e-12  # new nodes for each callable, so the model evaluates afresh
+            for nodes in (s, np.array([0.57 + 1.57j, s])):
+                with pytest.warns(RuntimeWarning) as record:
+                    f(nodes)
+                assert [w.filename for w in record] == [__file__]
+
+    def test_conditioning_warning_once_per_node_array(self):
+        ff = m.build_zeta_factored()
+        f, g = self.pair(ff)[0]
+        nodes = np.array([0.57 + 1.57j, NEAR])
+        with pytest.warns(RuntimeWarning) as record:
+            f(nodes)
+            g(nodes)
+            f(nodes)
+        assert len(record) == 1
+
+    def test_conditioning_warning_through_a_count_names_the_caller(self, coeffs):
+        # the node at phi = 0 lies within round-off of NEAR
+        c = m.CircularContour(NEAR - 0.1, 0.1, nodes=8)
+        with pytest.warns(RuntimeWarning) as record:
+            self.count(m.build_zeta_factored(), c, coeffs)
+        assert [w.filename for w in record] == [__file__]
+
+
+class TestSharedEtaPass(KeptEvaluationCases):
+    """The zeta model's f and f' references share one eta-series pass per
+    node."""
+
+    def pair(self, ff):
+        # the stateless references take one point each
+        stateless = tuple(np.vectorize(f, otypes=[complex]) for f in (m.zeta_reference, m.zeta_prime_reference))
+        return (ff.f_reference, ff.fprime_reference), stateless
+
+    def count(self, ff, c, coeffs):
+        return m.count_direct(ff, c)
+
+    def test_count_direct_runs_one_pass_per_node(self, monkeypatch):
+        passes = []
+        series = zeta_module._zeta_and_prime
+
+        def counted(s):
+            passes.append(s)
+            return series(s)
+
+        monkeypatch.setattr(zeta_module, "_zeta_and_prime", counted)
+        calls = []
+
+        def recorded(name, fn):
+            def wrapper(s):
+                calls.append((name, np.shape(s)))
+                return fn(s)
+
+            return wrapper
+
+        ff = m.build_zeta_factored()
+        ff = dataclasses.replace(
+            ff,
+            f_reference=recorded("f", ff.f_reference),
+            fprime_reference=recorded("fprime", ff.fprime_reference),
+        )
+        m.count_direct(ff, m.CircularContour(0.57 + 1.57j, 0.1, nodes=128))
+        assert calls == [("f", (128,)), ("fprime", (128,))]
+        assert len(passes) == 128
+
+    def test_interleaved_calls_match_module_functions(self):
+        ff = m.build_zeta_factored()
+        s1, s2 = 0.57 + 1.57j, 0.5 + 14.134725j
+        got = [ff.f_reference(s1), ff.fprime_reference(s2), ff.f_reference(s2), ff.fprime_reference(s1)]
+        want = [m.zeta_reference(s1), m.zeta_prime_reference(s2), m.zeta_reference(s2), m.zeta_prime_reference(s1)]
+        assert got == want
+
+    def test_count_direct_matches_stateless_references(self):
+        ff = m.build_zeta_factored()
+        (_, _), (f0, g0) = self.pair(ff)
+        stateless = dataclasses.replace(ff, f_reference=f0, fprime_reference=g0)
+        for c in (m.CircularContour(0.57 + 1.57j, 0.1, nodes=64), m.CircularContour(1.0 + 0j, 0.1, nodes=128)):
+            assert m.count_direct(ff, c) == m.count_direct(stateless, c)
+
+
+class TestSharedPrefactorPass(KeptEvaluationCases):
+    """The zeta model's K and K' share one prefactor pass per node array."""
+
+    def pair(self, ff):
+        return (ff.K, ff.Kprime), (m.prefactor, m.prefactor_derivative)
+
+    def count(self, ff, c, coeffs):
+        return m.count_pipeline(ff, c, m.PipelineConfig(table=coeffs))
 
     def test_count_pipeline_runs_one_log_gamma_and_one_digamma(self, monkeypatch, coeffs):
         calls = []
@@ -248,20 +317,10 @@ class TestSharedPrefactorPass:
         assert sorted(calls) == ["digamma", "log_gamma"]
 
     def test_conditioning_warning_names_the_caller(self):
-        ff = m.build_zeta_factored()
-        s = self.NEAR
-        for f in (m.prefactor, m.prefactor_derivative, ff.K, ff.Kprime):
-            s += 1e-12  # new nodes for each function, so the model evaluates afresh
+        super().test_conditioning_warning_names_the_caller()
+        s = NEAR
+        for f in (m.prefactor, m.prefactor_derivative):
             for nodes in (s, np.array([0.57 + 1.57j, s])):
                 with pytest.warns(RuntimeWarning) as record:
                     f(nodes)
                 assert [w.filename for w in record] == [__file__]
-
-    def test_conditioning_warning_once_per_node_array(self):
-        ff = m.build_zeta_factored()
-        nodes = np.array([0.57 + 1.57j, self.NEAR])
-        with pytest.warns(RuntimeWarning) as record:
-            ff.K(nodes)
-            ff.Kprime(nodes)
-            ff.K(nodes)
-        assert len(record) == 1
