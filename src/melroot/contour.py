@@ -212,20 +212,16 @@ def _reduced_kernels(ff: FactoredFunction, c: CircularContour, phis, cfg: Pipeli
     from .logspace import transform_and_derivative
 
     nodes, velocities = c.point(phis), c.velocity(phis)
-
-    def kernels(mellin) -> np.ndarray:
-        return _kernels(ff, nodes, velocities, cfg, mellin)
-
     re_range = (c.center.real - c.radius, c.center.real + c.radius)
     try:
         mellin = transform_and_derivative(ff.zf, nodes, re_range, cfg.quad)
     except NonConvergenceError as exc:
         raise NonConvergenceError(
             f"Mellin densities did not converge on the contour: {exc}",
-            best_estimate=reduce(kernels(exc.best_estimate)),
+            best_estimate=reduce(_kernels(ff, nodes, velocities, cfg, exc.best_estimate)),
             error_estimate=exc.error_estimate,
         ) from exc
-    return reduce(kernels(mellin))
+    return reduce(_kernels(ff, nodes, velocities, cfg, mellin))
 
 
 def kernel_mellin(ff: FactoredFunction, c: CircularContour, phi, cfg: PipelineConfig) -> complex | np.ndarray:

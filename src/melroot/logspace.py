@@ -99,9 +99,9 @@ def transform_and_derivative(
             f"Re(s) spans [{re_lo}, {re_hi}], outside the convergence strip ({lo}, {hi})"
         )
     s = np.asarray(s, dtype=np.complex128).reshape(-1)
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise DomainError("nodes must be finite")
-    if np.any((s.real < re_lo) | (s.real > re_hi)):
+    if ((s.real < re_lo) | (s.real > re_hi)).any():
         raise ValueError(f"nodes outside the Re(s) range [{re_lo}, {re_hi}]")
     n = len(s)
     if n == 0:
@@ -126,20 +126,19 @@ def transform_and_derivative(
         if not all_live:
             x, g = x[live], g[live]
         log_g = np.log(g)
+        vals = np.empty((len(rows), len(x)), dtype=np.complex128)
+        # with every row, one exponential per node, shared by its Z and Z'
+        # rows; once some rows have retired, one per row still refining
         every_row = len(rows) == 2 * n
-        if not every_row:
-            node = rows % n
-            used = np.zeros(n, dtype=bool)
-            used[node] = True
-        # one exponential per node, shared by its Z and Z' rows
-        weights = np.outer(s if every_row else s[used], x)
+        if every_row:
+            weights = np.multiply(s[:, np.newaxis], x, out=vals[:n])
+        else:
+            weights = np.multiply(s[rows % n, np.newaxis], x, out=vals)
         weights += log_g
         np.exp(weights, out=weights)
         if every_row:
-            vals = np.concatenate((weights, weights * x))
+            np.multiply(weights, x, out=vals[n:])
         else:
-            # a row's node is at position cumsum(used) - 1 among the nodes used
-            vals = weights[np.cumsum(used)[node] - 1]
             vals[rows >= n] *= x
         if all_live:
             return vals

@@ -36,8 +36,8 @@ def elementwise(fn):
 
     @functools.wraps(fn)
     def wrapper(x, *args):
-        values = fn(np.atleast_1d(np.asarray(x, dtype=np.complex128)), *args)
-        return values if np.ndim(x) else values[0].item()
+        x = np.asarray(x, dtype=np.complex128)
+        return fn(x, *args) if x.ndim else fn(x.reshape(1), *args)[0].item()
 
     return wrapper
 
@@ -46,7 +46,7 @@ def elementwise(fn):
 def csgn(x):
     """Complex sign: sign of Re(x), falling back to sign of Im(x) on the
     imaginary axis; +1 or -1 at each element. Undefined at 0."""
-    if np.any(x == 0):
+    if (x == 0).any():
         raise DomainError("csgn(0) is undefined")
     return np.where(np.where(x.real != 0.0, x.real, x.imag) > 0.0, 1, -1)
 

@@ -156,28 +156,34 @@ def _halving_trapezoid(
         _raise_not_finite(lo, hi)
     total = h * vals[:, i_lo : i_hi + 1].sum(axis=1)
     err = np.full(n_rows, math.inf)
-    active = np.arange(n_rows)
+    # sums and last changes of the rows still refining, kept until they retire
+    active, sums, delta = np.arange(n_rows), total, err
 
     level = 0
     while evals < quad.max_evals:
         level += 1
         h *= 0.5
-        k = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
-        u = h * k[k % 2 != 0]
+        # the new abscissae, odd multiples of h (coarse-pass lo / h, hi / h are even)
+        u = h * np.arange(lo / h + 1, hi / h, 2)
         step = max(1, _CHUNK // len(active))
-        new = sum(sample(u[i : i + step], active).sum(axis=1) for i in range(0, len(u), step))
+        new = sample(u[:step], active).sum(axis=1)
+        for i in range(step, len(u), step):
+            new = new + sample(u[i : i + step], active).sum(axis=1)
         if not np.isfinite(new).all():
             _raise_not_finite(lo, hi)
-        new_total = total[active] / 2.0 + h * new
+        new = sums / 2.0 + h * new
         evals += len(u)
-        err[active] = np.abs(new_total - total[active])
-        total[active] = new_total
+        delta, sums = np.abs(new - sums), new
         if level >= _MIN_LEVELS:
-            # not (err <= tol) rather than err > tol: a NaN row goes on refining
-            active = active[~(err[active] <= np.maximum(quad.abs_tol, quad.rel_tol * np.abs(new_total)))]
-            if active.size == 0:
-                return QuadratureResult(value_of(total), float(err.max()), evals)
+            # delta <= tol is false for a NaN row, which goes on refining
+            done = delta <= np.maximum(quad.abs_tol, quad.rel_tol * np.abs(sums))
+            if done.any():
+                total[active[done]], err[active[done]] = sums[done], delta[done]
+                active, sums, delta = active[~done], sums[~done], delta[~done]
+                if active.size == 0:
+                    return QuadratureResult(value_of(total), float(err.max()), evals)
 
+    total[active], err[active] = sums, delta
     raise NonConvergenceError(
         f"tolerance not reached within {quad.max_evals} evaluations "
         f"(last delta {float(err.max()):.3e})",

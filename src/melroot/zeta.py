@@ -67,6 +67,8 @@ def _warn_caller(message: str) -> None:
     while frame.f_back is not None and frame.f_globals.get("__name__", "").partition(".")[0] == _PACKAGE:
         frame = frame.f_back
     caller = frame.f_globals
+    # no module_globals, as in warnings.warn: the loader of a `python -c` or
+    # stdin __main__ raises ImportError when warn_explicit asks it for source
     warnings.warn_explicit(
         message,
         RuntimeWarning,
@@ -74,7 +76,6 @@ def _warn_caller(message: str) -> None:
         frame.f_lineno,
         module=caller.get("__name__"),
         registry=caller.setdefault("__warningregistry__", {}),
-        module_globals=caller,
     )
 
 
@@ -124,12 +125,16 @@ def z_integrand(t):
 
 
 def _prefactor_terms(s: np.ndarray):
-    """(K(s), 2**(1-s), 1 - 2**(1-s)) at each element of ``s``; the element of
-    smallest |1 - 2**(1-s)| is validated by :func:`_check_eta_factor`."""
+    """(K(s), 2**(1-s), 1 - 2**(1-s)) at each element of ``s``; the first
+    element of smallest |1 - 2**(1-s)|, NaN aside, is validated by
+    :func:`_check_eta_factor` when that is below the conditioning cutoff."""
     two = np.exp((1.0 - s) * _LN2)
     lam = 1.0 - two
-    worst = np.argmin(np.abs(lam))
-    _check_eta_factor(lam.flat[worst], s.flat[worst])
+    mags = np.abs(lam)
+    # fmin and nanargmin pass over NaN, which would hide a 0 from a plain minimum
+    if np.fmin.reduce(mags, axis=None, initial=math.inf) < _CONDITIONING_CUTOFF:
+        i = np.nanargmin(mags)
+        _check_eta_factor(lam.flat[i], s.flat[i])
     return np.exp((s - 1.0) * _LN2 - log_gamma(s + 1.0)) / lam, two, lam
 
 
@@ -176,7 +181,7 @@ def _kept_evaluation(evaluate: Callable, count: int) -> tuple[Callable, ...]:
 
     def results(s: np.ndarray) -> tuple:
         nonlocal kept
-        if not np.array_equal(kept[0], s):
+        if kept[0].shape != s.shape or not (kept[0] == s).all():
             kept = (s.copy(), evaluate(s))
         return kept[1]
 

@@ -318,6 +318,27 @@ class TestCounting:
         assert m.count_pipeline(ff, c, cfg) == m.count_pipeline(zeta_ff, c, cfg)
         assert calls == [("K", (64,)), ("Kprime", (64,))]
 
+    @pytest.mark.parametrize(
+        "center, radius, nodes, calls, points",
+        [
+            (0.57 + 1.57j, 0.1, 64, 3, 331),  # the reference circle
+            (1.0 + 0j, 0.1, 16, 3, 279),  # the pole
+            (0.5 + 14.134725j, 0.05, 8, 4, 595),  # the first zero: a third halving
+        ],
+    )
+    def test_pipeline_grid_work_is_pinned(self, zeta_ff, coeffs, center, radius, nodes, calls, points):
+        # the z calls and z points of the benchmark's unjittered circles: the
+        # coarse pass and each halving are one call, at the new abscissae only
+        sizes = []
+
+        def z(t):
+            sizes.append(np.size(t))
+            return m.z_integrand(t)
+
+        ff = dataclasses.replace(zeta_ff, zf=dataclasses.replace(zeta_ff.zf, z=z))
+        m.count_pipeline(ff, m.CircularContour(center, radius, nodes), m.PipelineConfig(table=coeffs))
+        assert (len(sizes), sum(sizes)) == (calls, points)
+
     def test_pipeline_grid_budget_exhausted(self, zeta_ff, coeffs):
         cfg = m.PipelineConfig(table=coeffs, quad=m.QuadratureConfig(max_evals=100))
         c = m.CircularContour(0.57 + 1.57j, 0.1, nodes=8)

@@ -1,7 +1,11 @@
 import cmath
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,8 +148,33 @@ class TestPrefactorArrays:
 
     @pytest.mark.parametrize("f", [m.prefactor, m.prefactor_derivative])
     def test_pole_anywhere_in_array_rejected(self, f):
-        with pytest.raises(m.PoleError):
-            f(np.array([0.57 + 1.57j, 1.0 + 0j, 2.0 + 0j]))
+        # a NaN node, whose |1 - 2**(1-s)| is NaN, must not hide the pole
+        for nodes in ([0.57 + 1.57j, 1.0 + 0j, 2.0 + 0j], [complex(math.nan), 1.0 + 0j]):
+            with pytest.raises(m.PoleError):
+                f(np.array(nodes))
+
+    def test_empty_node_array_gives_empty_array(self, coeffs):
+        ff = m.build_zeta_factored()
+        c = m.CircularContour(0.57 + 1.57j, 0.1, nodes=8)
+        cfg = m.PipelineConfig(table=coeffs)
+        entry_points = {
+            "prefactor": m.prefactor,
+            "prefactor_derivative": m.prefactor_derivative,
+            "K": ff.K,
+            "Kprime": ff.Kprime,
+            "f_reference": ff.f_reference,
+            "fprime_reference": ff.fprime_reference,
+            "log_gamma": m.log_gamma,
+            "digamma": m.digamma,
+            "csgn": m.csgn,
+            "csgn_smooth": lambda s: m.csgn_smooth(s, 0.1),
+            # the angle arrays of the contour entry points
+            "kernel_mellin": lambda s: m.kernel_mellin(ff, c, s.real, cfg),
+            "integrand_direct": lambda s: m.integrand_direct(ff, c, s.real),
+            "integrand_stage2": lambda s: m.integrand_stage2(ff, c, s.real, coeffs, 1),
+        }
+        for name, f in entry_points.items():
+            assert f(np.array([], dtype=complex)).shape == (0,), name
 
     @pytest.mark.parametrize("f", [m.prefactor, m.prefactor_derivative])
     def test_conditioning_warning_from_any_element(self, f):
@@ -155,6 +184,20 @@ class TestPrefactorArrays:
 
 
 NEAR = complex(1.0, 2.0 * math.pi / math.log(2.0)) + 1e-8  # 1 - 2**(1-s) ~ 1e-8
+
+
+@pytest.mark.parametrize("how", ["command", "stdin"])
+def test_conditioning_warning_from_a_main_without_source(how):
+    # `python -c` and a script read from stdin run __main__ from a string,
+    # whose loader cannot give source; the warning names it and never raises
+    code = "import melroot as m; m.prefactor(1+1e-9)"
+    src = str(Path(m.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args, stdin = ([sys.executable, "-c", code], None) if how == "command" else ([sys.executable, "-"], code)
+    done = subprocess.run(args, input=stdin, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    name = "<string>" if how == "command" else "<stdin>"
+    assert f"{name}:1: RuntimeWarning: 1 - 2**(1-s)" in done.stderr
 
 
 class KeptEvaluationCases:
