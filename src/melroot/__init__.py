@@ -18,7 +18,6 @@ from .errors import (
     MelrootError,
     NonConvergenceError,
     PoleError,
-    UnsupportedOrderError,
 )
 from .expsum import PRESETS, ExpSumTable, error_grid, inv_approx, inv_approx_truncated
 from .mellin import (

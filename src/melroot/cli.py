@@ -8,9 +8,10 @@ Subcommands::
     expsum-error       grids of the reciprocal-approximation error
     convolution-check  3-fold convolution vs direct third power of Z
 
-Exit codes: 0 success, 1 unreliable count, 2 invalid arguments or domain
-error, 3 quadrature non-convergence. All commands are deterministic:
-identical arguments give byte-identical output.
+Exit codes: 0 success, 1 unreliable count, 2 invalid arguments, domain
+error or an ``--out`` that cannot be written, 3 quadrature non-convergence.
+All commands are deterministic: identical arguments give byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -245,8 +246,9 @@ def cmd_expsum_error(args) -> int:
         payload = {
             "re_axis": list(map(float, xs)),
             "im_axis": list(map(float, ys)),
-            "real": [[round(float(v), TABLE_DECIMALS) for v in row] for row in grid.real],
-            "imag": [[round(float(v), TABLE_DECIMALS) for v in row] for row in grid.imag],
+            # the origin's NaN cell is null: JSON has no NaN
+            "real": [[None if math.isnan(v) else round(v, TABLE_DECIMALS) for v in row] for row in grid.real.tolist()],
+            "imag": [[None if math.isnan(v) else round(v, TABLE_DECIMALS) for v in row] for row in grid.imag.tolist()],
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
@@ -340,6 +342,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NonConvergenceError as exc:
         print(f"quadrature did not converge: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # from _emit; exit 1 would read as an unreliable count
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -13,10 +13,6 @@ class PoleError(DomainError):
     """Evaluation requested at (or on) a pole."""
 
 
-class UnsupportedOrderError(MelrootError):
-    """Requested expansion/integration order exceeds the supported cap."""
-
-
 class NonConvergenceError(MelrootError):
     """Quadrature failed to reach tolerance within the evaluation budget.
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, UnsupportedOrderError
+from .errors import DomainError, NonConvergenceError
 from .quadrature import QuadratureConfig, QuadratureResult, integrate_semi_infinite
 
 __all__ = [
@@ -140,17 +141,17 @@ def transform_derivative(zf: MellinIntegrand, s: complex, quad: QuadratureConfig
 
 def power_transform(zf: MellinIntegrand, k: int, s: complex, quad: QuadratureConfig | None = None) -> QuadratureResult:
     """Z(s)**k computed from z(t) through the convolution representation, a
-    k-fold iterated integral. Orders above 3 are rejected (each adds a
+    k-fold iterated integral, for any integer k >= 1 (each order adds a
     dimension)."""
-    if k < 1 or k > 3:
-        raise UnsupportedOrderError(f"power_transform supports k in {{1, 2, 3}}, got {k}")
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"power_transform order must be an integer >= 1, got {k!r}")
     return _convolution_transform(zf, False, k, s, quad)
 
 
 def deriv_times_power(zf: MellinIntegrand, k: int, s: complex, quad: QuadratureConfig | None = None) -> QuadratureResult:
-    """Z'(s) * Z(s)**k from z(t); k = 0 is :func:`transform_derivative`,
-    k = 1 the 2-fold convolution with an ln(u1) weight. k >= 2 is not
-    supported."""
-    if k < 0 or k > 1:
-        raise UnsupportedOrderError(f"deriv_times_power supports k in {{0, 1}}, got {k}")
+    """Z'(s) * Z(s)**k from z(t), for any integer k >= 0: k = 0 is
+    :func:`transform_derivative`, and k >= 1 the (k + 1)-fold convolution
+    with an ln(u1) weight."""
+    if not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError(f"deriv_times_power order must be an integer >= 0, got {k!r}")
     return _convolution_transform(zf, True, k + 1, s, quad)

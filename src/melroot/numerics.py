@@ -124,10 +124,8 @@ def log_gamma(z):
     t = zm + _LANCZOS_G + 0.5
     out = _HALF_LOG_TWO_PI + (zm + 0.5) * np.log(t) - t + np.log(acc)
     if reflect.any():
-        sin = np.sin(math.pi * z[reflect])
-        if np.any(sin == 0):
-            raise PoleError(f"Gamma has a pole at {complex(z[reflect][sin == 0][0])}")
-        out[reflect] = _LOG_PI - np.log(sin) - out[reflect]
+        # _reject_poles leaves no z whose sin(pi z) rounds to 0
+        out[reflect] = _LOG_PI - np.log(np.sin(math.pi * z[reflect])) - out[reflect]
     return out
 
 

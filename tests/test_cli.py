@@ -170,6 +170,11 @@ _PIPELINE = ["count", "--method", "pipeline", "--nodes", "8"]
         pytest.param(["expsum-error", *_GRID, "--coeff-file", "{tmp}/unparsable.txt"], id="expsum-error-coeff-unparsable"),
         pytest.param(["expsum-error", *_GRID, "--coeff-file", "{tmp}/missing.txt"], id="expsum-error-coeff-missing"),
         pytest.param(["expsum-error", *_GRID, "--coeff-file", "{tmp}/invalid.txt"], id="expsum-error-coeff-invalid"),
+        pytest.param(["count", "--nodes", "8", "--out", "{tmp}"], id="count-out-directory"),
+        pytest.param(["count", "--nodes", "8", "--out", "{tmp}/missing/out.json"], id="count-out-missing-parent"),
+        pytest.param(["sign-map", *_GRID, "--grid-nx", "2", "--out", "{tmp}"], id="sign-map-out-directory"),
+        pytest.param(["sign-map", *_GRID, "--grid-nx", "2", "--out", "{tmp}/missing/map.csv"],
+                     id="sign-map-out-missing-parent"),
     ],
 )
 def test_bad_arguments_exit_2(argv, capsys, tmp_path):
@@ -184,6 +189,8 @@ def test_bad_arguments_exit_2(argv, capsys, tmp_path):
     assert rc == 2
     if "--coeff-file" in argv:
         assert "bad coefficient file" in capsys.readouterr().err
+    if "--out" in argv:
+        assert "cannot write output" in capsys.readouterr().err
 
 
 class TestSignMap:
@@ -246,6 +253,25 @@ class TestExpsumError:
         assert rc == 0
         payload = json.loads(path.read_text())
         assert abs(payload["real"][0][0]) > 10.0
+
+
+    def test_json_origin_cell_is_null(self, capsys):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        rc = main([
+            "expsum-error",
+            "--re-min", "-1", "--re-max", "1",
+            "--im-min", "-1", "--im-max", "1",
+            "--grid-nx", "3", "--grid-ny", "3",
+            "--format", "json",
+        ])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        for part in ("real", "imag"):
+            # the origin, and only the origin
+            assert payload[part][1][1] is None
+            assert [v for row in payload[part] for v in row].count(None) == 1
 
 
 class TestConvolutionCheck:

@@ -170,10 +170,12 @@ class TestKernel:
             s2 = m.integrand_stage2(zeta_ff, ref_contour, phi, coeffs, 1)
             assert abs(kern - s2) < 1e-5
 
-    def test_sign_exponent_parity(self, zeta_ff, ref_contour, coeffs):
-        # csgn**(k+1) squares away for odd k: rebuilding the kernel with the
-        # exponent reduced mod 2 must give the same value
-        cfg = m.PipelineConfig(table=coeffs)
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_sign_exponent_parity(self, zeta_ff, ref_contour, coeffs, order):
+        # csgn**(k+1) squares away for odd k: rebuilding the kernel from the
+        # nested convolutions, with the exponent reduced mod 2, must give the
+        # same value
+        cfg = m.PipelineConfig(table=coeffs, series_order=order)
         phi = 2.0 * math.pi * 3.0 / 8.0
         s = ref_contour.point(phi)
         sgn = m.csgn(zeta_ff.f_reference(s))

@@ -10,6 +10,10 @@ from melroot.logspace import transform_and_derivative
 EXP_DECAY = m.MellinIntegrand(z=lambda t: np.exp(-t), convergence_strip=(0.0, math.inf))
 
 
+def _never_called(t):
+    raise AssertionError("z evaluated")
+
+
 def euler_gamma_oracle():
     n = 2000
     h = sum(1.0 / k for k in range(1, n + 1))
@@ -101,10 +105,16 @@ class TestPowerTransform:
         v = m.power_transform(zeta_zf, 3, 0.4 - 0.3j, quad).value
         assert abs(v - (0.4103824778 + 0.1549090396j)) < 1e-8
 
-    def test_unsupported_orders(self, zeta_zf):
-        for k in (0, 4):
-            with pytest.raises(m.UnsupportedOrderError):
-                m.power_transform(zeta_zf, k, 0.5)
+    @pytest.mark.parametrize("s", [0.4 + 0j, 0.4 - 0.3j])
+    def test_fourfold_matches_fourth_power(self, zeta_zf, s):
+        direct = m.transform(zeta_zf, s).value ** 4
+        assert abs(m.power_transform(zeta_zf, 4, s).value - direct) < 1e-10 * abs(direct)
+
+    @pytest.mark.parametrize("k", [0, -1, 2.5])
+    def test_order_must_be_positive_integer(self, k):
+        zf = m.MellinIntegrand(z=_never_called)
+        with pytest.raises(ValueError, match="integer"):
+            m.power_transform(zf, k, 0.5)
 
     def test_convolution_identity_random_points(self, zeta_zf):
         rng = np.random.default_rng(11)
@@ -144,9 +154,17 @@ class TestDerivTimesPower:
         v = m.deriv_times_power(zf, 1, 1.0).value
         assert abs(v - (1.0 - euler_gamma_oracle())) < 1e-8
 
-    def test_unsupported_order(self, zeta_zf):
-        with pytest.raises(m.UnsupportedOrderError):
-            m.deriv_times_power(zeta_zf, 2, 0.5)
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("s", [0.4 + 0j, 0.4 - 0.3j])
+    def test_higher_orders_match_products(self, zeta_zf, s, k):
+        direct = m.transform_derivative(zeta_zf, s).value * m.transform(zeta_zf, s).value ** k
+        assert abs(m.deriv_times_power(zeta_zf, k, s).value - direct) < 1e-10 * abs(direct)
+
+    @pytest.mark.parametrize("k", [-1, 0.5])
+    def test_order_must_be_non_negative_integer(self, k):
+        zf = m.MellinIntegrand(z=_never_called)
+        with pytest.raises(ValueError, match="integer"):
+            m.deriv_times_power(zf, k, 0.5)
 
 
 class TestNestedConvolution:
