@@ -179,49 +179,35 @@ def integrand_stage2(
     return _reference_integrand(ff, c, phi, lambda f, fprime: fprime * inv_approx_truncated(f, table, n))
 
 
-def _kernels(ff: FactoredFunction, nodes, velocities, cfg: PipelineConfig, mellin) -> np.ndarray:
-    """The expanded counting integrand at ``nodes`` (with ds/dphi
-    ``velocities``) from the ``(Z, Z')`` of
-    :func:`~melroot.logspace.transform_and_derivative` there, as one array.
-
-    This is :func:`integrand_stage2` with f = K Z and f' = K' Z + K Z' in
-    place of the references: each power Z**k and product Z' Z**k of the
-    expansion is a product of the grid's Z and Z'. The sign factor is
-    csgn(f), or tanh(f / eps) when ``cfg.eps`` is set. K and K' are called
-    once each, on the whole node array.
+def _kernel_values(ff: FactoredFunction, c: CircularContour, phi, cfg: PipelineConfig) -> np.ndarray:
+    """The expanded counting integrand at the angle or angles ``phi``, an
+    array of their shape, computed on one flat array of nodes: the
+    :func:`integrand_stage2` of f = K Z and f' = K' Z + K Z', with Z and Z'
+    from one moment density of the contour's disk, so each Z**k and Z' Z**k
+    is a product of them. The sign factor is csgn(f), or tanh(f / eps) with
+    ``cfg.eps``. K and K' are called once each, on all nodes. A
+    :class:`NonConvergenceError` carries the values from the finest moments.
     """
-    z, zprime = mellin
+    # Imported here: only this route needs it, so `import melroot` does not
+    # pay for loading it.
+    from .logspace import MomentDensity
+
+    phis = np.asarray(phi, dtype=float).reshape(-1)
+    nodes, failure = c.point(phis), None
+    try:
+        z, zprime = MomentDensity(ff.zf, c.center, c.radius, cfg.quad)(nodes)
+    except NonConvergenceError as exc:
+        (z, zprime), failure = exc.best_estimate, exc
     Ks = ff.K(nodes)
     f = Ks * z
     fprime = ff.Kprime(nodes) * z + Ks * zprime
     sgn = csgn(f) if cfg.eps is None else csgn_smooth(f, cfg.eps)
     series = sgn * truncated_series(sgn * f, cfg.table, cfg.series_order)
-    return fprime * series * velocities / _TWO_PI_I
-
-
-def _reduced_kernels(ff: FactoredFunction, c: CircularContour, phis, cfg: PipelineConfig, reduce: Callable):
-    """``reduce`` of the array of kernel values at ``phis``, all of them from
-    one set of Mellin densities built for the whole contour.
-
-    A :class:`NonConvergenceError` of the densities is re-raised with
-    ``reduce`` of the kernel values from the finest grid reached as its best
-    estimate.
-    """
-    # Imported here: only this route needs it, so `import melroot` does not
-    # pay for loading it.
-    from .logspace import transform_and_derivative
-
-    nodes, velocities = c.point(phis), c.velocity(phis)
-    re_range = (c.center.real - c.radius, c.center.real + c.radius)
-    try:
-        mellin = transform_and_derivative(ff.zf, nodes, re_range, cfg.quad)
-    except NonConvergenceError as exc:
-        raise NonConvergenceError(
-            f"Mellin densities did not converge on the contour: {exc}",
-            best_estimate=reduce(_kernels(ff, nodes, velocities, cfg, exc.best_estimate)),
-            error_estimate=exc.error_estimate,
-        ) from exc
-    return reduce(_kernels(ff, nodes, velocities, cfg, mellin))
+    values = (fprime * series * c.velocity(phis) / _TWO_PI_I).reshape(np.shape(phi))
+    if failure is not None:
+        message = f"Mellin moments did not converge on the contour: {failure}"
+        raise NonConvergenceError(message, best_estimate=values, error_estimate=failure.error_estimate) from failure
+    return values
 
 
 def kernel_mellin(ff: FactoredFunction, c: CircularContour, phi, cfg: PipelineConfig) -> complex | np.ndarray:
@@ -230,13 +216,11 @@ def kernel_mellin(ff: FactoredFunction, c: CircularContour, phi, cfg: PipelineCo
 
     The stage-2 integrand with f and f' from K, K' and the Mellin transforms
     Z and Z' of z(t) alone, the sign factor included; the references of
-    ``ff`` are not used. The Mellin grid is cut for the whole contour, as in
-    :func:`count_pipeline`, and refined until Z and Z' settle at every angle
-    asked for. A scalar angle gives a complex, an array an array of its
-    shape.
+    ``ff`` are not used. An angle gets the same value alone as in any array:
+    a scalar angle gives a complex, an array an array of its shape.
     """
-    phis = np.atleast_1d(np.asarray(phi, dtype=float))
-    return _reduced_kernels(ff, c, phis, cfg, lambda values: values if np.ndim(phi) else complex(values[0]))
+    values = _kernel_values(ff, c, phi, cfg)
+    return values if np.ndim(phi) else complex(values)
 
 
 def count_direct(ff: FactoredFunction, c: CircularContour) -> CountResult:
@@ -256,13 +240,16 @@ def count_pipeline(ff: FactoredFunction, c: CircularContour, cfg: PipelineConfig
     The result carries the exponential-sum and series-truncation error; the
     integer rounding is only meaningful when the residual is small.
 
-    The Mellin densities are built once for the contour and give Z and Z' at
-    all its nodes (:func:`~melroot.logspace.transform_and_derivative`); the
-    kernel values (:func:`kernel_mellin`) are then summed by the trapezoid
-    rule. Only ``ff.zf``, ``ff.K`` and ``ff.Kprime`` are used. A contour that
-    leaves the convergence strip of ``ff.zf`` raises :class:`DomainError`
-    before any density is built.
+    The kernel values (:func:`kernel_mellin`) at all nodes, from one moment
+    density of the contour's disk, summed by the trapezoid rule. Only
+    ``ff.zf``, ``ff.K`` and ``ff.Kprime`` are used. A contour that leaves the
+    convergence strip of ``ff.zf`` raises :class:`DomainError` before z is
+    evaluated.
     """
     step = 2.0 * math.pi / c.nodes
-    value = _reduced_kernels(ff, c, step * np.arange(c.nodes), cfg, lambda values: complex(values.sum()) * step)
-    return CountResult.from_value(value)
+    try:
+        values = _kernel_values(ff, c, step * np.arange(c.nodes), cfg)
+    except NonConvergenceError as exc:
+        best = complex(exc.best_estimate.sum()) * step
+        raise NonConvergenceError(str(exc), best_estimate=best, error_estimate=exc.error_estimate) from exc
+    return CountResult.from_value(complex(values.sum()) * step)

@@ -1,152 +1,156 @@
-"""Mellin transforms at all nodes of a contour from densities in x = ln t.
+"""Z and Z' on a disk of s from the Taylor moments of one density in ln t.
 
-With x = ln t, Z(s) = int z(t) t**(s-1) dt becomes int g(x) e**(s x) dx with
-g(x) = z(e**x), and Z' is the same integral of x g. On a uniform grid both
-are trapezoid sums h * sum d(x) e**(s x) of densities that do not depend on
-s: a contour builds them once and each node costs one weighted sum. Nothing
-else is needed: the Mellin convolutions behind Z**k and Z' Z**k are, in x,
-convolutions of g and x g, and the trapezoid sum of a full discrete
-convolution is the product of its factors' sums (the discrete convolution
-theorem), so on this grid they are the products of Z and Z'. The trapezoid
-rule converges exponentially for analytic, fast-decaying densities
-(Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
-SIAM Rev. 56, 2014).
-
-The grid is not refined here: it is the halving trapezoid of
-:mod:`melroot.quadrature`, the loop behind the exp-sinh rule, run in x with
-one row per node for Z and one for Z'. This module supplies its bounds, from
-the convergence strip, and its sampler, which evaluates z at the new
-abscissae of each pass.
-
-Only the approximated counting route needs this module, so
-:mod:`melroot.contour` imports it on first use.
+In x = ln t, Z(s) = int g(x) e**(s x) dx, g(x) = z(e**x), is a trapezoid sum
+on a uniform grid of step h. On a disk s = c + R u, |u| <= 1, it is a power
+series in u whose coefficients, the moments nu_j = sum_x w(x) (R x)**j / j!
+of the s-free density w(x) = h g(x) e**(c x), are built once; Z' is its
+derivative. Past degree M the series' tail is at most sum_x |w| e**(R|x|)
+(R|x|)**(M+1) / (M+1)!, and M is the least degree that brings it, and that
+of Z', under 1e-16 of their sums of |w|, the round-off floor of the moments.
+Z**k and Z' Z**k are products of Z and Z': in x a Mellin convolution is a
+convolution, whose trapezoid sum is the product of its factors' sums. The
+trapezoid rule converges exponentially for analytic, fast-decaying densities
+(Trefethen & Weideman, SIAM Rev. 56, 2014). :mod:`melroot.contour` imports
+this module on first use.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NonConvergenceError
 from .mellin import MellinIntegrand
 from .quadrature import TRUNCATION_DECAY, QuadratureConfig, _halving_trapezoid
 
-__all__ = ["transform_and_derivative"]
+__all__ = ["MomentDensity"]
 
-# A side of the strip without a finite edge is scanned out to |x| = _SCAN
-# (t up to e**40 ~ 2e17) for the density to die out.
+# A side of the strip without a finite edge is scanned out to |x| = _SCAN; no
+# grid passes |x| = _X_MAX, where t = e**x would under- or overflow.
 _SCAN = 40.0
-# The grid stays inside |x| <= _X_MAX, where t = e**x neither under- nor
-# overflows; this also bounds the size of the first grid.
 _X_MAX = 700.0
 
 
 def _tail_cutoff(margin: float) -> float:
-    """x > 0 at which x**2 * e**(-margin * x) has fallen to about
-    ``TRUNCATION_DECAY``.
-
-    Next to a finite strip edge, the densities weighted by e**(s x) decay like
-    |x|**k * e**(-margin |x|), margin = |Re s - edge| and k <= 1 (k = 1 for
-    x g), so with one power to spare both are negligible past this point.
-    """
+    """x > 0 past which |x| e**(-margin x), the decay of x g e**(s x) next to
+    a strip edge ``margin`` away, stays below about ``TRUNCATION_DECAY``."""
     x = -math.log(TRUNCATION_DECAY) / margin
     x += 2.0 * math.log(max(x, 1.0)) / margin
     if x > _X_MAX:
-        raise DomainError(
-            f"Re(s) within {margin:.3g} of the strip edge: the density tail "
-            f"reaches beyond t = e**{_X_MAX:g}"
-        )
+        raise DomainError(f"Re(s) within {margin:.3g} of the strip edge: the density tail passes t = e**{_X_MAX:g}")
     return x
 
 
-def transform_and_derivative(
-    zf: MellinIntegrand, s, re_range: tuple[float, float], quad: QuadratureConfig | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Z and Z' at every node of ``s`` from densities of z on one uniform
-    grid in x = ln t.
+def _degree(w: np.ndarray, y: np.ndarray) -> int:
+    """The least M with sum |w| e**y y**(M+1)/(M+1)!, the bound on Z's tail,
+    at most ``TRUNCATION_DECAY`` sum |w|, and M + 1 times it, the bound on
+    R Z''s, at most ``TRUNCATION_DECAY`` sum |w| y; the sums run over the
+    abscissae where |w| exceeds ``TRUNCATION_DECAY`` of its peak, y = R|x|."""
+    mags = np.abs(w)
+    keep = mags > TRUNCATION_DECAY * mags.max()
+    mags, y = mags[keep], y[keep]
+    y_max = float(y.max(initial=0.0))
+    if y_max > _X_MAX:
+        raise DomainError(f"the disk is too large for its moments: R |x| reaches {y_max:.3g}")
+    # Both tails are below their floors at the first m >= y_max - 1 with
+    # e**y_max y_max**m / m! at most TRUNCATION_DECAY (halved for round-off).
+    m, bound = 0, math.exp(y_max)
+    while bound > 0.5 * TRUNCATION_DECAY or m + 1 < y_max:
+        m += 1
+        bound *= y_max / m
+    tails = np.multiply.accumulate(np.outer(1.0 / np.arange(1, m + 2), y), axis=0) @ (mags * np.exp(y))
+    floor, floor_prime = TRUNCATION_DECAY * mags.sum(), TRUNCATION_DECAY * (mags @ y)
+    for degree, tail in enumerate(tails.tolist()):
+        if tail <= floor and (degree + 1) * tail <= floor_prime:
+            return degree
+    raise DomainError("the moment tail bound overflows: |w| e**(R|x|) is not finite")
 
-    Returns ``(Z, Z')``, two arrays of shape (len(s),) (empty, without
-    evaluating z, when ``s`` is): one trapezoid sum each over the densities g
-    and x g. Any Z**k or Z' Z**k is their product.
 
-    ``re_range`` is the span of Re s over the contour. It must lie inside the
-    convergence strip, and every node inside it. Next to a finite strip edge
-    the grid ends where |x|**2 e**(-margin |x|) falls below 1e-16; a side
-    without one is scanned out to |x| = 40.
+class MomentDensity:
+    """Z and Z' on the disk |s - center| <= radius. A radius that is not
+    positive and finite raises ``ValueError``, a disk that leaves the
+    convergence strip :class:`DomainError`, both before z is evaluated; the
+    moments are built on the first evaluation."""
 
-    The grid is refined by the exp-sinh rule's loop,
-    :func:`~melroot.quadrature._halving_trapezoid`, with 2 len(s) rows (Z at
-    each node, then Z' at each node): a trim of both sides from the coarse
-    pass at step 0.5, then halving until, from the second halving on, each
-    row has agreed between two steps within ``quad.rel_tol`` or
-    ``quad.abs_tol``. ``quad.max_evals`` bounds the abscissae sampled, as for
-    the exp-sinh rule. z is evaluated at the new abscissae of each pass only;
-    it must accept numpy arrays and return an array of the same shape, else
-    ``ValueError``.
+    def __init__(self, zf: MellinIntegrand, center: complex, radius: float, quad: QuadratureConfig | None = None):
+        if not 0.0 < radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {radius}")
+        lo, hi = zf.convergence_strip
+        c = complex(center)
+        if not (cmath.isfinite(c) and lo < c.real - radius and c.real + radius < hi):
+            raise DomainError(f"the disk about {c} of radius {radius} leaves the convergence strip ({lo}, {hi})")
+        self.zf, self.center, self.radius, self.quad = zf, c, radius, quad or QuadratureConfig()
 
-    Raises :class:`DomainError` when ``re_range`` leaves the strip or a node
-    is not finite (both before z is evaluated), when z is not finite at a
-    grid point and when Z is 0 at every node (z vanishes on the grid); and
-    :class:`NonConvergenceError`, with the finest ``(Z, Z')`` reached as
-    ``best_estimate``, when the budget runs out first.
-    """
-    quad = quad or QuadratureConfig()
-    lo, hi = zf.convergence_strip
-    re_lo, re_hi = re_range
-    if not (lo < re_lo <= re_hi < hi):
-        raise DomainError(
-            f"Re(s) spans [{re_lo}, {re_hi}], outside the convergence strip ({lo}, {hi})"
-        )
-    s = np.asarray(s, dtype=np.complex128).reshape(-1)
-    if not np.isfinite(s).all():
-        raise DomainError("nodes must be finite")
-    if ((s.real < re_lo) | (s.real > re_hi)).any():
-        raise ValueError(f"nodes outside the Re(s) range [{re_lo}, {re_hi}]")
-    n = len(s)
-    if n == 0:
-        return np.empty(0, dtype=np.complex128), np.empty(0, dtype=np.complex128)
+    @cached_property
+    def moments(self) -> np.ndarray:
+        """nu_0, ..., nu_M as rows of the halving trapezoid (its coarse pass
+        sets M), on a grid to |x| = 40 or to a strip edge's tail cutoff. A z
+        that maps an array of t to another shape raises ``ValueError``, one
+        not finite on the grid or 0 on all of it :class:`DomainError`, and an
+        exhausted ``quad.max_evals`` :class:`NonConvergenceError`."""
+        lo, hi = self.zf.convergence_strip
+        c, r = self.center, self.radius
+        x_lo = -_tail_cutoff(c.real - r - lo) if math.isfinite(lo) else -_SCAN
+        x_hi = _tail_cutoff(hi - c.real - r) if math.isfinite(hi) else _SCAN
+        bounded = max(c.real * x_lo, c.real * x_hi) < _X_MAX  # e**(c x) is finite on the grid
 
-    x_lo = -_tail_cutoff(re_lo - lo) if math.isfinite(lo) else -_SCAN
-    x_hi = _tail_cutoff(hi - re_hi) if math.isfinite(hi) else _SCAN
+        def sample(x: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+            # row j: w (r x)**j / j! without the step h; rows 0..M when None
+            with np.errstate(all="ignore"):
+                g = np.asarray(self.zf.z(np.exp(x)), dtype=np.complex128)
+                if g.shape != x.shape:
+                    raise ValueError("z must map an array of t to an array of the same shape")
+                # unbounded, e**(c x) overflows only where g is tiny or 0: take
+                # it in log space, where log 0 = -inf makes w 0
+                w = g * np.exp(c * x) if bounded else np.exp(np.log(g) + c * x)
+            if not np.isfinite(g).all():
+                raise DomainError(f"z(t) is not finite at t = e**{float(x[~np.isfinite(g)][0]):.6g}")
+            if rows is None:
+                rows = np.arange(_degree(w, r * np.abs(x)) + 1)
+            powers = np.ones((rows[-1] + 1, len(x)))
+            np.multiply.outer(r / np.arange(1, len(powers)), x, out=powers[1:])
+            np.multiply.accumulate(powers, axis=0, out=powers)
+            return (powers if len(rows) == len(powers) else powers[rows]) * w
 
-    def sample(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # row i < n is g e**(s_i x), row n + i is x g e**(s_i x)
-        with np.errstate(all="ignore"):
-            g = np.asarray(zf.z(np.exp(x)), dtype=np.complex128)
-        if g.shape != x.shape:
-            raise ValueError("z must map an array of t to an array of the same shape")
-        bad = ~np.isfinite(g)
-        if bad.any():
-            raise DomainError(f"z(t) is not finite at t = e**{float(x[bad][0]):.6g}")
-        # g e**(s x) in log space, formed only where g is not 0 (the product
-        # is 0 elsewhere): e**(s x) may overflow only where g is tiny.
-        live = g != 0
-        all_live = bool(live.all())
-        if not all_live:
-            x, g = x[live], g[live]
-        log_g = np.log(g)
-        vals = np.empty((len(rows), len(x)), dtype=np.complex128)
-        # with every row, one exponential per node, shared by its Z and Z'
-        # rows; once some rows have retired, one per row still refining
-        every_row = len(rows) == 2 * n
-        if every_row:
-            weights = np.multiply(s[:, np.newaxis], x, out=vals[:n])
-        else:
-            weights = np.multiply(s[rows % n, np.newaxis], x, out=vals)
-        weights += log_g
-        np.exp(weights, out=weights)
-        if every_row:
-            np.multiply(weights, x, out=vals[n:])
-        else:
-            vals[rows >= n] *= x
-        if all_live:
-            return vals
-        out = np.zeros((len(rows), len(live)), dtype=np.complex128)
-        out[:, live] = vals
-        return out
+        nu = _halving_trapezoid(sample, x_lo, x_hi, self.quad, lambda total: total).value
+        if not nu.any():
+            raise DomainError("Z(s) = 0 on the disk: z(t) vanishes on the grid")
+        return nu
 
-    z, zprime = _halving_trapezoid(sample, x_lo, x_hi, 2 * n, quad, lambda total: (total[:n], total[n:])).value
-    if not z.any():
-        raise DomainError("Z(s) = 0 at every node: z(t) vanishes on the grid")
-    return z, zprime
+    def __call__(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """``(Z, Z')`` at the points ``s``, an array of any shape, each of its
+        shape. A point that is not finite raises :class:`DomainError`, one
+        outside the disk ``ValueError``, both before z is evaluated; a
+        :class:`NonConvergenceError` carries ``(Z, Z')`` from the finest
+        moments."""
+        c, r = self.center, self.radius
+        s = np.asarray(s, dtype=np.complex128)
+        if not np.isfinite(s).all():
+            raise DomainError("points must be finite")
+        u = (s - c) / r
+        # c + r e**(i phi) is rounded relative to |c| + r
+        if (np.abs(u) > 1.0 + 4.0 * sys.float_info.epsilon * (1.0 + abs(c) / r)).any():
+            raise ValueError(f"points outside the disk about {c} of radius {r}")
+        if u.size == 0:
+            return u, u.copy()
+        try:
+            nu = self.moments
+        except NonConvergenceError as exc:
+            best = _power_sums(exc.best_estimate, u, r)
+            raise NonConvergenceError(str(exc), best_estimate=best, error_estimate=exc.error_estimate) from exc
+        return _power_sums(nu, u, r)
+
+
+def _power_sums(nu: np.ndarray, u: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """sum_j nu_j u**j and its derivative in s = c + r u. Each point sums
+    its own row of powers, so it gets the same value alone as in any array."""
+    powers = np.empty(u.shape + nu.shape, dtype=np.complex128)
+    powers[..., 0] = 1.0
+    powers[..., 1:] = u[..., np.newaxis]
+    np.multiply.accumulate(powers, axis=-1, out=powers)
+    zprime = (powers[..., :-1] * (nu[1:] * np.arange(1, len(nu)))).sum(axis=-1) / r
+    return (powers * nu).sum(axis=-1), zprime

@@ -109,32 +109,33 @@ def _raise_not_finite(lo: float, hi: float):
 
 
 def _halving_trapezoid(
-    sample: Callable, lo: float, hi: float, n_rows: int, quad: QuadratureConfig, value_of: Callable[[np.ndarray], Any]
+    sample: Callable, lo: float, hi: float, quad: QuadratureConfig, value_of: Callable[[np.ndarray], Any]
 ) -> QuadratureResult:
-    """Trapezoid sums h * sum_k sample(h k) of ``n_rows`` integrals on one
+    """Trapezoid sums h * sum_k sample(h k) of rows of integrals on one
     shared grid: the abscissae h k in [lo, hi], with h = 0.5, 0.25, ...
 
     ``sample(u, active)`` returns the rows ``active`` (ascending row indices)
-    at the abscissae ``u``, shape (len(active), len(u)). The coarse pass trims
-    the support once, to where some row exceeds ``TRUNCATION_DECAY`` times its
-    own peak, plus one step on each side (every row is 0 when that is
-    nowhere); each halving samples the new abscissae inside it. A non-finite
-    sample is read as 0 outside that support and raises :class:`DomainError`
-    inside it (a sampler that must forgive one zeroes it itself), as does a
-    row that is not finite at any abscissa of the coarse pass. From the
-    second halving on, a row that changed by at most
-    ``max(abs_tol, rel_tol * |row|)`` keeps its value and error and is not
-    sampled again. Halving stops when no row is left, or raises
-    :class:`NonConvergenceError` with ``value_of`` of the finest sums as best
-    estimate once ``quad.max_evals`` abscissae have been sampled.
+    at the abscissae ``u``, shape (len(active), len(u)); on the coarse pass
+    ``active`` is None and it returns all its rows, which sets their number.
+    The coarse pass trims the support once, to where some row exceeds
+    ``TRUNCATION_DECAY`` times its own peak, plus one step on each side
+    (every row is 0 when that is nowhere); each halving samples the new
+    abscissae inside it. A non-finite sample is read as 0 outside that
+    support and raises :class:`DomainError` inside it (a sampler that must
+    forgive one zeroes it itself), as does a row that is not finite at any
+    abscissa of the coarse pass. From the second halving on, a row that
+    changed by at most ``max(abs_tol, rel_tol * |row|)`` keeps its value and
+    error and is not sampled again. Halving stops when no row is left, or
+    raises :class:`NonConvergenceError` with ``value_of`` of the finest sums
+    as best estimate once ``quad.max_evals`` abscissae have been sampled.
 
     Returns ``value_of`` of the sums, the largest row error and the number of
     abscissae sampled (not rows times abscissae).
     """
     h = _H0
     u = h * np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
-    vals = sample(u, np.arange(n_rows))
-    evals = len(u)
+    vals = sample(u, None)
+    n_rows, evals = vals.shape[0], len(u)
     finite = np.isfinite(vals)
     all_finite = bool(finite.all())
     if not all_finite:
@@ -232,7 +233,7 @@ def integrate_semi_infinite(
         t = np.exp(_LAMBDA * np.sinh(u))
         w = _LAMBDA * np.cosh(u) * t
         with np.errstate(all="ignore"):
-            vals = _call(g, t, None if rows is None else rows[active]) * w
+            vals = _call(g, t, rows if rows is None or active is None else rows[active]) * w
         if rows is not None:
             # One row's weight can overflow inside the support that another
             # row keeps; such a sample is far below that row's own threshold.
@@ -240,9 +241,8 @@ def integrate_semi_infinite(
         # the 1-D form is one row
         return vals.reshape(-1, len(u))
 
-    if rows is None:
-        return _halving_trapezoid(sample, -_U_CAP, _U_CAP, 1, quad, lambda total: complex(total[0]))
-    return _halving_trapezoid(sample, -_U_CAP, _U_CAP, len(rows), quad, lambda total: total)
+    value_of = (lambda total: complex(total[0])) if rows is None else (lambda total: total)
+    return _halving_trapezoid(sample, -_U_CAP, _U_CAP, quad, value_of)
 
 
 def integrate_periodic(k: Callable[[float], complex], nodes: int) -> complex:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import melroot as m
-from melroot.logspace import transform_and_derivative
+from melroot.logspace import MomentDensity
 
 EXP_DECAY = m.MellinIntegrand(z=lambda t: np.exp(-t), convergence_strip=(0.0, math.inf))
 
@@ -233,9 +233,8 @@ class TestNestedConvolution:
 
 
 def _circle(center, radius, nodes):
-    """Nodes of a circle and the span of Re s they lie in."""
-    s = center + radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    return s, (center.real - radius, center.real + radius)
+    """Nodes of a circle."""
+    return center + radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
 
 
 class TestConvolutionPowers:
@@ -243,8 +242,8 @@ class TestConvolutionPowers:
         # z = e**-t: Z = Gamma(s) and Z' Z = psi(s) Gamma(s)**2
         import mpmath as mp
 
-        s, re_range = _circle(1.0 + 0.5j, 0.3, 16)
-        z, zprime = transform_and_derivative(EXP_DECAY, s, re_range)
+        s = _circle(1.0 + 0.5j, 0.3, 16)
+        z, zprime = MomentDensity(EXP_DECAY, 1.0 + 0.5j, 0.3)(s)
         for i, si in enumerate(s):
             gamma = complex(mp.gamma(si))
             zp_z = complex(mp.digamma(si)) * gamma**2
@@ -255,18 +254,33 @@ class TestConvolutionPowers:
         # z = 1/(1+t) on the strip (0, 1): Z = pi / sin(pi s); the grid's
         # right end comes from the strip's upper edge
         zf = m.MellinIntegrand(z=lambda t: 1.0 / (1.0 + t), convergence_strip=(0.0, 1.0))
-        s, re_range = _circle(0.5 + 0.5j, 0.2, 16)
-        z, _ = transform_and_derivative(zf, s, re_range)
+        s = _circle(0.5 + 0.5j, 0.2, 16)
+        z, _ = MomentDensity(zf, 0.5 + 0.5j, 0.2)(s)
         for i, si in enumerate(s):
             exact = math.pi / cmath.sin(math.pi * si)
             assert abs(z[i] - exact) <= 1e-12 * abs(exact)
             assert abs(z[i] * z[i] - exact * exact) <= 1e-12 * abs(exact * exact)
 
+    def test_overflowing_weight_in_log_space(self):
+        # z = (1+t)**-3 on the strip (0, 3): Z = Gamma(s) Gamma(3-s) / 2. Next
+        # to the upper edge the grid runs to x ~ 490, where e**(c x) overflows
+        # and z has underflowed to 0, so the density is formed in log space
+        import mpmath as mp
+
+        zf = m.MellinIntegrand(z=lambda t: (1.0 + t) ** -3.0, convergence_strip=(0.0, 3.0))
+        s = _circle(2.8 + 0.5j, 0.1, 8)
+        z, zprime = MomentDensity(zf, 2.8 + 0.5j, 0.1)(s)
+        for i, si in enumerate(s):
+            exact = complex(mp.gamma(si) * mp.gamma(3 - si) / 2)
+            exact_prime = complex((mp.digamma(si) - mp.digamma(3 - si)) * exact)
+            assert abs(z[i] - exact) <= 1e-10 * abs(exact)
+            assert abs(zprime[i] - exact_prime) <= 1e-8 * abs(exact_prime)
+
     @pytest.mark.parametrize("center,radius,nodes", [(0.57 + 1.57j, 0.1, 64), (1.0 + 0j, 0.1, 16)])
     def test_matches_adaptive_convolutions(self, zeta_zf, center, radius, nodes):
         # the reference circle and the pole circle
-        s, re_range = _circle(center, radius, nodes)
-        z, zprime = transform_and_derivative(zeta_zf, s, re_range)
+        s = _circle(center, radius, nodes)
+        z, zprime = MomentDensity(zeta_zf, center, radius)(s)
         for i, si in enumerate(s):
             z2 = m.power_transform(zeta_zf, 2, si).value
             zp_z = m.deriv_times_power(zeta_zf, 1, si).value
@@ -283,25 +297,24 @@ class TestConvolutionPowers:
             return m.z_integrand(t)
 
         zf = m.MellinIntegrand(z=z, convergence_strip=zeta_zf.convergence_strip)
-        s, re_range = _circle(0.57 + 1.57j, 0.1, 64)
-        transform_and_derivative(zf, s, re_range)
+        MomentDensity(zf, 0.57 + 1.57j, 0.1)(_circle(0.57 + 1.57j, 0.1, 64))
         assert sum(sizes) < 400
 
     def test_compact_support_matches_adaptive_transforms(self):
-        # z is exactly 0 for t >= 3, so the sampler forms no exponential on
-        # most of the coarse pass, which scans out to t = e**40
+        # z is exactly 0 for t >= 3, so the density is 0 on most of the
+        # coarse pass, which scans out to t = e**40; each point lies off the
+        # centre of its own disk
         def z(t):
             with np.errstate(divide="ignore"):
                 return np.exp(-1.0 / np.maximum(3.0 - t, 0.0))
 
         zf = m.MellinIntegrand(z=z, convergence_strip=(0.0, math.inf))
-        s = np.array([0.5 + 0j, 1.0 + 2.0j, 1.7 - 0.5j, 0.8 + 8.0j])
-        z_values, zprime = transform_and_derivative(zf, s, (0.5, 1.7))
-        for i, si in enumerate(s):
+        for si in (0.5 + 0j, 1.0 + 2.0j, 1.7 - 0.5j, 0.8 + 8.0j):
+            z_value, zprime = MomentDensity(zf, si + 0.05, 0.1)(si)
             exact = m.transform(zf, si).value
             exact_prime = m.transform_derivative(zf, si).value
-            assert abs(z_values[i] - exact) <= 1e-10 * abs(exact)
-            assert abs(zprime[i] - exact_prime) <= 1e-10 * abs(exact_prime)
+            assert abs(z_value - exact) <= 1e-10 * abs(exact)
+            assert abs(zprime - exact_prime) <= 1e-10 * abs(exact_prime)
 
     def test_no_nodes(self, zeta_zf):
         calls = []
@@ -311,7 +324,7 @@ class TestConvolutionPowers:
             return m.z_integrand(t)
 
         zf = m.MellinIntegrand(z=z, convergence_strip=zeta_zf.convergence_strip)
-        empty = transform_and_derivative(zf, [], (0.5, 0.6))
+        empty = MomentDensity(zf, 0.55 + 0j, 0.05)([])
         assert [values.shape for values in empty] == [(0,), (0,)]
         assert not calls
 
@@ -326,21 +339,48 @@ class TestConvolutionPowers:
 
         zf = m.MellinIntegrand(z=z, convergence_strip=zeta_zf.convergence_strip)
         with pytest.raises(m.DomainError):
-            transform_and_derivative(zf, [0.55 + 1j, node], (0.5, 0.6))
+            MomentDensity(zf, 0.55 + 1j, 0.05)([0.55 + 1j, node])
         assert not calls
 
     def test_input_checks(self, zeta_zf):
-        with pytest.raises(m.DomainError):
-            transform_and_derivative(zeta_zf, [-1.1 + 0j], (-1.2, -0.8))
+        # the disk must lie inside the strip, with a finite centre and radius
+        disks = [(-1.0 + 0j, 0.2), (0.5 + 0j, 1.6), (complex(math.nan, 0.0), 0.1), (complex(0.5, math.inf), 0.1)]
+        for center, radius in disks:
+            with pytest.raises(m.DomainError):
+                MomentDensity(zeta_zf, center, radius)
+        for radius in (0.0, -0.1, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                MomentDensity(zeta_zf, 0.5 + 0j, radius)
+
+    def test_point_outside_disk_rejected(self, zeta_zf):
+        calls = []
+
+        def z(t):
+            calls.append(t)
+            return m.z_integrand(t)
+
+        zf = m.MellinIntegrand(z=z, convergence_strip=zeta_zf.convergence_strip)
         with pytest.raises(ValueError):
-            transform_and_derivative(zeta_zf, [0.9 + 0j], (0.4, 0.6))
+            MomentDensity(zf, 0.57 + 1.57j, 0.1)([0.57 + 1.57j, 0.57 + 1.68j])
+        assert not calls
+
+    def test_points_of_any_shape(self, zeta_zf):
+        # one set of moments: each point gets the same value in any array
+        density = MomentDensity(zeta_zf, 0.57 + 1.57j, 0.1)
+        s = 0.57 + 1.57j + 0.1 * np.array([0.0, 0.5, 1j, -0.9, 0.3 - 0.3j, 1.0])
+        z, zprime = density(s)
+        grid = density(s.reshape(2, 3))
+        assert [values.shape for values in grid] == [(2, 3), (2, 3)]
+        assert grid[0].tolist() == z.reshape(2, 3).tolist()
+        assert grid[1].tolist() == zprime.reshape(2, 3).tolist()
+        assert all(density(si) == (z[i], zprime[i]) for i, si in enumerate(s))
 
     @pytest.mark.parametrize(
         "z,error",
         [
             # NaN on 1 < t < 2, inside the support that the grid keeps
             (lambda t: np.where((t > 1.0) & (t < 2.0), math.nan, m.z_integrand(t)), m.DomainError),
-            # 0 everywhere: no column is live, and Z = 0 at every node
+            # 0 everywhere: every moment is 0
             (np.zeros_like, m.DomainError),
             (lambda t: m.z_integrand(t)[:-1], ValueError),
         ],
@@ -348,14 +388,13 @@ class TestConvolutionPowers:
     )
     def test_bad_z_rejected(self, zeta_zf, z, error):
         zf = m.MellinIntegrand(z=z, convergence_strip=zeta_zf.convergence_strip)
-        s, re_range = _circle(0.57 + 1.57j, 0.1, 8)
         with pytest.raises(error):
-            transform_and_derivative(zf, s, re_range)
+            MomentDensity(zf, 0.57 + 1.57j, 0.1)(_circle(0.57 + 1.57j, 0.1, 8))
 
     def test_nonconvergence_carries_z_and_zprime(self, zeta_zf):
-        s, re_range = _circle(0.57 + 1.57j, 0.1, 8)
+        density = MomentDensity(zeta_zf, 0.57 + 1.57j, 0.1, m.QuadratureConfig(max_evals=200))
         with pytest.raises(m.NonConvergenceError) as exc:
-            transform_and_derivative(zeta_zf, s, re_range, m.QuadratureConfig(max_evals=200))
+            density(_circle(0.57 + 1.57j, 0.1, 8))
         best = exc.value.best_estimate
         assert isinstance(best, tuple) and len(best) == 2
         for values in best:
