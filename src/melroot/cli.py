@@ -69,7 +69,8 @@ _NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "a non-negative integer")
 def _add_circle_args(p: argparse.ArgumentParser):
     p.add_argument("--center-re", type=_FINITE_FLOAT, default=0.57)
     p.add_argument("--center-im", type=_FINITE_FLOAT, default=1.57)
-    p.add_argument("--radius", type=_POSITIVE_FLOAT, default=0.1)
+    slow = "a large disk next to the strip edge Re s = -1 slows the pipeline's Mellin moments (exit 3)"
+    p.add_argument("--radius", type=_POSITIVE_FLOAT, default=0.1, help=f"circle radius (default 0.1); {slow}")
 
 
 def _coeff_file(path: str) -> ExpSumTable:

@@ -179,31 +179,41 @@ def integrand_stage2(
     return _reference_integrand(ff, c, phi, lambda f, fprime: fprime * inv_approx_truncated(f, table, n))
 
 
-def _kernel_values(ff: FactoredFunction, c: CircularContour, phi, cfg: PipelineConfig) -> np.ndarray:
-    """The expanded counting integrand at the angle or angles ``phi``, an
-    array of their shape, computed on one flat array of nodes: the
-    :func:`integrand_stage2` of f = K Z and f' = K' Z + K Z', with Z and Z'
-    from one moment density of the contour's disk, so each Z**k and Z' Z**k
-    is a product of them. The sign factor is csgn(f), or tanh(f / eps) with
-    ``cfg.eps``. K and K' are called once each, on all nodes. A
+def _kernel_values(ff: FactoredFunction, c: CircularContour, phi, cfg: PipelineConfig) -> complex | np.ndarray:
+    """The expanded counting integrand at the angle or angles ``phi``, a
+    complex or an array of their shape, computed on one flat array of nodes:
+    the :func:`integrand_stage2` of f = K Z and f' = K' Z + K Z', with Z and
+    Z' the power sums of the moments of the contour's disk, so each Z**k and
+    Z' Z**k is a product of them. The sign factor is csgn(f), or tanh(f / eps)
+    with ``cfg.eps``. K and K' are called once each, on all nodes. A
     :class:`NonConvergenceError` carries the values from the finest moments.
     """
     # Imported here: only this route needs it, so `import melroot` does not
     # pay for loading it.
-    from .logspace import MomentDensity
+    from .logspace import moments, power_sums
 
-    phis = np.asarray(phi, dtype=float).reshape(-1)
-    nodes, failure = c.point(phis), None
+    u = np.exp(1j * np.asarray(phi, dtype=float).reshape(-1))
+    nodes, failure = c.center + c.radius * u, None
     try:
-        z, zprime = MomentDensity(ff.zf, c.center, c.radius, cfg.quad)(nodes)
+        nu, error = moments(ff.zf, c.center, c.radius, cfg.quad)
     except NonConvergenceError as exc:
-        (z, zprime), failure = exc.best_estimate, exc
+        (nu, error), failure = exc.best_estimate, exc
+    z, zprime = power_sums(nu, u, c.radius)
+    # the moments' errors on the disk against the tolerance at the nodes
+    tol = cfg.quad
+    if failure is None and max(error) > tol.abs_tol and any(
+        e > max(tol.abs_tol, tol.rel_tol * np.abs(v).min(initial=math.inf)) for e, v in zip(error, (z, zprime))
+    ):
+        message = f"their tail and round-off ({error[0]:.3g} in Z, {error[1]:.3g} in Z') pass the tolerance at a node"
+        failure = NonConvergenceError(f"{message}: a smaller disk converges faster", error_estimate=max(error))
     Ks = ff.K(nodes)
     f = Ks * z
     fprime = ff.Kprime(nodes) * z + Ks * zprime
     sgn = csgn(f) if cfg.eps is None else csgn_smooth(f, cfg.eps)
     series = sgn * truncated_series(sgn * f, cfg.table, cfg.series_order)
-    values = (fprime * series * c.velocity(phis) / _TWO_PI_I).reshape(np.shape(phi))
+    values = (fprime * series * (1j * c.radius * u) / _TWO_PI_I).reshape(np.shape(phi))
+    if values.ndim == 0:
+        values = complex(values)
     if failure is not None:
         message = f"Mellin moments did not converge on the contour: {failure}"
         raise NonConvergenceError(message, best_estimate=values, error_estimate=failure.error_estimate) from failure
@@ -217,10 +227,10 @@ def kernel_mellin(ff: FactoredFunction, c: CircularContour, phi, cfg: PipelineCo
     The stage-2 integrand with f and f' from K, K' and the Mellin transforms
     Z and Z' of z(t) alone, the sign factor included; the references of
     ``ff`` are not used. An angle gets the same value alone as in any array:
-    a scalar angle gives a complex, an array an array of its shape.
+    a scalar angle gives a complex, an array an array of its shape, and so
+    does the best estimate of a :class:`NonConvergenceError`.
     """
-    values = _kernel_values(ff, c, phi, cfg)
-    return values if np.ndim(phi) else complex(values)
+    return _kernel_values(ff, c, phi, cfg)
 
 
 def count_direct(ff: FactoredFunction, c: CircularContour) -> CountResult:

@@ -3,10 +3,15 @@
 In x = ln t, Z(s) = int g(x) e**(s x) dx, g(x) = z(e**x), is a trapezoid sum
 on a uniform grid of step h. On a disk s = c + R u, |u| <= 1, it is a power
 series in u whose coefficients, the moments nu_j = sum_x w(x) (R x)**j / j!
-of the s-free density w(x) = h g(x) e**(c x), are built once; Z' is its
-derivative. Past degree M the series' tail is at most sum_x |w| e**(R|x|)
-(R|x|)**(M+1) / (M+1)!, and M is the least degree that brings it, and that
-of Z', under 1e-16 of their sums of |w|, the round-off floor of the moments.
+of the s-free density w(x) = h g(x) e**(c x), are built once
+(:func:`moments`); Z and Z' anywhere on the disk are its sum and derivative
+(:func:`power_sums`). M is the least degree whose tail bound, sum_x |w|
+e**(R|x|) (R|x|)**(M+1) / (M+1)!, and that of Z', fall under 1e-16 of their
+sums of |w| on the abscissae where |w| passes that floor. The series
+converges like (R / d)**j, d the distance from c to the nearest singularity
+of Z, so a large disk next to a strip edge needs more terms than that; the
+moments come with error estimates of Z and Z' (the tail past M, and the
+round-off of terms as large as |w| e**(R|x|)) for the caller's tolerance.
 Z**k and Z' Z**k are products of Z and Z': in x a Mellin convolution is a
 convolution, whose trapezoid sum is the product of its factors' sums. The
 trapezoid rule converges exponentially for analytic, fast-decaying densities
@@ -16,23 +21,21 @@ this module on first use.
 
 from __future__ import annotations
 
-import cmath
 import math
-import sys
-from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError
 from .mellin import MellinIntegrand
-from .quadrature import TRUNCATION_DECAY, QuadratureConfig, _halving_trapezoid
+from .quadrature import _H0, TRUNCATION_DECAY, QuadratureConfig, _halving_trapezoid
 
-__all__ = ["MomentDensity"]
+__all__ = ["moments", "power_sums"]
 
 # A side of the strip without a finite edge is scanned out to |x| = _SCAN; no
 # grid passes |x| = _X_MAX, where t = e**x would under- or overflow.
 _SCAN = 40.0
 _X_MAX = 700.0
+_EPS = np.finfo(float).eps
 
 
 def _tail_cutoff(margin: float) -> float:
@@ -45,11 +48,13 @@ def _tail_cutoff(margin: float) -> float:
     return x
 
 
-def _degree(w: np.ndarray, y: np.ndarray) -> int:
+def _degree(w: np.ndarray, y: np.ndarray) -> tuple[int, float, float]:
     """The least M with sum |w| e**y y**(M+1)/(M+1)!, the bound on Z's tail,
     at most ``TRUNCATION_DECAY`` sum |w|, and M + 1 times it, the bound on
-    R Z''s, at most ``TRUNCATION_DECAY`` sum |w| y; the sums run over the
-    abscissae where |w| exceeds ``TRUNCATION_DECAY`` of its peak, y = R|x|."""
+    R Z''s, at most ``TRUNCATION_DECAY`` sum |w| y, for y = R|x|; and the
+    round-off bounds of Z and R Z', eps sum |w| e**y and eps sum |w| y e**y.
+    The sums run over the abscissae where |w| exceeds ``TRUNCATION_DECAY`` of
+    its peak."""
     mags = np.abs(w)
     keep = mags > TRUNCATION_DECAY * mags.max()
     mags, y = mags[keep], y[keep]
@@ -62,95 +67,87 @@ def _degree(w: np.ndarray, y: np.ndarray) -> int:
     while bound > 0.5 * TRUNCATION_DECAY or m + 1 < y_max:
         m += 1
         bound *= y_max / m
-    tails = np.multiply.accumulate(np.outer(1.0 / np.arange(1, m + 2), y), axis=0) @ (mags * np.exp(y))
+    majorant = mags * np.exp(y)
+    tails = (np.multiply.accumulate(np.multiply.outer(1.0 / np.arange(1, m + 2), y), axis=0) @ majorant).tolist()
     floor, floor_prime = TRUNCATION_DECAY * mags.sum(), TRUNCATION_DECAY * (mags @ y)
-    for degree, tail in enumerate(tails.tolist()):
+    for degree, tail in enumerate(tails):
         if tail <= floor and (degree + 1) * tail <= floor_prime:
-            return degree
+            return degree, _EPS * majorant.sum(), _EPS * tails[0]
     raise DomainError("the moment tail bound overflows: |w| e**(R|x|) is not finite")
 
 
-class MomentDensity:
-    """Z and Z' on the disk |s - center| <= radius. A radius that is not
-    positive and finite raises ``ValueError``, a disk that leaves the
-    convergence strip :class:`DomainError`, both before z is evaluated; the
-    moments are built on the first evaluation."""
+def moments(
+    zf: MellinIntegrand, center: complex, radius: float, quad: QuadratureConfig | None = None
+) -> tuple[np.ndarray, tuple[float, float]]:
+    """nu_0, ..., nu_M for the disk |s - center| <= radius, the rows of the
+    halving trapezoid (its coarse pass sets M) on a grid to |x| = 40 or to a
+    strip edge's tail cutoff, and error estimates of Z and Z' anywhere on the
+    disk: their round-off, eps h sum |w| e**(R|x|) times 1 and |x|, plus their
+    tails past M, each estimated by its last two terms.
 
-    def __init__(self, zf: MellinIntegrand, center: complex, radius: float, quad: QuadratureConfig | None = None):
-        if not 0.0 < radius < math.inf:
-            raise ValueError(f"radius must be positive and finite, got {radius}")
-        lo, hi = zf.convergence_strip
-        c = complex(center)
-        if not (cmath.isfinite(c) and lo < c.real - radius and c.real + radius < hi):
-            raise DomainError(f"the disk about {c} of radius {radius} leaves the convergence strip ({lo}, {hi})")
-        self.zf, self.center, self.radius, self.quad = zf, c, radius, quad or QuadratureConfig()
+    A radius that is not positive and finite raises ``ValueError``, a disk
+    that leaves the convergence strip :class:`DomainError`, both before z is
+    evaluated. A z that maps an array of t to another shape raises
+    ``ValueError``, one not finite on the grid or 0 on all of it
+    :class:`DomainError`, and an exhausted ``quad.max_evals``
+    :class:`NonConvergenceError` with the finest moments and their errors.
+    """
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    lo, hi = zf.convergence_strip
+    c, r = complex(center), radius
+    if not (math.isfinite(c.imag) and lo < c.real - r and c.real + r < hi):
+        raise DomainError(f"the disk about {c} of radius {r} leaves the convergence strip ({lo}, {hi})")
+    x_lo = -_tail_cutoff(c.real - r - lo) if math.isfinite(lo) else -_SCAN
+    x_hi = _tail_cutoff(hi - c.real - r) if math.isfinite(hi) else _SCAN
+    noise = [0.0, 0.0]
 
-    @cached_property
-    def moments(self) -> np.ndarray:
-        """nu_0, ..., nu_M as rows of the halving trapezoid (its coarse pass
-        sets M), on a grid to |x| = 40 or to a strip edge's tail cutoff. A z
-        that maps an array of t to another shape raises ``ValueError``, one
-        not finite on the grid or 0 on all of it :class:`DomainError`, and an
-        exhausted ``quad.max_evals`` :class:`NonConvergenceError`."""
-        lo, hi = self.zf.convergence_strip
-        c, r = self.center, self.radius
-        x_lo = -_tail_cutoff(c.real - r - lo) if math.isfinite(lo) else -_SCAN
-        x_hi = _tail_cutoff(hi - c.real - r) if math.isfinite(hi) else _SCAN
-        bounded = max(c.real * x_lo, c.real * x_hi) < _X_MAX  # e**(c x) is finite on the grid
+    def sample(x: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+        # row j: w (r x)**j / j! without the step h; rows 0..M when None
+        g = np.asarray(zf.z(np.exp(x)), dtype=np.complex128)
+        if g.shape != x.shape:
+            raise ValueError("z must map an array of t to an array of the same shape")
+        # in log space: e**(c x) overflows only where g is tiny or 0, and
+        # log 0 = -inf makes w 0
+        w = np.exp(np.log(g) + c * x)
+        if not np.isfinite(g).all():
+            raise DomainError(f"z(t) is not finite at t = e**{float(x[~np.isfinite(g)][0]):.6g}")
+        if rows is None:
+            degree, noise[0], noise[1] = _degree(w, r * np.abs(x))
+            rows = np.arange(max(degree, 1) + 1)  # two terms for the tail estimate
+        powers = np.empty((rows[-1] + 1, len(x)))
+        powers[0] = 1.0
+        np.multiply.outer(r / np.arange(1, len(powers)), x, out=powers[1:])
+        np.multiply.accumulate(powers, axis=0, out=powers)
+        return (powers if len(rows) == len(powers) else powers[rows]) * w
 
-        def sample(x: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-            # row j: w (r x)**j / j! without the step h; rows 0..M when None
-            with np.errstate(all="ignore"):
-                g = np.asarray(self.zf.z(np.exp(x)), dtype=np.complex128)
-                if g.shape != x.shape:
-                    raise ValueError("z must map an array of t to an array of the same shape")
-                # unbounded, e**(c x) overflows only where g is tiny or 0: take
-                # it in log space, where log 0 = -inf makes w 0
-                w = g * np.exp(c * x) if bounded else np.exp(np.log(g) + c * x)
-            if not np.isfinite(g).all():
-                raise DomainError(f"z(t) is not finite at t = e**{float(x[~np.isfinite(g)][0]):.6g}")
-            if rows is None:
-                rows = np.arange(_degree(w, r * np.abs(x)) + 1)
-            powers = np.ones((rows[-1] + 1, len(x)))
-            np.multiply.outer(r / np.arange(1, len(powers)), x, out=powers[1:])
-            np.multiply.accumulate(powers, axis=0, out=powers)
-            return (powers if len(rows) == len(powers) else powers[rows]) * w
+    def with_errors(nu: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
+        m = len(nu) - 1
+        a, b = abs(nu[m - 1]), abs(nu[m])
+        return nu, (_H0 * noise[0] + a + b, (_H0 * noise[1] + (m - 1) * a + m * b) / r)
 
-        nu = _halving_trapezoid(sample, x_lo, x_hi, self.quad, lambda total: total).value
-        if not nu.any():
-            raise DomainError("Z(s) = 0 on the disk: z(t) vanishes on the grid")
-        return nu
+    # z may under- or overflow far out on the grid, and log 0 = -inf
+    with np.errstate(all="ignore"):
+        nu, error = _halving_trapezoid(sample, x_lo, x_hi, quad or QuadratureConfig(), with_errors).value
+    if not nu.any():
+        raise DomainError("Z(s) = 0 on the disk: z(t) vanishes on the grid")
+    return nu, error
 
-    def __call__(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """``(Z, Z')`` at the points ``s``, an array of any shape, each of its
-        shape. A point that is not finite raises :class:`DomainError`, one
-        outside the disk ``ValueError``, both before z is evaluated; a
-        :class:`NonConvergenceError` carries ``(Z, Z')`` from the finest
-        moments."""
-        c, r = self.center, self.radius
-        s = np.asarray(s, dtype=np.complex128)
-        if not np.isfinite(s).all():
+
+def power_sums(nu: np.ndarray, u, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(Z, Z')`` at s = c + radius u from the :func:`moments` ``nu`` of the
+    disk about c: sum_j nu_j u**j and its derivative in s, each of the shape
+    of ``u``, an array of any shape. A point gets the same value alone as in
+    any array. A u that is not finite raises :class:`DomainError`, one
+    outside the disk, |u| > 1 beyond round-off, ``ValueError``."""
+    u = np.asarray(u, dtype=np.complex128)
+    if not (np.abs(u) <= 1.0 + 4.0 * _EPS).all():
+        if not np.isfinite(u).all():
             raise DomainError("points must be finite")
-        u = (s - c) / r
-        # c + r e**(i phi) is rounded relative to |c| + r
-        if (np.abs(u) > 1.0 + 4.0 * sys.float_info.epsilon * (1.0 + abs(c) / r)).any():
-            raise ValueError(f"points outside the disk about {c} of radius {r}")
-        if u.size == 0:
-            return u, u.copy()
-        try:
-            nu = self.moments
-        except NonConvergenceError as exc:
-            best = _power_sums(exc.best_estimate, u, r)
-            raise NonConvergenceError(str(exc), best_estimate=best, error_estimate=exc.error_estimate) from exc
-        return _power_sums(nu, u, r)
-
-
-def _power_sums(nu: np.ndarray, u: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """sum_j nu_j u**j and its derivative in s = c + r u. Each point sums
-    its own row of powers, so it gets the same value alone as in any array."""
+        raise ValueError("points outside the disk: |u| > 1")
     powers = np.empty(u.shape + nu.shape, dtype=np.complex128)
     powers[..., 0] = 1.0
     powers[..., 1:] = u[..., np.newaxis]
     np.multiply.accumulate(powers, axis=-1, out=powers)
-    zprime = (powers[..., :-1] * (nu[1:] * np.arange(1, len(nu)))).sum(axis=-1) / r
+    zprime = (powers[..., :-1] * (nu[1:] * np.arange(1, len(nu)))).sum(axis=-1) / radius
     return (powers * nu).sum(axis=-1), zprime

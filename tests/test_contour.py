@@ -353,11 +353,27 @@ class TestCounting:
         "center, radius, nodes", [(0.57 + 1.57j, 0.1, 64), (1.0 + 0j, 0.1, 16), (0.5 + 14.134725j, 0.05, 8)]
     )
     def test_pipeline_counts_raise_no_warning(self, zeta_ff, coeffs, center, radius, nodes):
-        # z(e**x) e**(c x) is formed where e**(c x) stays finite, so a count
-        # stays silent where z has underflowed on the scanned side of the strip
+        # z(e**x) e**(c x) is formed in log space, so a count stays silent
+        # where z has underflowed on the scanned side of the strip
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             m.count_pipeline(zeta_ff, m.CircularContour(center, radius, nodes), m.PipelineConfig(table=coeffs))
+
+    def test_pipeline_large_disk_raises(self, coeffs):
+        # z = exp(-1/(3-t)) on t < 3: on the disk about 3 of radius 2.6 the
+        # moment series is slow and its M cuts it short, so Z is 1e-7 off on
+        # the rim, past rel_tol = 1e-8; the count raises instead
+        def z(t):
+            with np.errstate(divide="ignore"):
+                return np.exp(-1.0 / np.maximum(3.0 - t, 0.0))
+
+        ff = m.FactoredFunction(
+            zf=m.MellinIntegrand(z=z, convergence_strip=(0.0, math.inf)), K=np.ones_like, Kprime=np.zeros_like
+        )
+        cfg = m.PipelineConfig(table=coeffs)
+        with pytest.raises(m.NonConvergenceError, match="smaller disk"):
+            m.count_pipeline(ff, m.CircularContour(3.0, 2.6, 16), cfg)
+        assert m.count_pipeline(ff, m.CircularContour(1.5, 1.0, 16), cfg).rounded == 0
 
     def test_pipeline_grid_budget_exhausted(self, zeta_ff, coeffs):
         cfg = m.PipelineConfig(table=coeffs, quad=m.QuadratureConfig(max_evals=100))
@@ -366,6 +382,7 @@ class TestCounting:
             with pytest.raises(m.NonConvergenceError) as info:
                 call()
             best = info.value.best_estimate
+            assert isinstance(best, complex)
             assert math.isfinite(best.real) and math.isfinite(best.imag)
 
     @pytest.mark.parametrize("eps", [None, 0.01])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import melroot as m
-from melroot.logspace import MomentDensity
+from melroot.logspace import moments, power_sums
 
 EXP_DECAY = m.MellinIntegrand(z=lambda t: np.exp(-t), convergence_strip=(0.0, math.inf))
 
@@ -232,9 +232,25 @@ class TestNestedConvolution:
         assert exc.value.dimension == 1
 
 
-def _circle(center, radius, nodes):
-    """Nodes of a circle."""
-    return center + radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+def _rim(nodes):
+    """The points u of the unit circle where a disk's rim has its nodes."""
+    return np.exp(2j * np.pi * np.arange(nodes) / nodes)
+
+
+def _on_disk(zf, center, radius, u, quad=None):
+    """Z and Z' at center + radius u from the moments of the disk."""
+    nu, _ = moments(zf, center, radius, quad)
+    return power_sums(nu, u, radius)
+
+
+def _counted(calls):
+    """The zeta density, recording each array of t it is called on."""
+
+    def z(t):
+        calls.append(t)
+        return m.z_integrand(t)
+
+    return m.MellinIntegrand(z=z, convergence_strip=(-1.0, math.inf))
 
 
 class TestConvolutionPowers:
@@ -242,9 +258,9 @@ class TestConvolutionPowers:
         # z = e**-t: Z = Gamma(s) and Z' Z = psi(s) Gamma(s)**2
         import mpmath as mp
 
-        s = _circle(1.0 + 0.5j, 0.3, 16)
-        z, zprime = MomentDensity(EXP_DECAY, 1.0 + 0.5j, 0.3)(s)
-        for i, si in enumerate(s):
+        u = _rim(16)
+        z, zprime = _on_disk(EXP_DECAY, 1.0 + 0.5j, 0.3, u)
+        for i, si in enumerate(1.0 + 0.5j + 0.3 * u):
             gamma = complex(mp.gamma(si))
             zp_z = complex(mp.digamma(si)) * gamma**2
             assert abs(z[i] - gamma) <= 1e-12 * abs(gamma)
@@ -254,9 +270,9 @@ class TestConvolutionPowers:
         # z = 1/(1+t) on the strip (0, 1): Z = pi / sin(pi s); the grid's
         # right end comes from the strip's upper edge
         zf = m.MellinIntegrand(z=lambda t: 1.0 / (1.0 + t), convergence_strip=(0.0, 1.0))
-        s = _circle(0.5 + 0.5j, 0.2, 16)
-        z, _ = MomentDensity(zf, 0.5 + 0.5j, 0.2)(s)
-        for i, si in enumerate(s):
+        u = _rim(16)
+        z, _ = _on_disk(zf, 0.5 + 0.5j, 0.2, u)
+        for i, si in enumerate(0.5 + 0.5j + 0.2 * u):
             exact = math.pi / cmath.sin(math.pi * si)
             assert abs(z[i] - exact) <= 1e-12 * abs(exact)
             assert abs(z[i] * z[i] - exact * exact) <= 1e-12 * abs(exact * exact)
@@ -268,9 +284,9 @@ class TestConvolutionPowers:
         import mpmath as mp
 
         zf = m.MellinIntegrand(z=lambda t: (1.0 + t) ** -3.0, convergence_strip=(0.0, 3.0))
-        s = _circle(2.8 + 0.5j, 0.1, 8)
-        z, zprime = MomentDensity(zf, 2.8 + 0.5j, 0.1)(s)
-        for i, si in enumerate(s):
+        u = _rim(8)
+        z, zprime = _on_disk(zf, 2.8 + 0.5j, 0.1, u)
+        for i, si in enumerate(2.8 + 0.5j + 0.1 * u):
             exact = complex(mp.gamma(si) * mp.gamma(3 - si) / 2)
             exact_prime = complex((mp.digamma(si) - mp.digamma(3 - si)) * exact)
             assert abs(z[i] - exact) <= 1e-10 * abs(exact)
@@ -279,26 +295,20 @@ class TestConvolutionPowers:
     @pytest.mark.parametrize("center,radius,nodes", [(0.57 + 1.57j, 0.1, 64), (1.0 + 0j, 0.1, 16)])
     def test_matches_adaptive_convolutions(self, zeta_zf, center, radius, nodes):
         # the reference circle and the pole circle
-        s = _circle(center, radius, nodes)
-        z, zprime = MomentDensity(zeta_zf, center, radius)(s)
-        for i, si in enumerate(s):
+        u = _rim(nodes)
+        z, zprime = _on_disk(zeta_zf, center, radius, u)
+        for i, si in enumerate(center + radius * u):
             z2 = m.power_transform(zeta_zf, 2, si).value
             zp_z = m.deriv_times_power(zeta_zf, 1, si).value
             assert abs(z[i] * z[i] - z2) <= 1e-9 * abs(z2)
             assert abs(zprime[i] * z[i] - zp_z) <= 1e-9 * abs(zp_z)
 
-    def test_scanned_side_trimmed(self, zeta_zf):
+    def test_scanned_side_trimmed(self):
         # the strip (-1, inf) has no upper edge: the grid must end where
         # t / cosh(t)**2 dies out (near t = e**3.5), not where the scan ends
-        sizes = []
-
-        def z(t):
-            sizes.append(t.size)
-            return m.z_integrand(t)
-
-        zf = m.MellinIntegrand(z=z, convergence_strip=zeta_zf.convergence_strip)
-        MomentDensity(zf, 0.57 + 1.57j, 0.1)(_circle(0.57 + 1.57j, 0.1, 64))
-        assert sum(sizes) < 400
+        calls = []
+        moments(_counted(calls), 0.57 + 1.57j, 0.1)
+        assert sum(t.size for t in calls) < 400
 
     def test_compact_support_matches_adaptive_transforms(self):
         # z is exactly 0 for t >= 3, so the density is 0 on most of the
@@ -310,70 +320,88 @@ class TestConvolutionPowers:
 
         zf = m.MellinIntegrand(z=z, convergence_strip=(0.0, math.inf))
         for si in (0.5 + 0j, 1.0 + 2.0j, 1.7 - 0.5j, 0.8 + 8.0j):
-            z_value, zprime = MomentDensity(zf, si + 0.05, 0.1)(si)
+            z_value, zprime = _on_disk(zf, si + 0.05, 0.1, -0.5)
             exact = m.transform(zf, si).value
             exact_prime = m.transform_derivative(zf, si).value
             assert abs(z_value - exact) <= 1e-10 * abs(exact)
             assert abs(zprime - exact_prime) <= 1e-10 * abs(exact_prime)
 
-    def test_no_nodes(self, zeta_zf):
-        calls = []
+    def test_large_disk_keeps_its_digits_or_reports_them(self):
+        # z = exp(-1/(3-t)) on t < 3, with a pole of Z at the strip edge s = 0.
+        # The disk about 0.8 of radius 0.4 reaches to Re s = 0.4 and matches
+        # a multiprecision quadrature at s = 0.5. The disk about 3 of radius
+        # 2.6 has a slow series that its M cuts short: Z is 1e-7 off on its
+        # rim, and the error estimate says so
+        import mpmath as mp
 
         def z(t):
-            calls.append(t)
-            return m.z_integrand(t)
+            with np.errstate(divide="ignore"):
+                return np.exp(-1.0 / np.maximum(3.0 - t, 0.0))
 
-        zf = m.MellinIntegrand(z=z, convergence_strip=zeta_zf.convergence_strip)
-        empty = MomentDensity(zf, 0.55 + 0j, 0.05)([])
+        zf = m.MellinIntegrand(z=z, convergence_strip=(0.0, math.inf))
+        quad = m.QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16)
+        z_value, zprime = _on_disk(zf, 0.8, 0.4, -0.75, quad)
+        with mp.workdps(30):
+            exact = complex(mp.quad(lambda t: mp.exp(-1 / (3 - t)) / mp.sqrt(t), [0, 1, 2, 3]))
+            exact_prime = complex(mp.quad(lambda t: mp.exp(-1 / (3 - t)) * mp.log(t) / mp.sqrt(t), [0, 1, 2, 3]))
+        assert abs(z_value - exact) <= 1e-12 * abs(exact)
+        assert abs(zprime - exact_prime) <= 1e-12 * abs(exact_prime)
+        _, (error, _) = moments(zf, 0.8, 0.4, quad)
+        assert error <= 1e-12 * abs(exact)
+
+        nu, (error, error_prime) = moments(zf, 3.0, 2.6, quad)
+        z_rim, zprime_rim = power_sums(nu, -1.0, 2.6)
+        assert abs(z_rim - m.transform(zf, 0.4, quad).value) > 1e-8 * abs(z_rim)
+        assert error > 1e-8 * abs(z_rim) and error_prime > 1e-8 * abs(zprime_rim)
+
+    def test_no_nodes(self):
+        calls = []
+        nu, _ = moments(_counted(calls), 0.55 + 0j, 0.05)
+        built = len(calls)
+        empty = power_sums(nu, [], 0.05)
         assert [values.shape for values in empty] == [(0,), (0,)]
-        assert not calls
+        assert len(calls) == built
 
-    @pytest.mark.parametrize("node", [complex(0.55, math.nan), complex(0.55, math.inf)])
-    def test_non_finite_node_rejected(self, zeta_zf, node):
-        # rejected before z is evaluated, not after the grid budget runs out
+    @pytest.mark.parametrize("node", [complex(0.0, math.nan), complex(math.inf, 0.0)])
+    def test_non_finite_node_rejected(self, node):
+        # evaluation takes the moments: it calls z no more
         calls = []
-
-        def z(t):
-            calls.append(t)
-            return m.z_integrand(t)
-
-        zf = m.MellinIntegrand(z=z, convergence_strip=zeta_zf.convergence_strip)
+        nu, _ = moments(_counted(calls), 0.55 + 1j, 0.05)
+        built = len(calls)
         with pytest.raises(m.DomainError):
-            MomentDensity(zf, 0.55 + 1j, 0.05)([0.55 + 1j, node])
-        assert not calls
+            power_sums(nu, [0.0, node], 0.05)
+        assert len(calls) == built
 
     def test_input_checks(self, zeta_zf):
-        # the disk must lie inside the strip, with a finite centre and radius
+        # the disk must lie inside the strip, with a finite centre and radius,
+        # before z is evaluated
+        zf = m.MellinIntegrand(z=_never_called, convergence_strip=zeta_zf.convergence_strip)
         disks = [(-1.0 + 0j, 0.2), (0.5 + 0j, 1.6), (complex(math.nan, 0.0), 0.1), (complex(0.5, math.inf), 0.1)]
         for center, radius in disks:
             with pytest.raises(m.DomainError):
-                MomentDensity(zeta_zf, center, radius)
+                moments(zf, center, radius)
         for radius in (0.0, -0.1, math.inf, math.nan):
             with pytest.raises(ValueError):
-                MomentDensity(zeta_zf, 0.5 + 0j, radius)
+                moments(zf, 0.5 + 0j, radius)
 
-    def test_point_outside_disk_rejected(self, zeta_zf):
+    def test_point_outside_disk_rejected(self):
         calls = []
-
-        def z(t):
-            calls.append(t)
-            return m.z_integrand(t)
-
-        zf = m.MellinIntegrand(z=z, convergence_strip=zeta_zf.convergence_strip)
+        nu, _ = moments(_counted(calls), 0.57 + 1.57j, 0.1)
+        built = len(calls)
         with pytest.raises(ValueError):
-            MomentDensity(zf, 0.57 + 1.57j, 0.1)([0.57 + 1.57j, 0.57 + 1.68j])
-        assert not calls
+            power_sums(nu, [0.0, 1.1j], 0.1)
+        assert len(calls) == built
 
     def test_points_of_any_shape(self, zeta_zf):
         # one set of moments: each point gets the same value in any array
-        density = MomentDensity(zeta_zf, 0.57 + 1.57j, 0.1)
-        s = 0.57 + 1.57j + 0.1 * np.array([0.0, 0.5, 1j, -0.9, 0.3 - 0.3j, 1.0])
-        z, zprime = density(s)
-        grid = density(s.reshape(2, 3))
+        nu, _ = moments(zeta_zf, 0.57 + 1.57j, 0.1)
+        u = np.array([0.0, 0.5, 1j, -0.9, 0.3 - 0.3j, 1.0])
+        z, zprime = power_sums(nu, u, 0.1)
+        grid = power_sums(nu, u.reshape(2, 3), 0.1)
         assert [values.shape for values in grid] == [(2, 3), (2, 3)]
         assert grid[0].tolist() == z.reshape(2, 3).tolist()
         assert grid[1].tolist() == zprime.reshape(2, 3).tolist()
-        assert all(density(si) == (z[i], zprime[i]) for i, si in enumerate(s))
+        assert all(power_sums(nu, ui, 0.1) == (z[i], zprime[i]) for i, ui in enumerate(u))
 
     @pytest.mark.parametrize(
         "z,error",
@@ -389,17 +417,17 @@ class TestConvolutionPowers:
     def test_bad_z_rejected(self, zeta_zf, z, error):
         zf = m.MellinIntegrand(z=z, convergence_strip=zeta_zf.convergence_strip)
         with pytest.raises(error):
-            MomentDensity(zf, 0.57 + 1.57j, 0.1)(_circle(0.57 + 1.57j, 0.1, 8))
+            moments(zf, 0.57 + 1.57j, 0.1)
 
     def test_nonconvergence_carries_z_and_zprime(self, zeta_zf):
-        density = MomentDensity(zeta_zf, 0.57 + 1.57j, 0.1, m.QuadratureConfig(max_evals=200))
+        # the best estimate is the finest moments, whose Z and Z' are finite
         with pytest.raises(m.NonConvergenceError) as exc:
-            density(_circle(0.57 + 1.57j, 0.1, 8))
-        best = exc.value.best_estimate
-        assert isinstance(best, tuple) and len(best) == 2
-        for values in best:
+            moments(zeta_zf, 0.57 + 1.57j, 0.1, m.QuadratureConfig(max_evals=200))
+        best, error = exc.value.best_estimate
+        assert best.ndim == 1 and np.isfinite(best).all() and np.isfinite(error).all()
+        for values in power_sums(best, _rim(8), 0.1):
             assert values.shape == (8,)
-            assert np.all(np.isfinite(values))
+            assert np.isfinite(values).all()
 
 
 def test_integrand_validation():
