@@ -211,7 +211,8 @@ def _kernel_values(ff: FactoredFunction, c: CircularContour, phi, cfg: PipelineC
     fprime = ff.Kprime(nodes) * z + Ks * zprime
     sgn = csgn(f) if cfg.eps is None else csgn_smooth(f, cfg.eps)
     series = sgn * truncated_series(sgn * f, cfg.table, cfg.series_order)
-    values = (fprime * series * (1j * c.radius * u) / _TWO_PI_I).reshape(np.shape(phi))
+    # (1 / 2 pi i) ds/dphi = radius u / 2 pi
+    values = (fprime * series * (c.radius / (2.0 * math.pi) * u)).reshape(np.shape(phi))
     if values.ndim == 0:
         values = complex(values)
     if failure is not None:

@@ -21,6 +21,7 @@ this module on first use.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -68,7 +69,8 @@ def _degree(w: np.ndarray, y: np.ndarray) -> tuple[int, float, float]:
         m += 1
         bound *= y_max / m
     majorant = mags * np.exp(y)
-    tails = (np.multiply.accumulate(np.multiply.outer(1.0 / np.arange(1, m + 2), y), axis=0) @ majorant).tolist()
+    # y**j / j!, j = 1..m+1, on one row per abscissa
+    tails = (majorant @ np.multiply.accumulate(np.divide.outer(y, np.arange(1.0, m + 2)), axis=1)).tolist()
     floor, floor_prime = TRUNCATION_DECAY * mags.sum(), TRUNCATION_DECAY * (mags @ y)
     for degree, tail in enumerate(tails):
         if tail <= floor and (degree + 1) * tail <= floor_prime:
@@ -102,24 +104,30 @@ def moments(
     x_hi = _tail_cutoff(hi - c.real - r) if math.isfinite(hi) else _SCAN
     noise = [0.0, 0.0]
 
+    ratios = None  # r / j, j = 1..M, from the coarse pass
+
     def sample(x: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-        # row j: w (r x)**j / j! without the step h; rows 0..M when None
-        g = np.asarray(zf.z(np.exp(x)), dtype=np.complex128)
+        # row j: w (r x)**j / j! without the step h, as a cumulative product
+        # down the rows from w; rows 0..M when None
+        nonlocal ratios
+        g = np.asarray(zf.z(np.exp(x)))
         if g.shape != x.shape:
             raise ValueError("z must map an array of t to an array of the same shape")
+        # g sums to a finite value when every sample is finite
+        if not cmath.isfinite(g.sum()) and not np.isfinite(g).all():
+            raise DomainError(f"z(t) is not finite at t = e**{float(x[~np.isfinite(g)][0]):.6g}")
         # in log space: e**(c x) overflows only where g is tiny or 0, and
         # log 0 = -inf makes w 0
-        w = np.exp(np.log(g) + c * x)
-        if not np.isfinite(g).all():
-            raise DomainError(f"z(t) is not finite at t = e**{float(x[~np.isfinite(g)][0]):.6g}")
+        w = np.exp(np.log(g, dtype=np.complex128) + c * x)
         if rows is None:
             degree, noise[0], noise[1] = _degree(w, r * np.abs(x))
-            rows = np.arange(max(degree, 1) + 1)  # two terms for the tail estimate
-        powers = np.empty((rows[-1] + 1, len(x)))
-        powers[0] = 1.0
-        np.multiply.outer(r / np.arange(1, len(powers)), x, out=powers[1:])
-        np.multiply.accumulate(powers, axis=0, out=powers)
-        return (powers if len(rows) == len(powers) else powers[rows]) * w
+            ratios = r / np.arange(1, max(degree, 1) + 1)  # two terms for the tail estimate
+        last = len(ratios) if rows is None else rows[-1]
+        table = np.empty((last + 1, len(x)), dtype=np.complex128)
+        table[0] = w
+        np.multiply(ratios[:last, np.newaxis], x, out=table[1:])
+        np.multiply.accumulate(table, axis=0, out=table)
+        return table if rows is None or len(rows) == len(table) else table[rows]
 
     def with_errors(nu: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
         m = len(nu) - 1
@@ -141,7 +149,7 @@ def power_sums(nu: np.ndarray, u, radius: float) -> tuple[np.ndarray, np.ndarray
     any array. A u that is not finite raises :class:`DomainError`, one
     outside the disk, |u| > 1 beyond round-off, ``ValueError``."""
     u = np.asarray(u, dtype=np.complex128)
-    if not (np.abs(u) <= 1.0 + 4.0 * _EPS).all():
+    if not np.abs(u).max(initial=0.0) <= 1.0 + 4.0 * _EPS:
         if not np.isfinite(u).all():
             raise DomainError("points must be finite")
         raise ValueError("points outside the disk: |u| > 1")

@@ -1,9 +1,10 @@
 """Complex special functions, elementwise over numpy arrays.
 
-The complex sign function and its smooth tanh surrogate, and Lanczos
-log-gamma / digamma for the prefactors. Each takes a scalar or an array: a
-scalar gives a scalar (``csgn`` an int, the others a complex), an array
-gives an array of its shape. A pole or domain error at any element raises.
+The complex sign function and its smooth tanh surrogate, and log-gamma and
+digamma for the prefactors, both from one pass of Stirling's series. Each
+takes a scalar or an array: a scalar gives a scalar (``csgn`` an int, the
+others a complex), an array gives an array of its shape. A pole or domain
+error at any element raises.
 """
 
 from __future__ import annotations
@@ -68,96 +69,76 @@ def csgn_smooth(x, eps: float):
     return out
 
 
-# Lanczos approximation, g = 7, 9 terms; relative accuracy ~1e-14 on the
-# half-plane Re(z) >= 0.5, extended by reflection.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
+# Stirling's series (DLMF 5.11.1, 5.11.2) at v = w + 10, |v| > 10.5, where
+# seven Bernoulli terms leave less than 2e-17 of log Gamma(v) and psi(v).
+# Column k of the row for log Gamma holds minus the coefficient of
+# v**-(power k) in log Gamma(v) - (v - 1/2) ln v + v, that for psi the same
+# for psi(v) - ln v, so one table of inverse powers serves both.
+_SHIFT = 10
+_SHIFTS = np.arange(float(_SHIFT))
+_EVEN = np.arange(2.0, 16.0, 2.0)  # 2k, k = 1..7
+_BERNOULLI = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6])  # B_2k
+_STIRLING = -np.array(
+    [[0.5 * math.log(2.0 * math.pi), *(_BERNOULLI / (_EVEN * (_EVEN - 1.0)))], [-0.5, *(-_BERNOULLI / _EVEN)]]
 )
-# coefficients and shifts of the Lanczos terms after the first,
-# c_i / (z - 1 + i) for i = 1..8
-_LANCZOS_TAIL = np.array(_LANCZOS[1:])
-_LANCZOS_SHIFTS = np.arange(1.0, len(_LANCZOS))
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_STIRLING_POWERS = np.array([[0.0, *(_EVEN - 1.0)], [1.0, *_EVEN]])
+_TERMS = (2, _SHIFT + _STIRLING.shape[1])
 _LOG_PI = math.log(math.pi)
 
 
-def _leading(terms: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``terms`` shaped to broadcast against ``x`` along a new leading axis."""
-    return terms.reshape(terms.shape + (1,) * x.ndim)
+def _gamma_pass(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log Gamma(z), psi(z)) at each element of the complex array ``z``.
 
-
-def _fold(op: np.ufunc, initial, terms: np.ndarray) -> np.ndarray:
-    """((initial op terms[0]) op terms[1]) op ... along the leading axis, in
-    that order at every element, as a loop of array operations would give it;
-    ``terms`` is overwritten. ``accumulate`` keeps the order, while a
-    ``reduce`` may sum pairwise and round differently."""
-    op(initial, terms[0], out=terms[0])
-    return op.accumulate(terms, axis=0)[-1]
-
-
-def _reject_poles(z: np.ndarray, name: str) -> None:
-    poles = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
-    if poles.any():
-        raise PoleError(f"{name} has a pole at {complex(z[poles][0])}")
+    For Re z >= 0.5 both come from Stirling's series at v = z + 10 and the
+    recurrence Gamma(z) = Gamma(v) / (z (z + 1) ... (z + 9)); below that from
+    the reflection formulas at 1 - z, with sin(pi z) and cot(pi z) reduced to
+    the nearest integer first. A pole, z = 0, -1, -2, ..., anywhere raises
+    :class:`PoleError`.
+    """
+    reflect = z.real < 0.5
+    w = z
+    if reflect.any():
+        poles = reflect & (z.imag == 0.0) & (z.real == np.round(z.real))
+        if poles.any():
+            raise PoleError(f"Gamma and digamma have a pole at {complex(z[poles][0])}")
+        w = np.where(reflect, 1.0 - z, z)
+    v = w + _SHIFT
+    log_v = np.log(v)
+    # log Gamma(w) and psi(w), less (v - 1/2) ln v - v and ln v, are minus the
+    # sums of these rows, added in order at every element (``accumulate``; a
+    # ``reduce`` may sum pairwise and round a lone element differently)
+    shifted = w[..., np.newaxis] + _SHIFTS
+    terms = np.empty(w.shape + _TERMS, dtype=np.complex128)
+    np.log(shifted, out=terms[..., 0, :_SHIFT])
+    np.divide(1.0, shifted, out=terms[..., 1, :_SHIFT])
+    np.multiply(_STIRLING, (1.0 / v)[..., np.newaxis, np.newaxis] ** _STIRLING_POWERS, out=terms[..., _SHIFT:])
+    sums = np.add.accumulate(terms, axis=-1)[..., -1]
+    log_gamma = (v - 0.5) * log_v - v - sums[..., 0]
+    psi = log_v - sums[..., 1]
+    if w is not z:  # some element is reflected
+        # z - n is exact, so sin and tan lose no digits next to a pole
+        zr = z[reflect]
+        n = np.round(zr.real)
+        angle = math.pi * (zr - n)
+        sin = np.sin(angle)
+        np.negative(sin, out=sin, where=n % 2.0 != 0.0)  # sin(pi z) = (-1)**n sin(pi (z - n))
+        log_gamma[reflect] = _LOG_PI - np.log(sin) - log_gamma[reflect]
+        psi[reflect] -= math.pi / np.tan(angle)
+    return log_gamma, psi
 
 
 @elementwise
 def log_gamma(z):
-    """log Gamma(z) for complex z (Lanczos; reflection for Re(z) < 0.5).
+    """log Gamma(z) for complex z; the principal branch for Re(z) >= 0.5.
 
-    The imaginary part is not guaranteed to be the analytically continued
-    branch across the reflection seam; exp(log_gamma(z)) is always Gamma(z).
+    Below that the imaginary part is not guaranteed to be the analytically
+    continued branch across the reflection seam; exp(log_gamma(z)) is always
+    Gamma(z).
     """
-    _reject_poles(z, "Gamma")
-    reflect = z.real < 0.5
-    zm = np.where(reflect, 1.0 - z, z) - 1.0
-    acc = _fold(np.add, _LANCZOS[0], _leading(_LANCZOS_TAIL, zm) / (zm + _leading(_LANCZOS_SHIFTS, zm)))
-    t = zm + _LANCZOS_G + 0.5
-    out = _HALF_LOG_TWO_PI + (zm + 0.5) * np.log(t) - t + np.log(acc)
-    if reflect.any():
-        # _reject_poles leaves no z whose sin(pi z) rounds to 0
-        out[reflect] = _LOG_PI - np.log(np.sin(math.pi * z[reflect])) - out[reflect]
-    return out
-
-
-_DIGAMMA_SHIFTS = np.arange(10.0)
-# psi(z) ~ ln z - 1/(2z) - sum B_2n / (2n z^(2n)); coefficients B_2n/(2n)
-_DIGAMMA_ASYMPTOTIC = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
+    return _gamma_pass(z)[0]
 
 
 @elementwise
 def digamma(z):
-    """psi(z) = d/dz log Gamma(z) for complex z (recurrence over ten steps,
-    then the asymptotic series; reflection for Re(z) < 0.5)."""
-    _reject_poles(z, "digamma")
-    reflect = z.real < 0.5
-    w = np.where(reflect, 1.0 - z, z)
-    # psi(w) = psi(w + 10) - sum_{k < 10} 1 / (w + k), and Re(w + 10) > 10
-    # is in the range of the asymptotic series
-    acc = _fold(np.subtract, 0.0, 1.0 / (w + _leading(_DIGAMMA_SHIFTS, w)))
-    w = w + len(_DIGAMMA_SHIFTS)
-    inv2 = 1.0 / (w * w)
-    tail = np.zeros_like(w)
-    for coeff in reversed(_DIGAMMA_ASYMPTOTIC):
-        tail = inv2 * (coeff + tail)
-    out = acc + np.log(w) - 0.5 / w - tail
-    if reflect.any():
-        out[reflect] -= math.pi / np.tan(math.pi * z[reflect])
-    return out
+    """psi(z) = d/dz log Gamma(z) for complex z."""
+    return _gamma_pass(z)[1]

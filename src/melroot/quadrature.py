@@ -21,6 +21,7 @@ runs are bit-identical.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -136,18 +137,19 @@ def _halving_trapezoid(
     u = h * np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
     vals = sample(u, None)
     n_rows, evals = vals.shape[0], len(u)
-    finite = np.isfinite(vals)
-    all_finite = bool(finite.all())
+    mags = np.abs(vals)
+    peak = mags.max(axis=1, keepdims=True)
+    # a NaN or infinite sample makes its row's peak NaN or infinite
+    all_finite = bool(np.isfinite(peak).all())
     if not all_finite:
+        finite = np.isfinite(vals)
         if not finite.any(axis=1).all():
             raise DomainError(
                 f"the integrand is not finite at any abscissa of the coarse pass over [{lo:g}, {hi:g}]"
             )
-        vals[~finite] = 0.0
-
-    mags = np.abs(vals)
-    peak = mags.max(axis=1, keepdims=True)
-    keep = np.nonzero((mags > TRUNCATION_DECAY * peak).any(axis=0))[0]
+        vals[~finite] = mags[~finite] = 0.0
+        peak = mags.max(axis=1, keepdims=True)
+    keep = (mags > TRUNCATION_DECAY * peak).any(axis=0).nonzero()[0]
     if keep.size == 0:
         return QuadratureResult(value_of(np.zeros(n_rows, dtype=vals.dtype)), 0.0, evals)
     i_lo = max(int(keep[0]) - 1, 0)
@@ -164,13 +166,16 @@ def _halving_trapezoid(
     while evals < quad.max_evals:
         level += 1
         h *= 0.5
-        # the new abscissae, odd multiples of h (coarse-pass lo / h, hi / h are even)
-        u = h * np.arange(lo / h + 1, hi / h, 2)
+        # the new abscissae, odd multiples of h (coarse-pass lo / h, hi / h are
+        # even), each exact
+        u = np.arange(lo + h, hi, 2.0 * h)
         step = max(1, _CHUNK // len(active))
         new = sample(u[:step], active).sum(axis=1)
         for i in range(step, len(u), step):
             new = new + sample(u[i : i + step], active).sum(axis=1)
-        if not np.isfinite(new).all():
+        # the sum of the rows is finite when each row is, and one that is not
+        # gets the exact test
+        if not cmath.isfinite(new.sum()) and not np.isfinite(new).all():
             _raise_not_finite(lo, hi)
         new = sums / 2.0 + h * new
         evals += len(u)
@@ -179,8 +184,10 @@ def _halving_trapezoid(
             # delta <= tol is false for a NaN row, which goes on refining
             done = delta <= np.maximum(quad.abs_tol, quad.rel_tol * np.abs(sums))
             if done.any():
-                total[active[done]], err[active[done]] = sums[done], delta[done]
-                active, sums, delta = active[~done], sums[~done], delta[~done]
+                # rows that go on refining overwrite their entries later
+                total[active], err[active] = sums, delta
+                live = ~done
+                active, sums, delta = active[live], sums[live], delta[live]
                 if active.size == 0:
                     return QuadratureResult(value_of(total), float(err.max()), evals)
 

@@ -21,7 +21,7 @@ import numpy as np
 from .contour import FactoredFunction
 from .errors import PoleError
 from .mellin import MellinIntegrand
-from .numerics import digamma, elementwise, log_gamma
+from .numerics import _gamma_pass, elementwise
 
 __all__ = [
     "z_integrand",
@@ -124,31 +124,27 @@ def z_integrand(t):
     return t / np.cosh(t) ** 2
 
 
-def _prefactor_terms(s: np.ndarray):
-    """(K(s), 2**(1-s), 1 - 2**(1-s)) at each element of ``s``; the first
+def _prefactor_pass(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K(s), K'(s)) at each element of ``s``, from one gamma pass. The first
     element of smallest |1 - 2**(1-s)|, NaN aside, is validated by
     :func:`_check_eta_factor` when that is below the conditioning cutoff."""
-    two = np.exp((1.0 - s) * _LN2)
+    exponent = (1.0 - s) * _LN2
+    two = np.exp(exponent)
     lam = 1.0 - two
     mags = np.abs(lam)
     # fmin and nanargmin pass over NaN, which would hide a 0 from a plain minimum
     if np.fmin.reduce(mags, axis=None, initial=math.inf) < _CONDITIONING_CUTOFF:
         i = np.nanargmin(mags)
         _check_eta_factor(lam.flat[i], s.flat[i])
-    return np.exp((s - 1.0) * _LN2 - log_gamma(s + 1.0)) / lam, two, lam
-
-
-def _prefactor_pass(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K(s), K'(s)) at each element of ``s``, from one log-gamma and one
-    digamma pass."""
-    K, two, lam = _prefactor_terms(s)
-    return K, K * (_LN2 - two * _LN2 / lam - digamma(s + 1.0))
+    log_gamma, psi = _gamma_pass(s + 1.0)
+    K = np.exp(-exponent - log_gamma) / lam
+    return K, K * (_LN2 - two * _LN2 / lam - psi)
 
 
 @elementwise
 def prefactor(s):
     """K(s) = 2**(s-1) / ((1 - 2**(1-s)) * Gamma(s+1)), elementwise."""
-    return _prefactor_terms(s)[0]
+    return _prefactor_pass(s)[0]
 
 
 @elementwise
@@ -195,7 +191,7 @@ def build_zeta_factored() -> FactoredFunction:
     All four callables take a scalar or a node array. f and f' share one
     kept evaluation (:func:`_kept_evaluation`), so a node array costs one
     eta-series pass per node, and K and K' share another, so it costs one
-    log-gamma and one digamma pass. Each returns the values of
+    gamma pass (log Gamma and psi together). Each returns the values of
     :func:`zeta_reference`, :func:`zeta_prime_reference`, :func:`prefactor`
     or :func:`prefactor_derivative` there."""
     zf = MellinIntegrand(z=z_integrand, convergence_strip=(-1.0, math.inf))

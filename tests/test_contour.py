@@ -350,6 +350,24 @@ class TestCounting:
         assert (len(sizes), sum(sizes)) == (calls, points)
 
     @pytest.mark.parametrize(
+        "center, radius, nodes, value, degree",
+        [
+            (0.57 + 1.57j, 0.1, 64, 2.963325774675302e-17 - 4.2065601514068947e-17j, 15),  # the reference circle
+            (1.0 + 0j, 0.1, 16, -24.316441567057584 + 3.1390816482077686e-15j, 14),  # the pole
+            (0.5 + 14.134725j, 0.05, 8, 0.09753842569447208 - 0.023322002358374734j, 12),  # the first zero
+        ],
+    )
+    def test_pipeline_counts_are_pinned(self, zeta_ff, coeffs, center, radius, nodes, value, degree):
+        # the benchmark's unjittered circles: a change that makes counts
+        # faster keeps their values and the degree M of their moments
+        from melroot.logspace import moments
+
+        c = m.CircularContour(center, radius, nodes)
+        count = m.count_pipeline(zeta_ff, c, m.PipelineConfig(table=coeffs)).value
+        assert abs(count - value) <= 1e-12 * max(1.0, abs(value))
+        assert len(moments(zeta_ff.zf, center, radius)[0]) - 1 == degree
+
+    @pytest.mark.parametrize(
         "center, radius, nodes", [(0.57 + 1.57j, 0.1, 64), (1.0 + 0j, 0.1, 16), (0.5 + 14.134725j, 0.05, 8)]
     )
     def test_pipeline_counts_raise_no_warning(self, zeta_ff, coeffs, center, radius, nodes):

@@ -116,6 +116,31 @@ class TestGammaFunctions:
             fd = (m.log_gamma(s + h) - m.log_gamma(s - h)) / (2 * h)
             assert abs(m.digamma(s) - fd) < 1e-7
 
+    def test_accuracy_across_the_reflection_line(self):
+        # Re z in [-5.5, 4] on both sides of Re z = 0.5, |Im z| <= 60, and
+        # points next to the poles at 0, -1, -2, -5
+        import mpmath as mp
+
+        re = np.linspace(-5.5, 4.0, 20)
+        im = np.array([-60.0, -20.0, -5.0, -1.0, -0.1, -1e-3, 0.0, 1e-3, 0.1, 1.0, 5.0, 20.0, 60.0])
+        z = (re[:, np.newaxis] + 1j * im).ravel()
+        z = z[(z.imag != 0.0) | (z.real != np.round(z.real)) | (z.real > 0.0)]
+        near = [k + d for k in (0.0, -1.0, -2.0, -5.0) for d in (1e-9, -1e-7, 1e-5 + 1e-5j)]
+        z = np.concatenate([z, near])
+        right = z[z.real >= 0.5]
+        with mp.workdps(30):
+            gamma = np.array([complex(mp.gamma(p)) for p in z])
+            psi = np.array([complex(mp.digamma(p)) for p in z])
+            principal = np.array([complex(mp.loggamma(p)) for p in right])
+        assert (np.abs(np.exp(m.log_gamma(z)) - gamma) <= 1e-13 * np.abs(gamma)).all()
+        assert (np.abs(m.digamma(z) - psi) <= 1e-14 * np.maximum(1.0, np.abs(psi))).all()
+        # on Re z >= 0.5 log_gamma is the principal branch itself
+        assert (np.abs(m.log_gamma(right) - principal) <= 5e-14 * np.maximum(1.0, np.abs(principal))).all()
+        for pole in (0.0, -1.0, -2.0):
+            for f in (m.log_gamma, m.digamma):
+                with pytest.raises(m.PoleError):
+                    f(pole)
+
     def test_accuracy_against_multiprecision(self):
         import mpmath as mp
 

@@ -346,18 +346,18 @@ class TestSharedPrefactorPass(KeptEvaluationCases):
     def count(self, ff, c, coeffs):
         return m.count_pipeline(ff, c, m.PipelineConfig(table=coeffs))
 
-    def test_count_pipeline_runs_one_log_gamma_and_one_digamma(self, monkeypatch, coeffs):
+    def test_count_pipeline_runs_one_gamma_pass(self, monkeypatch, coeffs):
+        # log Gamma and psi for K and K' come from one shared pass
         calls = []
-        for name in ("log_gamma", "digamma"):
 
-            def counted(z, fn=getattr(zeta_module, name), name=name):
-                calls.append(name)
-                return fn(z)
+        def counted(z, fn=zeta_module._gamma_pass):
+            calls.append(z.shape)
+            return fn(z)
 
-            monkeypatch.setattr(zeta_module, name, counted)
+        monkeypatch.setattr(zeta_module, "_gamma_pass", counted)
         c = m.CircularContour(1.0 + 0j, 0.1, nodes=16)
         m.count_pipeline(m.build_zeta_factored(), c, m.PipelineConfig(table=coeffs))
-        assert sorted(calls) == ["digamma", "log_gamma"]
+        assert calls == [(16,)]
 
     def test_conditioning_warning_names_the_caller(self):
         super().test_conditioning_warning_names_the_caller()
