@@ -29,7 +29,9 @@ __all__ = [
     "deriv_times_power",
 ]
 
-# Outer abscissae integrated together by one batched inner quadrature. At
+# Outer abscissae integrated together by one batched inner quadrature. The
+# first two halvings of the outer loop share one call of its integrand, so
+# they bring their new abscissae in one array and fill blocks more often. At
 # the default tolerances one sample array then holds up to 128 x 512 float64
 # values (512 KB); rows that have converged are not sampled again, so a
 # large block costs little more than its slowest row.

@@ -84,6 +84,7 @@ _STIRLING = -np.array(
 _STIRLING_POWERS = np.array([[0.0, *(_EVEN - 1.0)], [1.0, *_EVEN]])
 _TERMS = (2, _SHIFT + _STIRLING.shape[1])
 _LOG_PI = math.log(math.pi)
+_LOG_2 = math.log(2.0)
 
 
 def _gamma_pass(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -91,8 +92,9 @@ def _gamma_pass(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     For Re z >= 0.5 both come from Stirling's series at v = z + 10 and the
     recurrence Gamma(z) = Gamma(v) / (z (z + 1) ... (z + 9)); below that from
-    the reflection formulas at 1 - z, with sin(pi z) and cot(pi z) reduced to
-    the nearest integer first. A pole, z = 0, -1, -2, ..., anywhere raises
+    the reflection formulas at 1 - z, with log sin(pi z) and cot(pi z)
+    reduced to the nearest integer first, and log sin taken from exponentials
+    that stay finite at any Im z. A pole, z = 0, -1, -2, ..., anywhere raises
     :class:`PoleError`.
     """
     reflect = z.real < 0.5
@@ -116,13 +118,18 @@ def _gamma_pass(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     log_gamma = (v - 0.5) * log_v - v - sums[..., 0]
     psi = log_v - sums[..., 1]
     if w is not z:  # some element is reflected
-        # z - n is exact, so sin and tan lose no digits next to a pole
+        # z - n is exact, so log sin and tan lose no digits next to a pole
         zr = z[reflect]
         n = np.round(zr.real)
         angle = math.pi * (zr - n)
-        sin = np.sin(angle)
-        np.negative(sin, out=sin, where=n % 2.0 != 0.0)  # sin(pi z) = (-1)**n sin(pi (z - n))
-        log_gamma[reflect] = _LOG_PI - np.log(sin) - log_gamma[reflect]
+        # sin(pi z) = (-1)**n sin(angle), and with sigma = +-1 the sign of
+        # Im angle, sin(angle) = e**(-i sigma angle) (1 - e**(2 i sigma angle))
+        # / (-2 i sigma): its log does not overflow where sin does, once
+        # |Im angle| passes about 710
+        sigma = np.where(angle.imag < 0.0, -1.0, 1.0)
+        i_angle = 1j * sigma * angle
+        log_sin = np.log(-np.expm1(2.0 * i_angle)) - i_angle - _LOG_2 + 1j * math.pi * (sigma / 2.0 + n % 2.0)
+        log_gamma[reflect] = _LOG_PI - log_sin - log_gamma[reflect]
         psi[reflect] -= math.pi / np.tan(angle)
     return log_gamma, psi
 

@@ -13,7 +13,9 @@ Two entry points:
 Every adaptive integral in the package is one refinement loop,
 :func:`_halving_trapezoid` (coarse pass, trim, step halving, a stop test per
 row, a budget of sampled abscissae), on a map of (0, inf): the exp-sinh rule
-in u with t = exp(pi/2 sinh u), :mod:`melroot.logspace` in x = ln t.
+in u with t = exp(pi/2 sinh u), :mod:`melroot.logspace` in x = ln t. Each
+halving is one call of the integrand, except the first two, which no row can
+retire from: they share one.
 
 All engines are pure and re-entrant; summation order is fixed so repeated
 runs are bit-identical.
@@ -109,6 +111,26 @@ def _raise_not_finite(lo: float, hi: float):
     )
 
 
+def _level_sums(sample: Callable, us: list[np.ndarray], active: np.ndarray) -> list[np.ndarray]:
+    """Row sums of ``sample`` over each abscissa array of ``us``: one call on
+    their concatenation, in which each array is a contiguous column block,
+    split into calls of at most ``_CHUNK`` rows times abscissae."""
+    u = np.concatenate(us)
+    step = max(1, _CHUNK // len(active))
+    sums = [None] * len(us)
+    # at least one call, also when no abscissa is new
+    for i in range(0, len(u) or 1, step):
+        vals = sample(u[i : i + step], active)
+        start = -i  # the first column of the current block in vals
+        for b, block in enumerate(us):
+            first, stop = max(start, 0), min(start + len(block), vals.shape[1])
+            if first < stop or len(block) == 0:
+                part = vals[:, first:stop].sum(axis=1)
+                sums[b] = part if sums[b] is None else sums[b] + part
+            start += len(block)
+    return sums
+
+
 def _halving_trapezoid(
     sample: Callable, lo: float, hi: float, quad: QuadratureConfig, value_of: Callable[[np.ndarray], Any]
 ) -> QuadratureResult:
@@ -121,10 +143,15 @@ def _halving_trapezoid(
     The coarse pass trims the support once, to where some row exceeds
     ``TRUNCATION_DECAY`` times its own peak, plus one step on each side
     (every row is 0 when that is nowhere); each halving samples the new
-    abscissae inside it. A non-finite sample is read as 0 outside that
-    support and raises :class:`DomainError` inside it (a sampler that must
-    forgive one zeroes it itself), as does a row that is not finite at any
-    abscissa of the coarse pass. From the second halving on, a row that
+    abscissae inside it, one sampler call per halving (split into calls of
+    at most ``_CHUNK`` rows times abscissae). The halvings up to the
+    ``_MIN_LEVELS``-th, which no row can retire from, share one call, each
+    as far as the budget would have run it alone; their sums are formed
+    level by level from their column blocks, as if sampled one by one. A
+    non-finite sample is read as 0 outside that support and raises
+    :class:`DomainError` inside it (a sampler that must forgive one zeroes
+    it itself), as does a row that is not finite at any abscissa of the
+    coarse pass. From the second halving on, a row that
     changed by at most ``max(abs_tol, rel_tol * |row|)`` keeps its value and
     error and is not sampled again. Halving stops when no row is left, or
     raises :class:`NonConvergenceError` with ``value_of`` of the finest sums
@@ -164,22 +191,26 @@ def _halving_trapezoid(
 
     level = 0
     while evals < quad.max_evals:
-        level += 1
-        h *= 0.5
-        # the new abscissae, odd multiples of h (coarse-pass lo / h, hi / h are
-        # even), each exact
-        u = np.arange(lo + h, hi, 2.0 * h)
-        step = max(1, _CHUNK // len(active))
-        new = sample(u[:step], active).sum(axis=1)
-        for i in range(step, len(u), step):
-            new = new + sample(u[i : i + step], active).sum(axis=1)
-        # the sum of the rows is finite when each row is, and one that is not
-        # gets the exact test
-        if not cmath.isfinite(new.sum()) and not np.isfinite(new).all():
-            _raise_not_finite(lo, hi)
-        new = sums / 2.0 + h * new
-        evals += len(u)
-        delta, sums = np.abs(new - sums), new
+        # the new abscissae of a level, odd multiples of h (coarse-pass lo / h,
+        # hi / h are even), each exact; no row retires before _MIN_LEVELS, so
+        # the levels up to it share one sampler call, each of them as far as
+        # the budget would have run it alone
+        hs, us = [], []
+        while True:
+            level += 1
+            h *= 0.5
+            hs.append(h)
+            us.append(np.arange(lo + h, hi, 2.0 * h))
+            if level >= _MIN_LEVELS or evals + sum(map(len, us)) >= quad.max_evals:
+                break
+        for h, u, new in zip(hs, us, _level_sums(sample, us, active)):
+            # the sum of the rows is finite when each row is, and one that is
+            # not gets the exact test
+            if not cmath.isfinite(new.sum()) and not np.isfinite(new).all():
+                _raise_not_finite(lo, hi)
+            new = sums / 2.0 + h * new
+            evals += len(u)
+            delta, sums = np.abs(new - sums), new
         if level >= _MIN_LEVELS:
             # delta <= tol is false for a NaN row, which goes on refining
             done = delta <= np.maximum(quad.abs_tol, quad.rel_tol * np.abs(sums))

@@ -331,14 +331,15 @@ class TestCounting:
     @pytest.mark.parametrize(
         "center, radius, nodes, calls, points",
         [
-            (0.57 + 1.57j, 0.1, 64, 3, 334),  # the reference circle
-            (1.0 + 0j, 0.1, 16, 3, 282),  # the pole
-            (0.5 + 14.134725j, 0.05, 8, 4, 602),  # the first zero: a third halving
+            (0.57 + 1.57j, 0.1, 64, 2, 334),  # the reference circle
+            (1.0 + 0j, 0.1, 16, 2, 282),  # the pole
+            (0.5 + 14.134725j, 0.05, 8, 3, 602),  # the first zero: a third halving
         ],
     )
     def test_pipeline_grid_work_is_pinned(self, zeta_ff, coeffs, center, radius, nodes, calls, points):
         # the z calls and z points of the benchmark's unjittered circles: the
-        # coarse pass and each halving are one call, at the new abscissae only
+        # coarse pass is one call, the first two halvings share one and each
+        # later halving is one, at the new abscissae only
         sizes = []
 
         def z(t):

@@ -141,6 +141,20 @@ class TestGammaFunctions:
                 with pytest.raises(m.PoleError):
                     f(pole)
 
+    def test_reflection_at_large_imaginary_part(self):
+        # sin(pi z) overflows past |Im z| of about 225, log Gamma does not.
+        # exp turns an absolute error of log Gamma into the same relative
+        # error of Gamma, and |log Gamma| ~ 1500-2100 here holds only about
+        # 1e-13 absolute in a double, so the bound scales with |log Gamma|
+        import mpmath as mp
+
+        for z in (-0.5 + 300j, -3.2 - 400j):
+            with mp.workdps(30):
+                gamma, log_gamma = mp.exp(mp.loggamma(z)), complex(mp.loggamma(z))
+                ours = m.log_gamma(z)
+                assert cmath.isfinite(ours)
+                assert abs(mp.exp(ours) / gamma - 1) <= 1e-15 * abs(log_gamma)
+
     def test_accuracy_against_multiprecision(self):
         import mpmath as mp
 

@@ -209,6 +209,65 @@ class TestRows:
         assert np.all(np.isfinite(exc.value.best_estimate))
 
 
+class TestSamplerCalls:
+    def test_first_two_halvings_share_one_call(self):
+        sizes = []
+
+        def g(t):
+            sizes.append(len(t))
+            return np.exp(-t)
+
+        r = m.integrate_semi_infinite(g)
+        assert abs(r.value - 1.0) < 1e-10
+        # the coarse pass at step 0.5 on |u| <= 6.5; the first halving samples
+        # k abscissae of the trimmed support and the second 2k, in one call;
+        # each later halving doubles them again in a call of its own
+        k = sizes[1] // 3
+        assert sizes[0] == 27 and len(sizes) >= 3
+        assert sizes[1:] == [3 * k] + [k * 2**level for level in range(2, len(sizes))]
+        assert sum(sizes) == r.evals
+
+    def test_budget_spent_by_the_first_halving(self):
+        # a kink at 0 keeps the trapezoid error O(h**2), so the first and
+        # second halvings give different sums
+        f = lambda u: np.exp(-np.abs(u))
+        widths = []
+
+        def sample(u, active):
+            widths.append(len(u))
+            return f(u)[np.newaxis]
+
+        # the coarse pass samples 161 abscissae on [-40, 40] and keeps
+        # [-37, 37], where e**-|u| passes 1e-16; its first halving samples 148
+        quad = m.QuadratureConfig(max_evals=200)
+        with pytest.raises(m.NonConvergenceError) as exc:
+            m.quadrature._halving_trapezoid(sample, -40.0, 40.0, quad, lambda total: total)
+        assert widths == [161, 148]
+        first = 0.25 * f(0.25 * np.arange(-148, 149)).sum()
+        assert exc.value.best_estimate == pytest.approx([first], rel=1e-15, abs=0.0)
+        assert abs(first - 0.125 * f(0.125 * np.arange(-296, 297)).sum()) > 1e-3
+
+    def test_chunked_rows_stay_within_the_chunk(self):
+        # row 0 is e**-t and bounds every other row, so the trimmed support,
+        # and the width of the shared call of the first two halvings, are e**-t's
+        sizes = []
+        m.integrate_semi_infinite(lambda t: sizes.append(len(t)) or np.exp(-t))
+        # enough rows that the shared call is split
+        rows = np.linspace(0.0, 3.0, 10_000)
+        step = m.quadrature._CHUNK // len(rows)
+        assert step < sizes[1]
+        widths = []
+
+        def g(t, p):
+            widths.append((len(p), len(t)))
+            return _damped_cosines(t, p)
+
+        r = m.integrate_semi_infinite(g, rows=rows)
+        assert np.all(np.abs(r.value - 1.0 / (1.0 + rows**2)) < 1e-8)
+        assert max(n * k for n, k in widths[1:]) <= m.quadrature._CHUNK
+        assert widths[1:3] == [(len(rows), step), (len(rows), sizes[1] - step)]
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
