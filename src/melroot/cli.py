@@ -17,8 +17,8 @@ output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import sys
@@ -113,12 +113,19 @@ def _coeff_table(args) -> ExpSumTable:
     return PRESETS[args.preset] if args.coeff_file is None else args.coeff_file
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(args, body) -> None:
+    """Write ``body`` to ``--out`` or stdout: a payload as JSON under ``--format
+    json``, else a list whose lists are CSV rows and whose strings are lines."""
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        if args.format == "json":
+            fh.write(json.dumps(body, indent=2) + "\n")
+            return
+        rows = csv.writer(fh)
+        for item in body:
+            if isinstance(item, str):
+                fh.write(item + "\n")
+            else:
+                rows.writerow(item)
 
 
 def _fmt(x: float) -> str:
@@ -127,6 +134,11 @@ def _fmt(x: float) -> str:
 
 def _cnum(v: complex) -> dict:
     return {"re": round(v.real, TABLE_DECIMALS), "im": round(v.imag, TABLE_DECIMALS)}
+
+
+def _grid_rows(xs, ys, cells) -> list:
+    """CSV rows of a grid: a header row of Re s, then Im s and its cells."""
+    return [["im\\re", *(f"{x:.6g}" for x in xs)], *([f"{y:.6g}", *row] for y, row in zip(ys, cells))]
 
 
 def cmd_table1(args) -> int:
@@ -144,25 +156,12 @@ def cmd_table1(args) -> int:
     )
     rows = [(i / 8.0, *row) for i, row in enumerate(values)]
     columns = ("direct", "stage1", "stage2", "kernel")
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        header = ["phi_over_2pi"]
-        for name in columns:
-            header += [f"{name}_re", f"{name}_im"]
-        w.writerow(header)
-        for frac, *vals in rows:
-            row = [_fmt(frac)]
-            for v in vals:
-                row += [_fmt(v.real), _fmt(v.imag)]
-            w.writerow(row)
-        _emit(buf.getvalue(), args.out)
+    if args.format == "json":
+        body = [{"phi_over_2pi": frac, **{n: _cnum(v) for n, v in zip(columns, vals)}} for frac, *vals in rows]
     else:
-        payload = [
-            {"phi_over_2pi": frac, **{n: _cnum(v) for n, v in zip(columns, vals)}}
-            for frac, *vals in rows
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        header = ["phi_over_2pi", *(f"{name}_{part}" for name in columns for part in ("re", "im"))]
+        body = [header, *([_fmt(frac), *(_fmt(x) for v in vals for x in (v.real, v.imag))] for frac, *vals in rows)]
+    _write(args, body)
     return 0
 
 
@@ -174,36 +173,30 @@ def cmd_count(args) -> int:
     else:
         cfg = PipelineConfig(table=_coeff_table(args), series_order=args.order_n, eps=args.eps)
         result = count_pipeline(ff, c, cfg)
-    report = {
-        "method": args.method,
-        "center": {"re": args.center_re, "im": args.center_im},
-        "radius": args.radius,
-        "nodes": c.nodes,
-        "value": {"re": result.value.real, "im": result.value.imag},
-        "rounded": result.rounded,
-        "residual": result.residual,
-        "reliable": result.reliable,
-    }
     if args.format == "json":
-        _emit(json.dumps(report, indent=2) + "\n", args.out)
+        body = {
+            "method": args.method,
+            "center": {"re": args.center_re, "im": args.center_im},
+            "radius": args.radius,
+            "nodes": c.nodes,
+            "value": {"re": result.value.real, "im": result.value.imag},
+            "rounded": result.rounded,
+            "residual": result.residual,
+            "reliable": result.reliable,
+        }
     else:
-        lines = [
+        body = [
             f"value    {result.value.real:+.12e} {result.value.imag:+.12e}i",
             f"rounded  {result.rounded}",
             f"residual {result.residual:.3e}",
         ]
-        _emit("\n".join(lines) + "\n", args.out)
+    _write(args, body)
     return 0 if result.reliable else 1
 
 
-def _grid_axes(args):
+def cmd_sign_map(args) -> int:
     xs = np.linspace(args.re_min, args.re_max, args.grid_nx)
     ys = np.linspace(args.im_min, args.im_max, args.grid_ny)
-    return xs, ys
-
-
-def cmd_sign_map(args) -> int:
-    xs, ys = _grid_axes(args)
     zeta = np.ones((len(ys), len(xs)), dtype=np.complex128)
     pole = np.zeros(zeta.shape, dtype=bool)
     for iy, y in enumerate(ys):
@@ -213,16 +206,10 @@ def cmd_sign_map(args) -> int:
             except PoleError:
                 pole[iy, ix] = True
     grid = np.where(pole, 0, csgn(zeta)).tolist()  # 0 marks a pole
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["im\\re"] + [f"{x:.6g}" for x in xs])
-        for y, row in zip(ys, grid):
-            w.writerow([f"{y:.6g}"] + row)
-        _emit(buf.getvalue(), args.out)
+    if args.format == "json":
+        _write(args, {"re_axis": xs.tolist(), "im_axis": ys.tolist(), "sign": grid})
     else:
-        payload = {"re_axis": list(map(float, xs)), "im_axis": list(map(float, ys)), "sign": grid}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _write(args, _grid_rows(xs, ys, grid))
     return 0
 
 
@@ -234,24 +221,18 @@ def cmd_expsum_error(args) -> int:
         (args.im_min, args.im_max),
         (args.grid_nx, args.grid_ny),
     )
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        for name, part in (("real", grid.real), ("imag", grid.imag)):
-            buf.write(f"# {name} part of approximation error\n")
-            w.writerow(["im\\re"] + [f"{x:.6g}" for x in xs])
-            for y, row in zip(ys, part):
-                w.writerow([f"{y:.6g}"] + [_fmt(v) for v in row])
-        _emit(buf.getvalue(), args.out)
+    parts = (("real", grid.real), ("imag", grid.imag))
+    if args.format == "json":
+        # the origin's NaN cell is null: JSON has no NaN
+        cells = {n: [[None if math.isnan(v) else round(v, TABLE_DECIMALS) for v in row] for row in part.tolist()]
+                 for n, part in parts}
+        _write(args, {"re_axis": xs.tolist(), "im_axis": ys.tolist(), **cells})
     else:
-        payload = {
-            "re_axis": list(map(float, xs)),
-            "im_axis": list(map(float, ys)),
-            # the origin's NaN cell is null: JSON has no NaN
-            "real": [[None if math.isnan(v) else round(v, TABLE_DECIMALS) for v in row] for row in grid.real.tolist()],
-            "imag": [[None if math.isnan(v) else round(v, TABLE_DECIMALS) for v in row] for row in grid.imag.tolist()],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        body = []
+        for name, part in parts:
+            cells = ([_fmt(v) for v in row] for row in part.tolist())
+            body += [f"# {name} part of approximation error", *_grid_rows(xs, ys, cells)]
+        _write(args, body)
     return 0
 
 
@@ -265,29 +246,29 @@ def cmd_convolution_check(args) -> int:
         points = [0.4 + 0j, 0.4 - 0.3j]
     ff = build_zeta_factored()
     quad = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13)
-    lines = []
-    records = []
+    g = CHECK_SIGDIGITS
+    body = []
     for s in points:
         threefold = power_transform(ff.zf, 3, s, quad).value
         cubed = transform(ff.zf, s, quad).value ** 3
         diff = abs(threefold - cubed)
-        g = CHECK_SIGDIGITS
-        lines.append(f"s = {s.real:.{g}g} + {s.imag:.{g}g}i")
-        lines.append(f"  threefold convolution  {threefold.real:.{g}g} + {threefold.imag:.{g}g}i")
-        lines.append(f"  direct third power     {cubed.real:.{g}g} + {cubed.imag:.{g}g}i")
-        lines.append(f"  |difference|           {diff:.3e}")
-        records.append(
-            {
-                "s": {"re": s.real, "im": s.imag},
-                "threefold": {"re": threefold.real, "im": threefold.imag},
-                "cubed": {"re": cubed.real, "im": cubed.imag},
-                "difference": diff,
-            }
-        )
-    if args.format == "json":
-        _emit(json.dumps(records, indent=2) + "\n", args.out)
-    else:
-        _emit("\n".join(lines) + "\n", args.out)
+        if args.format == "json":
+            body.append(
+                {
+                    "s": {"re": s.real, "im": s.imag},
+                    "threefold": {"re": threefold.real, "im": threefold.imag},
+                    "cubed": {"re": cubed.real, "im": cubed.imag},
+                    "difference": diff,
+                }
+            )
+        else:
+            body += [
+                f"s = {s.real:.{g}g} + {s.imag:.{g}g}i",
+                f"  threefold convolution  {threefold.real:.{g}g} + {threefold.imag:.{g}g}i",
+                f"  direct third power     {cubed.real:.{g}g} + {cubed.imag:.{g}g}i",
+                f"  |difference|           {diff:.3e}",
+            ]
+    _write(args, body)
     return 0
 
 
@@ -343,7 +324,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NonConvergenceError as exc:
         print(f"quadrature did not converge: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:  # from _emit; exit 1 would read as an unreliable count
+    except OSError as exc:  # from _write; exit 1 would read as an unreliable count
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
 

@@ -5,9 +5,11 @@ on a uniform grid of step h. On a disk s = c + R u, |u| <= 1, it is a power
 series in u whose coefficients, the moments nu_j = sum_x w(x) (R x)**j / j!
 of the s-free density w(x) = h g(x) e**(c x), are built once
 (:func:`moments`); Z and Z' anywhere on the disk are its sum and derivative
-(:func:`power_sums`). M is the least degree whose tail bound, sum_x |w|
+(:func:`power_sums`). M is the least degree whose tail estimate, sum_x |w|
 e**(R|x|) (R|x|)**(M+1) / (M+1)!, and that of Z', fall under 1e-16 of their
-sums of |w| on the abscissae where |w| passes that floor. The series
+sums of |w|, all summed over the abscissae where |w| passes that floor. It
+estimates, and does not bound, the tail: the abscissae it leaves out have the
+largest R|x|, and on a large disk they can carry more than the floor. The series
 converges like (R / d)**j, d the distance from c to the nearest singularity
 of Z, so a large disk next to a strip edge needs more terms than that; the
 moments come with error estimates of Z and Z' (the tail past M, and the
@@ -50,12 +52,12 @@ def _tail_cutoff(margin: float) -> float:
 
 
 def _degree(w: np.ndarray, y: np.ndarray) -> tuple[int, float, float]:
-    """The least M with sum |w| e**y y**(M+1)/(M+1)!, the bound on Z's tail,
-    at most ``TRUNCATION_DECAY`` sum |w|, and M + 1 times it, the bound on
-    R Z''s, at most ``TRUNCATION_DECAY`` sum |w| y, for y = R|x|; and the
-    round-off bounds of Z and R Z', eps sum |w| e**y and eps sum |w| y e**y.
-    The sums run over the abscissae where |w| exceeds ``TRUNCATION_DECAY`` of
-    its peak."""
+    """The least M with sum |w| e**y y**(M+1)/(M+1)!, the estimate of Z's
+    tail, at most ``TRUNCATION_DECAY`` sum |w|, and M + 1 times it, the
+    estimate of R Z''s, at most ``TRUNCATION_DECAY`` sum |w| y, for y = R|x|;
+    and the round-off estimates of Z and R Z', eps sum |w| e**y and eps sum
+    |w| y e**y. The sums run over the abscissae where |w| exceeds
+    ``TRUNCATION_DECAY`` of its peak only, so they estimate and do not bound."""
     mags = np.abs(w)
     keep = mags > TRUNCATION_DECAY * mags.max()
     mags, y = mags[keep], y[keep]

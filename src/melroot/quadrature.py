@@ -71,11 +71,13 @@ class QuadratureConfig:
             raise ValueError(f"max_evals must be an integer >= 100, got {self.max_evals!r}")
 
     def tightened(self, factor: float = 10.0) -> "QuadratureConfig":
-        """Copy with tolerances divided by ``factor`` (for nested integrals)."""
+        """Copy with tolerances divided by ``factor`` (for nested integrals),
+        floored at 1e-15 relative and 1e-16 absolute; a tolerance already
+        below its floor is kept, never loosened."""
         return replace(
             self,
-            rel_tol=max(self.rel_tol / factor, 1e-15),
-            abs_tol=max(self.abs_tol / factor, 1e-16),
+            rel_tol=min(self.rel_tol, max(self.rel_tol / factor, 1e-15)),
+            abs_tol=min(self.abs_tol, max(self.abs_tol / factor, 1e-16)),
         )
 
 

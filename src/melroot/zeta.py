@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .contour import FactoredFunction
-from .errors import PoleError
+from .errors import DomainError, PoleError
 from .mellin import MellinIntegrand
 from .numerics import _gamma_pass, elementwise
 
@@ -92,19 +92,24 @@ def _check_eta_factor(lam: complex, s: complex) -> None:
 
 def _zeta_and_prime(s: complex) -> tuple[complex, complex]:
     """(zeta(s), zeta'(s)) from one pass of the accelerated eta series: zeta'
-    is the term-wise derivative, summed beside zeta's terms."""
+    is the term-wise derivative, summed beside zeta's terms. Raises
+    :class:`DomainError` where cmath cannot sum it: the terms overflow far
+    left of the strip, and a huge |Im s| leaves the domain of ``cmath.exp``."""
     s = complex(s)
-    two = cmath.exp((1.0 - s) * _LN2)
-    lam = 1.0 - two
-    _check_eta_factor(lam, s)
-    lam_prime = two * _LN2
-    acc = 0j
-    acc_prime = 0j
-    for w, ln in zip(_ETA_SIGNED, _ETA_LOGS):
-        term = w * cmath.exp(-s * ln)
-        acc += term
-        acc_prime -= ln * term
-    return -acc / lam, -acc_prime / lam + acc * lam_prime / lam**2
+    try:
+        two = cmath.exp((1.0 - s) * _LN2)
+        lam = 1.0 - two
+        _check_eta_factor(lam, s)
+        lam_prime = two * _LN2
+        acc = 0j
+        acc_prime = 0j
+        for w, ln in zip(_ETA_SIGNED, _ETA_LOGS):
+            term = w * cmath.exp(-s * ln)
+            acc += term
+            acc_prime -= ln * term
+        return -acc / lam, -acc_prime / lam + acc * lam_prime / lam**2
+    except (OverflowError, ValueError) as exc:  # cmath's range and domain errors
+        raise DomainError(f"the eta series leaves floating-point range at s = {s}") from exc
 
 
 def zeta_reference(s: complex) -> complex:

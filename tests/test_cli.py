@@ -294,3 +294,90 @@ class TestConvolutionCheck:
         assert rc == 0
         out = capsys.readouterr().out
         assert "0.4875296" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["count", "--method", "direct", "--center-re", "-800"], id="count"),
+        pytest.param(["sign-map", "--re-min", "-800", "--re-max", "-799", "--im-min", "0", "--im-max", "1",
+                      "--grid-nx", "2", "--grid-ny", "2"], id="sign-map"),
+        pytest.param(["table1", "--radius", "1e308"], id="table1"),
+    ],
+)
+def test_eta_series_out_of_range_exits_2(argv, capsys):
+    # exit code 1 would read as an unreliable count
+    assert main(argv) == 2
+    assert "domain error" in capsys.readouterr().err
+
+
+def _both_formats(argv, capsys):
+    """The default output of ``argv`` and the payload of its ``--format json``."""
+    assert main(argv) in (0, 1)
+    text = capsys.readouterr().out
+    assert main([*argv, "--format", "json"]) in (0, 1)
+    return text, json.loads(capsys.readouterr().out)
+
+
+class TestFormatsAgree:
+    """Each subcommand writes the same numbers in its default format as in JSON."""
+
+    def test_table1(self, capsys):
+        text, payload = _both_formats(["table1"], capsys)
+        rows = list(csv.reader(text.splitlines()))
+        columns = ("direct", "stage1", "stage2", "kernel")
+        assert len(rows) == len(payload) + 1 == 10
+        for row, record in zip(rows[1:], payload):
+            assert float(row[0]) == record["phi_over_2pi"]
+            from_json = [record[n][part] for n in columns for part in ("re", "im")]
+            assert [float(cell) for cell in row[1:]] == from_json  # all 36 values, at 7 decimals
+
+    def test_count(self, capsys):
+        argv = ["count", "--method", "direct", "--center-re", "1", "--center-im", "0", "--nodes", "64"]
+        text, report = _both_formats(argv, capsys)
+        value = report["value"]
+        assert text.splitlines() == [
+            f"value    {value['re']:+.12e} {value['im']:+.12e}i",
+            f"rounded  {report['rounded']}",
+            f"residual {report['residual']:.3e}",
+        ]
+        assert report["rounded"] == -1
+
+    def test_sign_map(self, capsys):
+        argv = ["sign-map", "--re-min", "0", "--re-max", "2", "--im-min", "0", "--im-max", "1",
+                "--grid-nx", "3", "--grid-ny", "2"]
+        text, payload = _both_formats(argv, capsys)
+        rows = list(csv.reader(text.splitlines()))
+        assert rows[0][1:] == [f"{x:.6g}" for x in payload["re_axis"]]
+        assert [row[0] for row in rows[1:]] == [f"{y:.6g}" for y in payload["im_axis"]]
+        assert [[int(cell) for cell in row[1:]] for row in rows[1:]] == payload["sign"]
+        assert payload["sign"][0][1] == 0  # the pole at s = 1
+
+    def test_expsum_error(self, capsys):
+        argv = ["expsum-error", "--re-min", "-1", "--re-max", "1", "--im-min", "-1", "--im-max", "1",
+                "--grid-nx", "3", "--grid-ny", "3"]
+        text, payload = _both_formats(argv, capsys)
+        lines = text.splitlines()
+        assert lines[0] == "# real part of approximation error"
+        assert lines[5] == "# imag part of approximation error"
+        for part, block in (("real", lines[1:5]), ("imag", lines[6:10])):
+            rows = list(csv.reader(block))
+            assert rows[0][1:] == [f"{x:.6g}" for x in payload["re_axis"]]
+            cells = [[None if cell == "nan" else float(cell) for cell in row[1:]] for row in rows[1:]]
+            assert cells == payload[part]
+            assert cells[1][1] is None  # the origin: nan in the CSV, null in the JSON
+
+    def test_convolution_check(self, capsys):
+        text, records = _both_formats(["convolution-check"], capsys)
+        g = 10
+        expected = []
+        for r in records:
+            s, three, cubed = r["s"], r["threefold"], r["cubed"]
+            expected += [
+                f"s = {s['re']:.{g}g} + {s['im']:.{g}g}i",
+                f"  threefold convolution  {three['re']:.{g}g} + {three['im']:.{g}g}i",
+                f"  direct third power     {cubed['re']:.{g}g} + {cubed['im']:.{g}g}i",
+                f"  |difference|           {r['difference']:.3e}",
+            ]
+        assert len(records) == 2
+        assert text.splitlines() == expected

@@ -285,6 +285,19 @@ def test_config_validation(kwargs):
         m.QuadratureConfig(**kwargs)
 
 
+def test_tightened_divides_down_to_its_floors():
+    tight = m.QuadratureConfig().tightened()
+    assert (tight.rel_tol, tight.abs_tol) == (1e-9, 1e-13)
+    floored = m.QuadratureConfig(rel_tol=1e-14, abs_tol=1e-15).tightened(100.0)
+    assert (floored.rel_tol, floored.abs_tol) == (1e-15, 1e-16)
+
+
+def test_tightened_never_loosens():
+    # tolerances already below the floors are kept, not raised to them
+    tight = m.QuadratureConfig(rel_tol=1e-16, abs_tol=1e-18).tightened(10.0)
+    assert (tight.rel_tol, tight.abs_tol) == (1e-16, 1e-18)
+
+
 class TestPeriodic:
     def test_oscillatory_orthogonality(self):
         v = m.integrate_periodic(lambda phi: np.exp(1j * phi), 16)

@@ -27,6 +27,21 @@ class TestZetaReference:
         with pytest.raises(m.PoleError):
             m.zeta_prime_reference(1.0)
 
+    @pytest.mark.parametrize("s", [-800.0, 0.5 + 1e308j], ids=["overflow", "domain"])
+    def test_series_out_of_range_is_a_domain_error(self, s):
+        # cmath's OverflowError and ValueError, raised in 2**(1-s) or the
+        # 50-term loop, come out typed
+        ff = m.build_zeta_factored()
+        nodes = np.array([0.5 + 1j, s])
+        for reference, at in ((m.zeta_reference, s), (m.zeta_prime_reference, s), (ff.f_reference, nodes)):
+            with pytest.raises(m.DomainError, match="eta series"):
+                reference(at)
+
+    def test_bad_argument_keeps_its_own_error(self):
+        with pytest.raises(ValueError) as info:
+            m.zeta_reference("not a number")
+        assert not isinstance(info.value, m.DomainError)
+
     def test_conditioning_warning_near_resonance(self):
         # 1 - 2**(1-s) vanishes along Re(s) = 1 at Im(s) = 2*pi*k/ln 2
         s = complex(1.0, 2.0 * math.pi / math.log(2.0)) + 1e-8
