@@ -31,10 +31,12 @@ __all__ = [
 
 # Outer abscissae integrated together by one batched inner quadrature. The
 # first two halvings of the outer loop share one call of its integrand, so
-# they bring their new abscissae in one array and fill blocks more often. At
-# the default tolerances one sample array then holds up to 128 x 512 float64
-# values (512 KB); rows that have converged are not sampled again, so a
-# large block costs little more than its slowest row.
+# they bring their new abscissae in one array and fill blocks more often.
+# One sampler call of the inner loop holds its rows still refining times the
+# new abscissae of its pass, so this block size is what bounds a call of
+# the nested levels: at the default tolerances up to 128 x 512 float64 values
+# (512 KB); rows that have converged are not sampled again, so a large block
+# costs little more than its slowest row.
 _ROWS = 128
 
 

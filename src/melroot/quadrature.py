@@ -49,9 +49,6 @@ _MIN_LEVELS = 2
 # The coarse pass keeps the abscissae where some row exceeds this fraction of
 # its largest sample; a finite-edge tail of logspace is cut at the same level.
 TRUNCATION_DECAY = 1e-16
-# Rows times abscissae sampled by one call of a refinement pass (4 MB of
-# complex128), so that a long pass on many rows keeps its arrays small.
-_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -113,26 +110,6 @@ def _raise_not_finite(lo: float, hi: float):
     )
 
 
-def _level_sums(sample: Callable, us: list[np.ndarray], active: np.ndarray) -> list[np.ndarray]:
-    """Row sums of ``sample`` over each abscissa array of ``us``: one call on
-    their concatenation, in which each array is a contiguous column block,
-    split into calls of at most ``_CHUNK`` rows times abscissae."""
-    u = np.concatenate(us)
-    step = max(1, _CHUNK // len(active))
-    sums = [None] * len(us)
-    # at least one call, also when no abscissa is new
-    for i in range(0, len(u) or 1, step):
-        vals = sample(u[i : i + step], active)
-        start = -i  # the first column of the current block in vals
-        for b, block in enumerate(us):
-            first, stop = max(start, 0), min(start + len(block), vals.shape[1])
-            if first < stop or len(block) == 0:
-                part = vals[:, first:stop].sum(axis=1)
-                sums[b] = part if sums[b] is None else sums[b] + part
-            start += len(block)
-    return sums
-
-
 def _halving_trapezoid(
     sample: Callable, lo: float, hi: float, quad: QuadratureConfig, value_of: Callable[[np.ndarray], Any]
 ) -> QuadratureResult:
@@ -145,8 +122,8 @@ def _halving_trapezoid(
     The coarse pass trims the support once, to where some row exceeds
     ``TRUNCATION_DECAY`` times its own peak, plus one step on each side
     (every row is 0 when that is nowhere); each halving samples the new
-    abscissae inside it, one sampler call per halving (split into calls of
-    at most ``_CHUNK`` rows times abscissae). The halvings up to the
+    abscissae inside it in one sampler call, which holds the rows still
+    refining times those abscissae. The halvings up to the
     ``_MIN_LEVELS``-th, which no row can retire from, share one call, each
     as far as the budget would have run it alone; their sums are formed
     level by level from their column blocks, as if sampled one by one. A
@@ -194,9 +171,8 @@ def _halving_trapezoid(
     level = 0
     while evals < quad.max_evals:
         # the new abscissae of a level, odd multiples of h (coarse-pass lo / h,
-        # hi / h are even), each exact; no row retires before _MIN_LEVELS, so
-        # the levels up to it share one sampler call, each of them as far as
-        # the budget would have run it alone
+        # hi / h are even), each exact; the levels up to _MIN_LEVELS share one
+        # sampler call, each of them as far as the budget would have run it alone
         hs, us = [], []
         while True:
             level += 1
@@ -205,7 +181,10 @@ def _halving_trapezoid(
             us.append(np.arange(lo + h, hi, 2.0 * h))
             if level >= _MIN_LEVELS or evals + sum(map(len, us)) >= quad.max_evals:
                 break
-        for h, u, new in zip(hs, us, _level_sums(sample, us, active)):
+        vals, start = sample(np.concatenate(us), active), 0
+        for h, u in zip(hs, us):
+            new = vals[:, start : start + len(u)].sum(axis=1)
+            start += len(u)
             # the sum of the rows is finite when each row is, and one that is
             # not gets the exact test
             if not cmath.isfinite(new.sum()) and not np.isfinite(new).all():
@@ -248,9 +227,11 @@ def integrate_semi_infinite(
     ``g`` is real). Anything else raises ``ValueError``. All rows share the
     grid, and a row that has converged is not sampled again. ``error`` is the
     largest row error and ``evals`` counts abscissae, not rows times
-    abscissae. Any algebraic singularity at 0 must be integrable (no worse
-    than t**(sigma-1) with sigma > 0) and the tail must decay fast enough
-    for the integral to converge absolutely.
+    abscissae. A call of ``g`` holds the rows still refining times a pass's
+    new abscissae (tens of MB for 10**4 rows), so thousands of rows go in
+    blocks, as ``mellin._ROWS`` bounds the nested levels. Any algebraic
+    singularity at 0 must be integrable (no worse than t**(sigma-1) with
+    sigma > 0) and the tail must decay fast enough to converge absolutely.
 
     A non-finite value of ``g`` times the Jacobian is read as 0 in the tails
     that the coarse pass trims away, where it is overflow below the

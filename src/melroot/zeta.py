@@ -113,8 +113,11 @@ def _zeta_and_prime(s: complex) -> tuple[complex, complex]:
 
 
 def zeta_reference(s: complex) -> complex:
-    """zeta(s) via the accelerated eta series; >=10 significant digits for
-    Re(s) > -1, |Im(s)| <= 20. Pole at s = 1."""
+    """zeta(s) via the accelerated eta series. Pole at s = 1.
+
+    Against mpmath on -0.9 <= Re(s) <= 3 the relative error is at most 2e-12
+    up to |Im(s)| = 40; it grows to 4e-10 at 45, 1.3e-5 at 60 and 0.2 at
+    s = 0.5 + 100i, with no error raised."""
     return _zeta_and_prime(s)[0]
 
 
@@ -132,7 +135,9 @@ def z_integrand(t):
 def _prefactor_pass(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(K(s), K'(s)) at each element of ``s``, from one gamma pass. The first
     element of smallest |1 - 2**(1-s)|, NaN aside, is validated by
-    :func:`_check_eta_factor` when that is below the conditioning cutoff."""
+    :func:`_check_eta_factor` when that is below the conditioning cutoff.
+    Raises :class:`DomainError` at the first element where K or K' is not
+    finite: past |Im s| ~ 450 the 1 / Gamma(s+1) factor leaves double range."""
     exponent = (1.0 - s) * _LN2
     two = np.exp(exponent)
     lam = 1.0 - two
@@ -142,8 +147,13 @@ def _prefactor_pass(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         i = np.nanargmin(mags)
         _check_eta_factor(lam.flat[i], s.flat[i])
     log_gamma, psi = _gamma_pass(s + 1.0)
-    K = np.exp(-exponent - log_gamma) / lam
-    return K, K * (_LN2 - two * _LN2 / lam - psi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = np.exp(-exponent - log_gamma) / lam
+        Kprime = K * (_LN2 - two * _LN2 / lam - psi)
+    bad = ~(np.isfinite(K) & np.isfinite(Kprime))
+    if bad.any():
+        raise DomainError(f"the prefactor leaves floating-point range at s = {s.flat[bad.argmax()]}")
+    return K, Kprime
 
 
 @elementwise

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
@@ -309,6 +310,55 @@ def test_eta_series_out_of_range_exits_2(argv, capsys):
     # exit code 1 would read as an unreliable count
     assert main(argv) == 2
     assert "domain error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["table1", "--center-im", "500"], id="table1-csv"),
+        pytest.param(["table1", "--center-im", "500", "--format", "json"], id="table1-json"),
+        pytest.param(["count", "--method", "pipeline", "--center-im", "460", "--radius", "0.05", "--nodes", "8"],
+                     id="count"),
+    ],
+)
+def test_prefactor_out_of_range_exits_2(argv, capsys):
+    # 1 / Gamma(s + 1) in K leaves double range past |Im s| ~ 450; no numpy
+    # warning comes before the error, and no NaN cell is written
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "domain error" in captured.err
+    assert captured.out == ""
+
+
+def _reject_constant(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "argv, rc",
+    [
+        pytest.param(["table1"], 0, id="table1"),
+        pytest.param(["table1", "--eps", "0.01"], 0, id="table1-eps"),
+        pytest.param(["table1", "--center-im", "500"], 2, id="table1-out-of-range"),
+        pytest.param(["count", "--method", "direct"], 0, id="count-direct"),
+        pytest.param(["count", "--method", "pipeline"], 0, id="count-pipeline"),
+        pytest.param(["sign-map", "--re-min", "-0.5", "--re-max", "2", "--im-min", "0", "--im-max", "30",
+                      "--grid-nx", "4", "--grid-ny", "4"], 0, id="sign-map"),
+        pytest.param(["expsum-error", "--re-min", "-1", "--re-max", "1", "--im-min", "-1", "--im-max", "1",
+                      "--grid-nx", "3", "--grid-ny", "3"], 0, id="expsum-error"),
+        pytest.param(["convolution-check"], 0, id="convolution-check"),
+    ],
+)
+def test_json_output_is_strict_json(argv, rc, capsys):
+    # json.loads accepts NaN and Infinity, which are not JSON
+    assert main([*argv, "--format", "json"]) == rc
+    out = capsys.readouterr().out
+    if rc == 0:
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert out == ""
 
 
 def _both_formats(argv, capsys):

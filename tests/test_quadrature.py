@@ -175,21 +175,6 @@ class TestRows:
         assert r.error == alone.error
         assert r.evals > alone.evals
 
-    def test_long_pass_sampled_in_chunks(self, monkeypatch):
-        rows = np.array([0.0, 5.0, 40.0])
-        whole = m.integrate_semi_infinite(_damped_cosines, rows=rows)
-        widths = []
-
-        def g(t, p):
-            widths.append(len(p) * len(t))
-            return _damped_cosines(t, p)
-
-        monkeypatch.setattr(m.quadrature, "_CHUNK", 16)
-        chunked = m.integrate_semi_infinite(g, rows=rows)
-        assert max(widths[1:]) <= 16 < widths[0]
-        assert chunked.evals == whole.evals
-        assert np.all(np.abs(chunked.value - whole.value) <= 1e-15)
-
     def test_real_rows_stay_real(self):
         p = np.array([0.0, 5.0])
         real = m.integrate_semi_infinite(_damped_cosines, rows=p)
@@ -247,25 +232,31 @@ class TestSamplerCalls:
         assert exc.value.best_estimate == pytest.approx([first], rel=1e-15, abs=0.0)
         assert abs(first - 0.125 * f(0.125 * np.arange(-296, 297)).sum()) > 1e-3
 
-    def test_chunked_rows_stay_within_the_chunk(self):
+    def test_one_call_per_pass_takes_every_active_row(self):
         # row 0 is e**-t and bounds every other row, so the trimmed support,
-        # and the width of the shared call of the first two halvings, are e**-t's
+        # and the new abscissae of each pass, are e**-t's
         sizes = []
         m.integrate_semi_infinite(lambda t: sizes.append(len(t)) or np.exp(-t))
-        # enough rows that the shared call is split
+        k = sizes[1] // 3
         rows = np.linspace(0.0, 3.0, 10_000)
-        step = m.quadrature._CHUNK // len(rows)
-        assert step < sizes[1]
-        widths = []
+        calls = []
 
         def g(t, p):
-            widths.append((len(p), len(t)))
+            calls.append((p, len(t)))
             return _damped_cosines(t, p)
 
         r = m.integrate_semi_infinite(g, rows=rows)
         assert np.all(np.abs(r.value - 1.0 / (1.0 + rows**2)) < 1e-8)
-        assert max(n * k for n, k in widths[1:]) <= m.quadrature._CHUNK
-        assert widths[1:3] == [(len(rows), step), (len(rows), sizes[1] - step)]
+        # after the coarse call, one call per pass over its full width: the
+        # first two halvings together, then one halving each
+        assert len(calls) >= 3
+        assert [n for _, n in calls[1:]] == [3 * k] + [k * 2**level for level in range(2, len(calls))]
+        # no row retires before the second halving, and a pass samples every
+        # row still refining, however many abscissae it has
+        assert calls[1][0].tolist() == rows.tolist()
+        for (before, _), (after, _) in zip(calls[1:], calls[2:]):
+            assert len(after) and set(after.tolist()) <= set(before.tolist())
+        assert sum(n for _, n in calls) == r.evals
 
 
 @pytest.mark.parametrize(

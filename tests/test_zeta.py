@@ -374,6 +374,20 @@ class TestSharedPrefactorPass(KeptEvaluationCases):
         m.count_pipeline(m.build_zeta_factored(), c, m.PipelineConfig(table=coeffs))
         assert calls == [(16,)]
 
+    def test_out_of_range_raises_without_warning_and_is_not_kept(self):
+        # 1 / Gamma(s + 1) in K leaves double range past |Im s| ~ 450
+        ff = m.build_zeta_factored()
+        (f, g), (f0, g0) = self.pair(ff)
+        assert all(cmath.isfinite(h(0.57 + 450j)) for h in (f0, g0))
+        f(self.S)
+        nodes = np.array([0.57 + 1.57j, 0.57 + 460j, 0.57 + 470j])
+        for h in (f0, g0, f, g, f):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(m.DomainError, match=r"s = \(0\.57\+460j\)"):
+                    h(nodes)
+        assert g(self.S).tobytes() == g0(self.S).tobytes()
+
     def test_conditioning_warning_names_the_caller(self):
         super().test_conditioning_warning_names_the_caller()
         s = NEAR
