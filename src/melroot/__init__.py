@@ -27,7 +27,7 @@ from .mellin import (
     transform,
     transform_derivative,
 )
-from .numerics import csgn, csgn_smooth, digamma, log_gamma
+from .numerics import csgn, digamma, log_gamma
 from .quadrature import (
     QuadratureConfig,
     QuadratureResult,

@@ -90,9 +90,6 @@ def _add_table_args(p: argparse.ArgumentParser):
 def _add_pipeline_args(p: argparse.ArgumentParser):
     _add_table_args(p)
     p.add_argument("--order-n", type=_NON_NEGATIVE_INT, default=1)
-    p.add_argument(
-        "--eps", type=_POSITIVE_FLOAT, default=None, help="smooth-csgn width (default: exact csgn of the pipeline's f)"
-    )
 
 
 def _add_output_args(p: argparse.ArgumentParser):
@@ -145,7 +142,7 @@ def cmd_table1(args) -> int:
     ff = build_zeta_factored()
     c = CircularContour(complex(args.center_re, args.center_im), args.radius)
     table = _coeff_table(args)
-    cfg = PipelineConfig(table=table, series_order=args.order_n, eps=args.eps)
+    cfg = PipelineConfig(table=table, series_order=args.order_n)
     # the published 8 angles and phi = 2 pi again
     phis = 2.0 * math.pi * np.arange(9) / 8.0
     values = zip(
@@ -171,7 +168,7 @@ def cmd_count(args) -> int:
     if args.method == "direct":
         result = count_direct(ff, c)
     else:
-        cfg = PipelineConfig(table=_coeff_table(args), series_order=args.order_n, eps=args.eps)
+        cfg = PipelineConfig(table=_coeff_table(args), series_order=args.order_n)
         result = count_pipeline(ff, c, cfg)
     if args.format == "json":
         body = {

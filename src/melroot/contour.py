@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError, NonConvergenceError, PoleError
 from .expsum import ExpSumTable, inv_approx, inv_approx_truncated, truncated_series
 from .mellin import MellinIntegrand
-from .numerics import csgn, csgn_smooth
+from .numerics import csgn
 from .quadrature import QuadratureConfig
 
 __all__ = [
@@ -98,21 +98,15 @@ class PipelineConfig:
     ``series_order`` is the degree of the Taylor polynomial that replaces
     each exponential; any non-negative order works, since each order is one
     more power of the same f = K Z.
-
-    ``eps`` selects the sign factor of the convolution-route f: csgn(f)
-    without it, the smooth surrogate tanh(f / eps) with it.
     """
 
     table: ExpSumTable
     series_order: int = 1
     quad: QuadratureConfig = field(default_factory=QuadratureConfig)
-    eps: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.series_order, numbers.Integral) or self.series_order < 0:
             raise ValueError(f"series_order must be a non-negative integer, got {self.series_order!r}")
-        if self.eps is not None and not 0.0 < self.eps < math.inf:
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -184,9 +178,9 @@ def _kernel_values(ff: FactoredFunction, c: CircularContour, phi, cfg: PipelineC
     complex or an array of their shape, computed on one flat array of nodes:
     the :func:`integrand_stage2` of f = K Z and f' = K' Z + K Z', with Z and
     Z' the power sums of the moments of the contour's disk, so each Z**k and
-    Z' Z**k is a product of them. The sign factor is csgn(f), or tanh(f / eps)
-    with ``cfg.eps``. K and K' are called once each, on all nodes. A
-    :class:`NonConvergenceError` carries the values from the finest moments.
+    Z' Z**k is a product of them, and the sign factor is csgn(f). K and K'
+    are called once each, on all nodes. A :class:`NonConvergenceError`
+    carries the values from the finest moments.
     """
     # Imported here: only this route needs it, so `import melroot` does not
     # pay for loading it.
@@ -209,7 +203,7 @@ def _kernel_values(ff: FactoredFunction, c: CircularContour, phi, cfg: PipelineC
     Ks = ff.K(nodes)
     f = Ks * z
     fprime = ff.Kprime(nodes) * z + Ks * zprime
-    sgn = csgn(f) if cfg.eps is None else csgn_smooth(f, cfg.eps)
+    sgn = csgn(f)
     series = sgn * truncated_series(sgn * f, cfg.table, cfg.series_order)
     # (1 / 2 pi i) ds/dphi = radius u / 2 pi
     values = (fprime * series * (c.radius / (2.0 * math.pi) * u)).reshape(np.shape(phi))

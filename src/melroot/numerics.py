@@ -1,10 +1,9 @@
 """Complex special functions, elementwise over numpy arrays.
 
-The complex sign function and its smooth tanh surrogate, and log-gamma and
-digamma for the prefactors, both from one pass of Stirling's series. Each
-takes a scalar or an array: a scalar gives a scalar (``csgn`` an int, the
-others a complex), an array gives an array of its shape. A pole or domain
-error at any element raises.
+The complex sign function, and log-gamma and digamma for the prefactors,
+both from one pass of Stirling's series. Each takes a scalar or an array: a
+scalar gives a scalar (``csgn`` an int, the others a complex), an array
+gives an array of its shape. A pole or domain error at any element raises.
 """
 
 from __future__ import annotations
@@ -19,14 +18,9 @@ from .errors import DomainError, PoleError
 __all__ = [
     "elementwise",
     "csgn",
-    "csgn_smooth",
     "log_gamma",
     "digamma",
 ]
-
-# tanh(w) is +/-1 to double precision long before this; avoids any reliance
-# on platform ctanh overflow behavior.
-_TANH_SATURATION = 350.0
 
 
 def elementwise(fn):
@@ -50,23 +44,6 @@ def csgn(x):
     if (x == 0).any():
         raise DomainError("csgn(0) is undefined")
     return np.where(np.where(x.real != 0.0, x.real, x.imag) > 0.0, 1, -1)
-
-
-@elementwise
-def csgn_smooth(x, eps: float):
-    """Smooth surrogate tanh(x/eps) for :func:`csgn`.
-
-    Converges pointwise to csgn(x) for Re(x) != 0 as eps -> 0. Saturated
-    arguments short-circuit to +/-1 instead of overflowing.
-    """
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    with np.errstate(over="ignore"):
-        w = x / eps
-    out = np.where(w.real > 0.0, 1.0 + 0j, -1.0 + 0j)
-    live = np.abs(w.real) <= _TANH_SATURATION
-    out[live] = np.tanh(w[live])
-    return out
 
 
 # Stirling's series (DLMF 5.11.1, 5.11.2) at v = w + 10, |v| > 10.5, where

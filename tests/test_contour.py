@@ -42,14 +42,6 @@ class TestTypes:
         with pytest.raises(ValueError, match="integer"):
             m.PipelineConfig(table=coeffs, series_order=1.5)
 
-    def test_pipeline_config_smooth_needs_eps(self, coeffs):
-        # an infinite eps counted the pole circle as 0, flagged reliable
-        for eps in (0.0, -0.01, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                m.PipelineConfig(table=coeffs, eps=eps)
-        assert m.PipelineConfig(table=coeffs, eps=0.01).eps == 0.01
-        assert m.PipelineConfig(table=coeffs).eps is None
-
     def test_count_result_rounding(self):
         r = m.CountResult.from_value(-0.999999 + 1e-7j)
         assert r.rounded == -1
@@ -197,14 +189,6 @@ class TestKernel:
             rebuilt += sgn ** ((k + 1) % 2) * ((-1) ** k / math.factorial(k)) * weight * body
         rebuilt *= ref_contour.velocity(phi) / (2j * math.pi)
         assert abs(rebuilt - m.kernel_mellin(zeta_ff, ref_contour, phi, cfg)) < 1e-12
-
-    def test_smooth_sign_mode(self, zeta_ff, ref_contour, coeffs):
-        cfg_ref = m.PipelineConfig(table=coeffs)
-        cfg_smooth = m.PipelineConfig(table=coeffs, eps=1e-3)
-        phi = 2.0 * math.pi / 8.0
-        a = m.kernel_mellin(zeta_ff, ref_contour, phi, cfg_ref)
-        b = m.kernel_mellin(zeta_ff, ref_contour, phi, cfg_smooth)
-        assert abs(a - b) < 1e-6
 
     def test_agrees_with_stage2_at_every_node(self, zeta_ff, coeffs):
         cfg = m.PipelineConfig(table=coeffs)
@@ -404,12 +388,11 @@ class TestCounting:
             assert isinstance(best, complex)
             assert math.isfinite(best.real) and math.isfinite(best.imag)
 
-    @pytest.mark.parametrize("eps", [None, 0.01])
-    def test_pipeline_vanishing_z_rejected(self, zeta_ff, coeffs, eps):
-        # f = K Z = 0 at every node: tanh(f / eps) = 0 would make it a count of 0
+    def test_pipeline_vanishing_z_rejected(self, zeta_ff, coeffs):
+        # f = K Z = 0 at every node, where csgn(f) is undefined
         ff = dataclasses.replace(zeta_ff, zf=dataclasses.replace(zeta_ff.zf, z=np.zeros_like))
         with pytest.raises(m.DomainError):
-            m.count_pipeline(ff, m.CircularContour(0.57 + 1.57j, 0.1, nodes=8), m.PipelineConfig(table=coeffs, eps=eps))
+            m.count_pipeline(ff, m.CircularContour(0.57 + 1.57j, 0.1, nodes=8), m.PipelineConfig(table=coeffs))
 
     def test_non_finite_integral_rejected(self, zeta_ff, coeffs):
         c = m.CircularContour(0.57 + 1.57j, 0.1, nodes=8)

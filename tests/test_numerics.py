@@ -39,40 +39,6 @@ class TestCsgn:
         assert m.csgn(-x) == -m.csgn(x)
 
 
-class TestCsgnSmooth:
-    def test_saturates(self):
-        assert abs(m.csgn_smooth(1.0, 0.01) - 1.0) < 1e-12
-
-    def test_odd_at_zero(self):
-        assert m.csgn_smooth(0.0, 0.5) == 0
-
-    def test_matches_exponential_oracle(self):
-        # tanh(w) = (e**2w - 1)/(e**2w + 1)
-        w = 5 + 2j
-        e2w = cmath.exp(2 * w)
-        assert abs(m.csgn_smooth(0.5 + 0.2j, 0.1) - (e2w - 1) / (e2w + 1)) < 1e-13
-
-    def test_handles_huge_arguments(self):
-        assert m.csgn_smooth(1e300 + 5j, 1e-3) == 1.0
-        assert m.csgn_smooth(-1e300 + 5j, 1e-3) == -1.0
-
-    def test_eps_must_be_positive(self):
-        # an infinite eps would make tanh(x / eps) = 0, which is not a sign
-        for eps in (0.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                m.csgn_smooth(1 + 1j, eps)
-
-    def test_converges_to_csgn_monotonically(self):
-        rng = np.random.default_rng(7)
-        pts = rng.uniform(-3, 3, size=(1000, 2))
-        pts = pts[np.abs(pts[:, 0]) > 0.1]
-        for re, im in pts:
-            x = complex(re, im)
-            sign = m.csgn(x)
-            errs = [abs(m.csgn_smooth(x, eps) - sign) for eps in (1.0, 0.1, 0.01)]
-            assert errs[0] >= errs[1] >= errs[2]
-
-
 def _euler_gamma_oracle():
     # harmonic-sum oracle with Euler-Maclaurin tail correction
     n = 2000
@@ -203,10 +169,3 @@ class TestElementwise:
     def test_csgn_zero_anywhere_rejected(self):
         with pytest.raises(m.DomainError):
             m.csgn(np.array([1.0 + 1j, 0j, -1.0 + 0j]))
-
-    def test_csgn_smooth_matches_scalar_values(self):
-        x = np.array([0.5 + 0.2j, -0.3 - 1j, 0j, 1e300 + 5j, -1e300 + 5j])
-        scalars = [m.csgn_smooth(complex(v), 1e-3) for v in x]
-        assert all(type(v) is complex for v in scalars)
-        assert scalars[2:] == [0j, 1 + 0j, -1 + 0j]
-        assert m.csgn_smooth(x, 1e-3).tolist() == scalars

@@ -65,6 +65,27 @@ class TestZetaReference:
             assert abs(m.zeta_reference(s) - complex(mp.zeta(s))) < 1e-10
             assert abs(m.zeta_prime_reference(s) - complex(mp.zeta(s, derivative=1))) < 1e-9
 
+    def test_series_refused_past_im_45(self):
+        # the 50-term series keeps 6.8e-10 of zeta and zeta' at |Im s| = 45;
+        # past it the error grows to 0.29 at 100, so it is refused
+        import mpmath as mp
+
+        mp.mp.dps = 30
+        for re in (-0.9, 0.0, 0.5, 1.5, 3.0):
+            for s in (complex(re, 45.0), complex(re, -45.0)):
+                for ours, k in ((m.zeta_reference, 0), (m.zeta_prime_reference, 1)):
+                    exact = complex(mp.zeta(s, derivative=k))
+                    assert abs(ours(s) - exact) < 1e-9 * abs(exact)
+        ff = m.build_zeta_factored()
+        s = 0.5 + 45.5j
+        nodes = np.array([0.5 + 1j, s])
+        for reference, at in ((m.zeta_reference, s), (m.zeta_prime_reference, s.conjugate()), (ff.f_reference, nodes)):
+            with pytest.raises(m.DomainError, match="eta series"):
+                reference(at)
+        # a circle about 0.5 + 45i of radius 0.4 has nodes past |Im s| = 45
+        with pytest.raises(m.DomainError, match="eta series"):
+            m.count_direct(ff, m.CircularContour(0.5 + 45.0j, 0.4, nodes=16))
+
     def test_first_nontrivial_zero_neighborhood(self):
         # the oracle must stay accurate near the first zero, which the
         # counting tests enclose
@@ -182,7 +203,6 @@ class TestPrefactorArrays:
             "log_gamma": m.log_gamma,
             "digamma": m.digamma,
             "csgn": m.csgn,
-            "csgn_smooth": lambda s: m.csgn_smooth(s, 0.1),
             # the angle arrays of the contour entry points
             "kernel_mellin": lambda s: m.kernel_mellin(ff, c, s.real, cfg),
             "integrand_direct": lambda s: m.integrand_direct(ff, c, s.real),
