@@ -145,6 +145,7 @@ _PIPELINE = ["count", "--method", "pipeline", "--nodes", "8"]
         pytest.param(["count", "--radius", "inf"], id="radius-inf"),
         pytest.param(["count", "--nodes", "0"], id="nodes"),
         pytest.param(["count", "--method", "pipeline", "--nodes", "8", "--eps", "0.01"], id="eps-unknown"),
+        pytest.param(["table1", "--eps", "0.01"], id="table1-eps-unknown"),
         pytest.param(["count", "--method", "pipeline", "--nodes", "8", "--order-n", "-1"], id="order-negative"),
         pytest.param(["sign-map", *_GRID, "--grid-nx", "0"], id="grid-nx"),
         pytest.param(["expsum-error", *_GRID, "--grid-ny", "0"], id="grid-ny"),
@@ -304,6 +305,11 @@ class TestConvolutionCheck:
         pytest.param(["count", "--method", "direct", "--center-re", "-800"], id="count"),
         # 50 terms leave zeta 87% off here: refused, not counted
         pytest.param(["count", "--method", "direct", "--center-im", "1000"], id="count-high-im"),
+        pytest.param(["count", "--method", "direct", "--center-im=-1000"], id="count-high-im-negative"),
+        # the reference column's nodes reach Im s = 50.05; K alone is fine there
+        pytest.param(["table1", "--center-im", "50"], id="table1-high-im"),
+        pytest.param(["sign-map", "--re-min", "0", "--re-max", "1", "--im-min", "44", "--im-max", "46",
+                      "--grid-nx", "2", "--grid-ny", "3"], id="sign-map-high-im"),
         pytest.param(["sign-map", "--re-min", "-800", "--re-max", "-799", "--im-min", "0", "--im-max", "1",
                       "--grid-nx", "2", "--grid-ny", "2"], id="sign-map"),
         pytest.param(["table1", "--radius", "1e308"], id="table1"),
@@ -345,6 +351,7 @@ def _reject_constant(constant):
     [
         pytest.param(["table1"], 0, id="table1"),
         pytest.param(["table1", "--center-im", "500"], 2, id="table1-out-of-range"),
+        pytest.param(["count", "--method", "direct", "--center-im", "1000"], 2, id="count-high-im"),
         pytest.param(["count", "--method", "direct"], 0, id="count-direct"),
         pytest.param(["count", "--method", "pipeline"], 0, id="count-pipeline"),
         pytest.param(["sign-map", "--re-min", "-0.5", "--re-max", "2", "--im-min", "0", "--im-max", "30",

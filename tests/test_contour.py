@@ -42,6 +42,12 @@ class TestTypes:
         with pytest.raises(ValueError, match="integer"):
             m.PipelineConfig(table=coeffs, series_order=1.5)
 
+    def test_pipeline_config_has_one_sign_mode(self, coeffs):
+        # the sign factor is always csgn(f): no smooth-sign width is accepted
+        assert "eps" not in {f.name for f in dataclasses.fields(m.PipelineConfig)}
+        with pytest.raises(TypeError):
+            m.PipelineConfig(table=coeffs, eps=0.01)
+
     def test_count_result_rounding(self):
         r = m.CountResult.from_value(-0.999999 + 1e-7j)
         assert r.rounded == -1

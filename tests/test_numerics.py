@@ -38,6 +38,17 @@ class TestCsgn:
         x = complex(re, im)
         assert m.csgn(-x) == -m.csgn(x)
 
+    @given(re=nonzero_re, im=finite)
+    def test_folds_into_right_half_plane(self, re, im):
+        # csgn(f) f is the argument of the exponential sum for 1/f
+        x = complex(re, im)
+        assert (m.csgn(x) * x).real > 0.0
+
+    @given(im=st.floats(min_value=1e-6, max_value=1e6).flatmap(lambda r: st.sampled_from([r, -r])))
+    def test_folds_imaginary_axis_upward(self, im):
+        x = complex(0.0, im)
+        assert (m.csgn(x) * x).imag > 0.0
+
 
 def _euler_gamma_oracle():
     # harmonic-sum oracle with Euler-Maclaurin tail correction

@@ -86,6 +86,22 @@ class TestZetaReference:
         with pytest.raises(m.DomainError, match="eta series"):
             m.count_direct(ff, m.CircularContour(0.5 + 45.0j, 0.4, nodes=16))
 
+    @pytest.mark.parametrize("im", [45.0, -45.0])
+    def test_guard_starts_just_past_45(self, im):
+        # |Im s| = 45 itself is summed; the next double outward is refused
+        assert cmath.isfinite(m.zeta_reference(complex(0.5, im)))
+        with pytest.raises(m.DomainError, match="eta series"):
+            m.zeta_reference(complex(0.5, math.nextafter(im, math.copysign(math.inf, im))))
+
+    # the seventh and eighth zeros (mpmath.zetazero), and the eighth's conjugate
+    @pytest.mark.parametrize("im", [40.918719012147498, 43.327073280915002, -43.327073280915002])
+    def test_direct_count_below_the_guard(self, im):
+        # a circle of radius 0.5 about a zero stays inside |Im s| < 45
+        ff = m.build_zeta_factored()
+        result = m.count_direct(ff, m.CircularContour(complex(0.5, im), 0.5, nodes=32))
+        assert result.rounded == 1
+        assert result.reliable
+
     def test_first_nontrivial_zero_neighborhood(self):
         # the oracle must stay accurate near the first zero, which the
         # counting tests enclose
