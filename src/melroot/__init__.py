@@ -19,15 +19,14 @@ from .errors import (
     NonConvergenceError,
     PoleError,
 )
-from .expsum import PRESETS, ExpSumTable, error_grid, inv_approx, inv_approx_truncated
+from .expsum import PRESETS, ExpSumTable, error_grid, inv_approx
 from .mellin import (
     MellinIntegrand,
     deriv_times_power,
     power_transform,
     transform,
-    transform_derivative,
 )
-from .numerics import csgn, digamma, log_gamma
+from .numerics import csgn
 from .quadrature import (
     QuadratureConfig,
     QuadratureResult,
@@ -36,10 +35,7 @@ from .quadrature import (
 )
 from .zeta import (
     build_zeta_factored,
-    prefactor,
-    prefactor_derivative,
     z_integrand,
-    zeta_prime_reference,
     zeta_reference,
 )
 

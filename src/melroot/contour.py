@@ -22,9 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, PoleError
-from .expsum import ExpSumTable, inv_approx, inv_approx_truncated, truncated_series
+from .expsum import ExpSumTable, inv_approx
 from .mellin import MellinIntegrand
-from .numerics import csgn
 from .quadrature import QuadratureConfig
 
 __all__ = [
@@ -170,7 +169,7 @@ def integrand_stage2(
 ) -> complex | np.ndarray:
     """As stage 1, with each exponential truncated to its degree-``n``
     Taylor polynomial."""
-    return _reference_integrand(ff, c, phi, lambda f, fprime: fprime * inv_approx_truncated(f, table, n))
+    return _reference_integrand(ff, c, phi, lambda f, fprime: fprime * inv_approx(f, table, n))
 
 
 def _kernel_values(ff: FactoredFunction, c: CircularContour, phi, cfg: PipelineConfig) -> complex | np.ndarray:
@@ -178,8 +177,9 @@ def _kernel_values(ff: FactoredFunction, c: CircularContour, phi, cfg: PipelineC
     complex or an array of their shape, computed on one flat array of nodes:
     the :func:`integrand_stage2` of f = K Z and f' = K' Z + K Z', with Z and
     Z' the power sums of the moments of the contour's disk, so each Z**k and
-    Z' Z**k is a product of them, and the sign factor is csgn(f). K and K'
-    are called once each, on all nodes. A :class:`NonConvergenceError`
+    Z' Z**k is a product of them, and the sign factor csgn(f) folded in by
+    :func:`inv_approx` at the series order, as in stage 2. K and K' are
+    called once each, on all nodes. A :class:`NonConvergenceError`
     carries the values from the finest moments.
     """
     # Imported here: only this route needs it, so `import melroot` does not
@@ -203,8 +203,7 @@ def _kernel_values(ff: FactoredFunction, c: CircularContour, phi, cfg: PipelineC
     Ks = ff.K(nodes)
     f = Ks * z
     fprime = ff.Kprime(nodes) * z + Ks * zprime
-    sgn = csgn(f)
-    series = sgn * truncated_series(sgn * f, cfg.table, cfg.series_order)
+    series = inv_approx(f, cfg.table, cfg.series_order)
     # (1 / 2 pi i) ds/dphi = radius u / 2 pi
     values = (fprime * series * (c.radius / (2.0 * math.pi) * u)).reshape(np.shape(phi))
     if values.ndim == 0:

@@ -2,8 +2,8 @@
 
 1/x is approximated by sum_j alpha_j * exp(-c_j * x), valid for Re(x) > 0;
 a csgn guard folds arguments into that half-plane, making the approximation
-odd. A truncated-Taylor variant replaces each exponential by its power
-series up to a chosen order.
+odd. Given an order, each exponential is replaced by its Taylor polynomial
+of that degree.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "ExpSumTable",
     "PRESETS",
     "inv_approx",
-    "inv_approx_truncated",
     "series_weights",
     "truncated_series",
     "error_grid",
@@ -82,15 +81,21 @@ PRESETS: dict[str, ExpSumTable] = {
 }
 
 
-def inv_approx(x, table: ExpSumTable):
+def inv_approx(x, table: ExpSumTable, order: int | None = None):
     """Exponential-sum approximation of 1/x with the csgn fold, elementwise.
 
     Returns sum_j alpha_j * csgn(x) * exp(-c_j * x * csgn(x)). The fold
     guarantees Re(c_j * x * csgn(x)) >= 0, the convergence condition of the
     underlying approximation, and makes the result an odd function of x.
+    With an integer ``order``, each exponential is replaced by its Taylor
+    polynomial of that degree: csgn(x) * :func:`truncated_series` of
+    x csgn(x). An order that is not a non-negative integer raises
+    ``ValueError``.
     """
     sgn = csgn(x)
     folded = x * sgn
+    if order is not None:
+        return sgn * truncated_series(folded, table, order)
     total = 0j
     for a, cj in zip(table.alpha, table.c):
         total += a * sgn * np.exp(-cj * folded)
@@ -124,13 +129,6 @@ def truncated_series(y, table: ExpSumTable, n: int):
     for b in reversed(series_weights(table, n)):
         total = total * y + b
     return total
-
-
-def inv_approx_truncated(x, table: ExpSumTable, n: int):
-    """As :func:`inv_approx`, with exp(w) replaced by its Taylor polynomial
-    of degree ``n``: csgn(x) * :func:`truncated_series` of x csgn(x)."""
-    sgn = csgn(x)
-    return sgn * truncated_series(x * sgn, table, n)
 
 
 def error_grid(

@@ -24,7 +24,6 @@ from .quadrature import QuadratureConfig, QuadratureResult, integrate_semi_infin
 __all__ = [
     "MellinIntegrand",
     "transform",
-    "transform_derivative",
     "power_transform",
     "deriv_times_power",
 ]
@@ -138,11 +137,6 @@ def transform(zf: MellinIntegrand, s: complex, quad: QuadratureConfig | None = N
     return _convolution_transform(zf, False, 1, s, quad)
 
 
-def transform_derivative(zf: MellinIntegrand, s: complex, quad: QuadratureConfig | None = None) -> QuadratureResult:
-    """Z'(s) = int_0^inf ln(t) z(t) t**(s-1) dt."""
-    return _convolution_transform(zf, True, 1, s, quad)
-
-
 def power_transform(zf: MellinIntegrand, k: int, s: complex, quad: QuadratureConfig | None = None) -> QuadratureResult:
     """Z(s)**k computed from z(t) through the convolution representation, a
     k-fold iterated integral, for any integer k >= 1 (each order adds a
@@ -154,8 +148,8 @@ def power_transform(zf: MellinIntegrand, k: int, s: complex, quad: QuadratureCon
 
 def deriv_times_power(zf: MellinIntegrand, k: int, s: complex, quad: QuadratureConfig | None = None) -> QuadratureResult:
     """Z'(s) * Z(s)**k from z(t), for any integer k >= 0: k = 0 is
-    :func:`transform_derivative`, and k >= 1 the (k + 1)-fold convolution
-    with an ln(u1) weight."""
+    Z'(s) = int_0^inf ln(t) z(t) t**(s-1) dt, and k >= 1 the (k + 1)-fold
+    convolution with an ln(u1) weight."""
     if not isinstance(k, numbers.Integral) or k < 0:
         raise ValueError(f"deriv_times_power order must be an integer >= 0, got {k!r}")
     return _convolution_transform(zf, True, k + 1, s, quad)

@@ -1,9 +1,9 @@
-"""Complex special functions, elementwise over numpy arrays.
+"""Complex special functions over numpy arrays.
 
-The complex sign function, and log-gamma and digamma for the prefactors,
-both from one pass of Stirling's series. Each takes a scalar or an array: a
-scalar gives a scalar (``csgn`` an int, the others a complex), an array
-gives an array of its shape. A pole or domain error at any element raises.
+The complex sign function, which takes a scalar (giving an int) or an array
+(giving an array of its shape), and log-gamma and digamma of a complex array
+together, from one pass of Stirling's series (:func:`_gamma_pass`, for the
+prefactors). A pole or domain error at any element raises.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from .errors import DomainError, PoleError
 __all__ = [
     "elementwise",
     "csgn",
-    "log_gamma",
-    "digamma",
 ]
 
 
@@ -72,7 +70,10 @@ def _gamma_pass(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the reflection formulas at 1 - z, with log sin(pi z) and cot(pi z)
     reduced to the nearest integer first, and log sin taken from exponentials
     that stay finite at any Im z. A pole, z = 0, -1, -2, ..., anywhere raises
-    :class:`PoleError`.
+    :class:`PoleError`. log Gamma is the principal branch for Re z >= 0.5;
+    below that its exponential is always Gamma(z), but its imaginary part is
+    not guaranteed to be the analytically continued branch across the
+    reflection seam.
     """
     reflect = z.real < 0.5
     w = z
@@ -110,19 +111,3 @@ def _gamma_pass(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         psi[reflect] -= math.pi / np.tan(angle)
     return log_gamma, psi
 
-
-@elementwise
-def log_gamma(z):
-    """log Gamma(z) for complex z; the principal branch for Re(z) >= 0.5.
-
-    Below that the imaginary part is not guaranteed to be the analytically
-    continued branch across the reflection seam; exp(log_gamma(z)) is always
-    Gamma(z).
-    """
-    return _gamma_pass(z)[0]
-
-
-@elementwise
-def digamma(z):
-    """psi(z) = d/dz log Gamma(z) for complex z."""
-    return _gamma_pass(z)[1]

@@ -25,10 +25,7 @@ from .numerics import _gamma_pass, elementwise
 
 __all__ = [
     "z_integrand",
-    "prefactor",
-    "prefactor_derivative",
     "zeta_reference",
-    "zeta_prime_reference",
     "build_zeta_factored",
 ]
 
@@ -128,11 +125,6 @@ def zeta_reference(s: complex) -> complex:
     return _zeta_and_prime(s)[0]
 
 
-def zeta_prime_reference(s: complex) -> complex:
-    """d/ds zeta(s), term-wise differentiated accelerated eta series."""
-    return _zeta_and_prime(s)[1]
-
-
 def z_integrand(t):
     """z(t) = t / cosh(t)**2, the function whose Mellin transform carries
     zeta; accepts scalars or numpy arrays."""
@@ -140,7 +132,8 @@ def z_integrand(t):
 
 
 def _prefactor_pass(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K(s), K'(s)) at each element of ``s``, from one gamma pass. The first
+    """(K(s), K'(s)) at each element of ``s``, from one gamma pass, with
+    K'(s) = K(s) (ln 2 - 2**(1-s) ln 2 / (1 - 2**(1-s)) - psi(s+1)). The first
     element of smallest |1 - 2**(1-s)|, NaN aside, is validated by
     :func:`_check_eta_factor` when that is below the conditioning cutoff.
     Raises :class:`DomainError` at the first element where K or K' is not
@@ -161,19 +154,6 @@ def _prefactor_pass(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if bad.any():
         raise DomainError(f"the prefactor leaves floating-point range at s = {s.flat[bad.argmax()]}")
     return K, Kprime
-
-
-@elementwise
-def prefactor(s):
-    """K(s) = 2**(s-1) / ((1 - 2**(1-s)) * Gamma(s+1)), elementwise."""
-    return _prefactor_pass(s)[0]
-
-
-@elementwise
-def prefactor_derivative(s):
-    """K'(s) = K(s) * (ln 2 - 2**(1-s) ln 2 / (1 - 2**(1-s)) - psi(s+1)),
-    elementwise."""
-    return _prefactor_pass(s)[1]
 
 
 def _eta_pass(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,9 +193,9 @@ def build_zeta_factored() -> FactoredFunction:
     All four callables take a scalar or a node array. f and f' share one
     kept evaluation (:func:`_kept_evaluation`), so a node array costs one
     eta-series pass per node, and K and K' share another, so it costs one
-    gamma pass (log Gamma and psi together). Each returns the values of
-    :func:`zeta_reference`, :func:`zeta_prime_reference`, :func:`prefactor`
-    or :func:`prefactor_derivative` there."""
+    gamma pass (log Gamma and psi together). f and f' return the pair of
+    :func:`_zeta_and_prime` at each node, K and K' that of
+    :func:`_prefactor_pass`."""
     zf = MellinIntegrand(z=z_integrand, convergence_strip=(-1.0, math.inf))
     K, Kprime = _kept_evaluation(_prefactor_pass, 2)
     zeta, zeta_prime = _kept_evaluation(_eta_pass, 2)

@@ -354,6 +354,8 @@ def _reject_constant(constant):
         pytest.param(["count", "--method", "direct", "--center-im", "1000"], 2, id="count-high-im"),
         pytest.param(["count", "--method", "direct"], 0, id="count-direct"),
         pytest.param(["count", "--method", "pipeline"], 0, id="count-pipeline"),
+        # a tiny disk: it exited 3 before the moments kept at least five terms
+        pytest.param(["count", "--method", "pipeline", "--radius", "1e-12"], 0, id="count-pipeline-tiny-disk"),
         pytest.param(["sign-map", "--re-min", "-0.5", "--re-max", "2", "--im-min", "0", "--im-max", "30",
                       "--grid-nx", "4", "--grid-ny", "4"], 0, id="sign-map"),
         pytest.param(["expsum-error", "--re-min", "-1", "--re-max", "1", "--im-min", "-1", "--im-max", "1",

@@ -358,6 +358,19 @@ class TestCounting:
         assert abs(count - value) <= 1e-12 * max(1.0, abs(value))
         assert len(moments(zeta_ff.zf, center, radius)[0]) - 1 == degree
 
+    @pytest.mark.parametrize("center", [0.57 + 1.57j, 1.0 + 0.3j, 0.5 + 14.134725j, -0.7 + 0j, 2.0 + 5.0j])
+    def test_pipeline_counts_tiny_disks(self, zeta_ff, coeffs, center):
+        # the moments' tail estimate takes their last two terms, so a disk
+        # keeps at least five: with fewer, those were the leading Taylor
+        # terms of Z and Z' and a tiny disk raised NonConvergenceError
+        from melroot.logspace import moments
+
+        cfg = m.PipelineConfig(table=coeffs)
+        for radius in (1e-6, 1e-7, 1e-9, 1e-12, 1e-100, 1e-300):
+            result = m.count_pipeline(zeta_ff, m.CircularContour(center, radius, 16), cfg)
+            assert (result.rounded, result.reliable) == (0, True), radius
+            assert len(moments(zeta_ff.zf, center, radius)[0]) == 6
+
     @pytest.mark.parametrize(
         "center, radius, nodes", [(0.57 + 1.57j, 0.1, 64), (1.0 + 0j, 0.1, 16), (0.5 + 14.134725j, 0.05, 8)]
     )

@@ -101,11 +101,12 @@ class TestInvApprox:
         with pytest.raises(m.DomainError):
             m.inv_approx(0.0, coeffs)
 
-    def test_array_matches_scalar_values(self, coeffs):
+    @pytest.mark.parametrize("order", [None, 0, 1, 3])
+    def test_array_matches_scalar_values(self, coeffs, order):
         x = np.array([[1.0 + 0.5j, -2.0 + 1j], [-0.1j, 3.0 - 4.0j]])
-        values = m.inv_approx(x, coeffs)
+        values = m.inv_approx(x, coeffs, order)
         assert values.shape == x.shape
-        assert values.ravel().tolist() == [m.inv_approx(complex(v), coeffs) for v in x.ravel()]
+        assert values.ravel().tolist() == [m.inv_approx(complex(v), coeffs, order) for v in x.ravel()]
 
     def test_coarse_on_contour_values(self, zeta_ff, ref_contour, coeffs):
         # the approximation is deliberately coarse where |f| is small
@@ -116,34 +117,34 @@ class TestInvApprox:
 
 class TestInvApproxTruncated:
     def test_high_order_converges_to_full(self, coeffs):
-        assert abs(m.inv_approx_truncated(1.0, coeffs, 30) - m.inv_approx(1.0, coeffs)) < 1e-12
+        assert abs(m.inv_approx(1.0, coeffs, 30) - m.inv_approx(1.0, coeffs)) < 1e-12
 
     def test_order_zero_is_constant_term(self, coeffs):
         expected = sum(coeffs.alpha)
-        assert m.inv_approx_truncated(1.0, coeffs, 0) == expected
-        assert m.inv_approx_truncated(37.0, coeffs, 0) == expected
-        assert m.inv_approx_truncated(-5.0, coeffs, 0) == -expected
+        assert m.inv_approx(1.0, coeffs, 0) == expected
+        assert m.inv_approx(37.0, coeffs, 0) == expected
+        assert m.inv_approx(-5.0, coeffs, 0) == -expected
 
     def test_negative_order_rejected(self, coeffs):
         with pytest.raises(ValueError):
-            m.inv_approx_truncated(1.0, coeffs, -1)
+            m.inv_approx(1.0, coeffs, -1)
 
     def test_non_integer_order_rejected(self, coeffs):
         with pytest.raises(ValueError, match="integer"):
-            m.inv_approx_truncated(1.0, coeffs, 1.5)
+            m.inv_approx(1.0, coeffs, 1.5)
 
     def test_high_orders_do_not_overflow(self, coeffs):
         # c_j**1000 and 1000! overflow a float; the weights must not
         weights = m.expsum.series_weights(coeffs, 1000)
         assert all(math.isfinite(b) for b in weights)
         x = -3.0 + 2.0j
-        assert abs(m.inv_approx_truncated(x, coeffs, 1000) - m.inv_approx(x, coeffs)) < 1e-12
+        assert abs(m.inv_approx(x, coeffs, 1000) - m.inv_approx(x, coeffs)) < 1e-12
 
     def test_monotone_convergence_beyond_threshold(self, coeffs):
         x = 1.5 + 0.4j
         target = m.inv_approx(x, coeffs)
         start = math.ceil(max(coeffs.c) * abs(x))
-        errs = [abs(m.inv_approx_truncated(x, coeffs, n) - target) for n in range(start, start + 12)]
+        errs = [abs(m.inv_approx(x, coeffs, n) - target) for n in range(start, start + 12)]
         assert all(a >= b for a, b in zip(errs, errs[1:]))
 
 

@@ -77,18 +77,18 @@ class TestTransform:
 
 class TestTransformDerivative:
     def test_gamma_prime_at_one(self):
-        assert abs(m.transform_derivative(EXP_DECAY, 1.0).value + euler_gamma_oracle()) < 1e-9
+        assert abs(m.deriv_times_power(EXP_DECAY, 0, 1.0).value + euler_gamma_oracle()) < 1e-9
 
     def test_matches_finite_difference(self, zeta_zf):
         s = 0.57 + 1.57j
         h = 1e-5
         quad = m.QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14)
         fd = (m.transform(zeta_zf, s + h, quad).value - m.transform(zeta_zf, s - h, quad).value) / (2 * h)
-        assert abs(m.transform_derivative(zeta_zf, s).value - fd) < 1e-6
+        assert abs(m.deriv_times_power(zeta_zf, 0, s).value - fd) < 1e-6
 
     def test_strip_enforced(self, zeta_zf):
         with pytest.raises(m.DomainError):
-            m.transform_derivative(zeta_zf, -2.0)
+            m.deriv_times_power(zeta_zf, 0, -2.0)
 
 
 class TestPowerTransform:
@@ -137,15 +137,16 @@ class TestPowerTransform:
 
 class TestDerivTimesPower:
     def test_k0_is_derivative(self, zeta_zf):
+        # Z'(s) is the transform of ln(t) z(t)
         s = 0.7 + 0.3j
         a = m.deriv_times_power(zeta_zf, 0, s).value
-        b = m.transform_derivative(zeta_zf, s).value
+        b = m.transform(m.MellinIntegrand(lambda t: np.log(t) * zeta_zf.z(t), zeta_zf.convergence_strip), s).value
         assert a == b
 
     def test_k1_matches_product_of_separate_integrals(self, zeta_zf):
         s = 0.57 + 1.57j + 0.1
         prod = m.deriv_times_power(zeta_zf, 1, s).value
-        sep = m.transform_derivative(zeta_zf, s).value * m.transform(zeta_zf, s).value
+        sep = m.deriv_times_power(zeta_zf, 0, s).value * m.transform(zeta_zf, s).value
         assert abs(prod - sep) < 1e-6
 
     def test_k1_gamma_oracle(self):
@@ -157,7 +158,7 @@ class TestDerivTimesPower:
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("s", [0.4 + 0j, 0.4 - 0.3j])
     def test_higher_orders_match_products(self, zeta_zf, s, k):
-        direct = m.transform_derivative(zeta_zf, s).value * m.transform(zeta_zf, s).value ** k
+        direct = m.deriv_times_power(zeta_zf, 0, s).value * m.transform(zeta_zf, s).value ** k
         assert abs(m.deriv_times_power(zeta_zf, k, s).value - direct) < 1e-10 * abs(direct)
 
     @pytest.mark.parametrize("k", [-1, 0.5])
@@ -322,7 +323,7 @@ class TestConvolutionPowers:
         for si in (0.5 + 0j, 1.0 + 2.0j, 1.7 - 0.5j, 0.8 + 8.0j):
             z_value, zprime = _on_disk(zf, si + 0.05, 0.1, -0.5)
             exact = m.transform(zf, si).value
-            exact_prime = m.transform_derivative(zf, si).value
+            exact_prime = m.deriv_times_power(zf, 0, si).value
             assert abs(z_value - exact) <= 1e-10 * abs(exact)
             assert abs(zprime - exact_prime) <= 1e-10 * abs(exact_prime)
 

@@ -12,6 +12,7 @@ import pytest
 
 import melroot as m
 from melroot import zeta as zeta_module
+from melroot.numerics import _gamma_pass, elementwise
 
 
 class TestZetaReference:
@@ -25,7 +26,7 @@ class TestZetaReference:
         with pytest.raises(m.PoleError):
             m.zeta_reference(1.0)
         with pytest.raises(m.PoleError):
-            m.zeta_prime_reference(1.0)
+            m.build_zeta_factored().fprime_reference(1.0)
 
     @pytest.mark.parametrize("s", [-800.0, 0.5 + 1e308j], ids=["overflow", "domain"])
     def test_series_out_of_range_is_a_domain_error(self, s):
@@ -33,7 +34,7 @@ class TestZetaReference:
         # 50-term loop, come out typed
         ff = m.build_zeta_factored()
         nodes = np.array([0.5 + 1j, s])
-        for reference, at in ((m.zeta_reference, s), (m.zeta_prime_reference, s), (ff.f_reference, nodes)):
+        for reference, at in ((m.zeta_reference, s), (ff.fprime_reference, s), (ff.f_reference, nodes)):
             with pytest.raises(m.DomainError, match="eta series"):
                 reference(at)
 
@@ -46,7 +47,7 @@ class TestZetaReference:
         # 1 - 2**(1-s) vanishes along Re(s) = 1 at Im(s) = 2*pi*k/ln 2
         s = complex(1.0, 2.0 * math.pi / math.log(2.0)) + 1e-8
         ff = m.build_zeta_factored()
-        for reference in (m.zeta_reference, m.zeta_prime_reference, ff.f_reference, ff.fprime_reference):
+        for reference in (m.zeta_reference, zeta_module._zeta_and_prime, ff.f_reference, ff.fprime_reference):
             s += 1e-12  # a new point each time, so the model evaluates afresh
             with pytest.warns(RuntimeWarning) as record:
                 reference(s)
@@ -57,13 +58,14 @@ class TestZetaReference:
         import mpmath as mp
 
         mp.mp.dps = 30
+        ff = m.build_zeta_factored()
         rng = np.random.default_rng(3)
         for _ in range(40):
             s = complex(rng.uniform(-0.9, 3.0), rng.uniform(-20.0, 20.0))
             if abs(s - 1.0) < 0.05:
                 continue
             assert abs(m.zeta_reference(s) - complex(mp.zeta(s))) < 1e-10
-            assert abs(m.zeta_prime_reference(s) - complex(mp.zeta(s, derivative=1))) < 1e-9
+            assert abs(ff.fprime_reference(s) - complex(mp.zeta(s, derivative=1))) < 1e-9
 
     def test_series_refused_past_im_45(self):
         # the 50-term series keeps 6.8e-10 of zeta and zeta' at |Im s| = 45;
@@ -71,15 +73,15 @@ class TestZetaReference:
         import mpmath as mp
 
         mp.mp.dps = 30
+        ff = m.build_zeta_factored()
         for re in (-0.9, 0.0, 0.5, 1.5, 3.0):
             for s in (complex(re, 45.0), complex(re, -45.0)):
-                for ours, k in ((m.zeta_reference, 0), (m.zeta_prime_reference, 1)):
+                for ours, k in ((m.zeta_reference, 0), (ff.fprime_reference, 1)):
                     exact = complex(mp.zeta(s, derivative=k))
                     assert abs(ours(s) - exact) < 1e-9 * abs(exact)
-        ff = m.build_zeta_factored()
         s = 0.5 + 45.5j
         nodes = np.array([0.5 + 1j, s])
-        for reference, at in ((m.zeta_reference, s), (m.zeta_prime_reference, s.conjugate()), (ff.f_reference, nodes)):
+        for reference, at in ((m.zeta_reference, s), (ff.fprime_reference, s.conjugate()), (ff.f_reference, nodes)):
             with pytest.raises(m.DomainError, match="eta series"):
                 reference(at)
         # a circle about 0.5 + 45i of radius 0.4 has nodes past |Im s| = 45
@@ -113,20 +115,20 @@ class TestZetaReference:
 
 
 class TestPrefactor:
-    def test_identity_with_transform(self, zeta_zf):
+    def test_identity_with_transform(self, zeta_ff):
         # cancellation in the oscillatory integral grows like e^{pi |Im s|/2}
         # (the Gamma decay in the prefactor), so keep |Im s| moderate here
         rng = np.random.default_rng(23)
         quad = m.QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13)
         for _ in range(20):
             s = complex(rng.uniform(0.05, 2.0), rng.uniform(-12.0, 12.0))
-            lhs = m.prefactor(s) * m.transform(zeta_zf, s, quad).value
+            lhs = zeta_ff.K(s) * m.transform(zeta_ff.zf, s, quad).value
             assert abs(lhs - m.zeta_reference(s)) < 1e-7
 
-    def test_identity_degrades_gracefully_at_large_imag(self, zeta_zf):
+    def test_identity_degrades_gracefully_at_large_imag(self, zeta_ff):
         quad = m.QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13)
         s = 1.88 - 20.0j
-        lhs = m.prefactor(s) * m.transform(zeta_zf, s, quad).value
+        lhs = zeta_ff.K(s) * m.transform(zeta_ff.zf, s, quad).value
         assert abs(lhs - m.zeta_reference(s)) < 1e-4
 
     def test_inverse_identity(self, zeta_zf):
@@ -136,24 +138,23 @@ class TestPrefactor:
         for _ in range(20):
             s = complex(rng.uniform(0.05, 2.0), rng.uniform(-12.0, 12.0))
             lam = 1.0 - cmath.exp((1.0 - s) * math.log(2.0))
-            recovered = (
-                m.zeta_reference(s) * lam * cmath.exp(m.log_gamma(s + 1.0)) / 2.0 ** (s - 1.0)
-            )
+            log_gamma = complex(_gamma_pass(np.array([s + 1.0]))[0][0])
+            recovered = m.zeta_reference(s) * lam * cmath.exp(log_gamma) / 2.0 ** (s - 1.0)
             assert abs(recovered - m.transform(zeta_zf, s, quad).value) < 1e-7
 
-    def test_derivative_against_finite_differences(self):
+    def test_derivative_against_finite_differences(self, zeta_ff):
         rng = np.random.default_rng(31)
         h = 1e-6
         for _ in range(20):
             s = complex(rng.uniform(0.1, 2.0), rng.uniform(-10.0, 10.0))
-            fd = (m.prefactor(s + h) - m.prefactor(s - h)) / (2.0 * h)
-            assert abs(m.prefactor_derivative(s) - fd) < 1e-6 * max(1.0, abs(fd))
+            fd = (zeta_ff.K(s + h) - zeta_ff.K(s - h)) / (2.0 * h)
+            assert abs(zeta_ff.Kprime(s) - fd) < 1e-6 * max(1.0, abs(fd))
 
-    def test_log_derivative_formula(self):
+    def test_log_derivative_formula(self, zeta_ff):
         s = 0.57 + 1.57j
         h = 1e-7
-        fd = (cmath.log(m.prefactor(s + h)) - cmath.log(m.prefactor(s - h))) / (2.0 * h)
-        assert abs(m.prefactor_derivative(s) / m.prefactor(s) - fd) < 1e-6
+        fd = (cmath.log(zeta_ff.K(s + h)) - cmath.log(zeta_ff.K(s - h))) / (2.0 * h)
+        assert abs(zeta_ff.Kprime(s) / zeta_ff.K(s) - fd) < 1e-6
 
 
 class TestIntegrandFunction:
@@ -192,32 +193,29 @@ class TestBuildZetaFactored:
 class TestPrefactorArrays:
     S = np.array([0.57 + 1.57j, -0.5 + 3.0j, 0.4 + 0j, 2.0 - 14.0j, 0.5 + 14.134725j])
 
-    @pytest.mark.parametrize("f", [m.prefactor, m.prefactor_derivative])
-    def test_matches_scalar_values(self, f):
+    @pytest.mark.parametrize("name", ["K", "Kprime"])
+    def test_matches_scalar_values(self, zeta_ff, name):
+        f = getattr(zeta_ff, name)
         values = f(self.S)
         assert values.shape == self.S.shape
         assert values.tolist() == [f(complex(s)) for s in self.S]
 
-    @pytest.mark.parametrize("f", [m.prefactor, m.prefactor_derivative])
-    def test_pole_anywhere_in_array_rejected(self, f):
+    @pytest.mark.parametrize("name", ["K", "Kprime"])
+    def test_pole_anywhere_in_array_rejected(self, zeta_ff, name):
         # a NaN node, whose |1 - 2**(1-s)| is NaN, must not hide the pole
         for nodes in ([0.57 + 1.57j, 1.0 + 0j, 2.0 + 0j], [complex(math.nan), 1.0 + 0j]):
             with pytest.raises(m.PoleError):
-                f(np.array(nodes))
+                getattr(zeta_ff, name)(np.array(nodes))
 
     def test_empty_node_array_gives_empty_array(self, coeffs):
         ff = m.build_zeta_factored()
         c = m.CircularContour(0.57 + 1.57j, 0.1, nodes=8)
         cfg = m.PipelineConfig(table=coeffs)
         entry_points = {
-            "prefactor": m.prefactor,
-            "prefactor_derivative": m.prefactor_derivative,
             "K": ff.K,
             "Kprime": ff.Kprime,
             "f_reference": ff.f_reference,
             "fprime_reference": ff.fprime_reference,
-            "log_gamma": m.log_gamma,
-            "digamma": m.digamma,
             "csgn": m.csgn,
             # the angle arrays of the contour entry points
             "kernel_mellin": lambda s: m.kernel_mellin(ff, c, s.real, cfg),
@@ -227,11 +225,11 @@ class TestPrefactorArrays:
         for name, f in entry_points.items():
             assert f(np.array([], dtype=complex)).shape == (0,), name
 
-    @pytest.mark.parametrize("f", [m.prefactor, m.prefactor_derivative])
-    def test_conditioning_warning_from_any_element(self, f):
+    @pytest.mark.parametrize("name", ["K", "Kprime"])
+    def test_conditioning_warning_from_any_element(self, name):
         near = complex(1.0, 2.0 * math.pi / math.log(2.0)) + 1e-8
         with pytest.warns(RuntimeWarning, match="resonance"):
-            f(np.array([0.57 + 1.57j, near, 2.0 + 0j]))
+            getattr(m.build_zeta_factored(), name)(np.array([0.57 + 1.57j, near, 2.0 + 0j]))
 
 
 NEAR = complex(1.0, 2.0 * math.pi / math.log(2.0)) + 1e-8  # 1 - 2**(1-s) ~ 1e-8
@@ -241,7 +239,7 @@ NEAR = complex(1.0, 2.0 * math.pi / math.log(2.0)) + 1e-8  # 1 - 2**(1-s) ~ 1e-8
 def test_conditioning_warning_from_a_main_without_source(how):
     # `python -c` and a script read from stdin run __main__ from a string,
     # whose loader cannot give source; the warning names it and never raises
-    code = "import melroot as m; m.prefactor(1+1e-9)"
+    code = "import melroot as m; m.build_zeta_factored().K(1+1e-9)"
     src = str(Path(m.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     args, stdin = ([sys.executable, "-c", code], None) if how == "command" else ([sys.executable, "-"], code)
@@ -338,8 +336,9 @@ class TestSharedEtaPass(KeptEvaluationCases):
     node."""
 
     def pair(self, ff):
-        # the stateless references take one point each
-        stateless = tuple(np.vectorize(f, otypes=[complex]) for f in (m.zeta_reference, m.zeta_prime_reference))
+        # the stateless eta series takes one point at a time
+        series = zeta_module._zeta_and_prime
+        stateless = tuple(np.vectorize(lambda s, i=i: series(s)[i], otypes=[complex]) for i in range(2))
         return (ff.f_reference, ff.fprime_reference), stateless
 
     def count(self, ff, c, coeffs):
@@ -377,7 +376,8 @@ class TestSharedEtaPass(KeptEvaluationCases):
         ff = m.build_zeta_factored()
         s1, s2 = 0.57 + 1.57j, 0.5 + 14.134725j
         got = [ff.f_reference(s1), ff.fprime_reference(s2), ff.f_reference(s2), ff.fprime_reference(s1)]
-        want = [m.zeta_reference(s1), m.zeta_prime_reference(s2), m.zeta_reference(s2), m.zeta_prime_reference(s1)]
+        series = zeta_module._zeta_and_prime
+        want = [series(s1)[0], series(s2)[1], series(s2)[0], series(s1)[1]]
         assert got == want
 
     def test_count_direct_matches_stateless_references(self):
@@ -392,7 +392,9 @@ class TestSharedPrefactorPass(KeptEvaluationCases):
     """The zeta model's K and K' share one prefactor pass per node array."""
 
     def pair(self, ff):
-        return (ff.K, ff.Kprime), (m.prefactor, m.prefactor_derivative)
+        # the stateless prefactor pass, on a point or a node array
+        stateless = tuple(elementwise(lambda s, i=i: zeta_module._prefactor_pass(s)[i]) for i in range(2))
+        return (ff.K, ff.Kprime), stateless
 
     def count(self, ff, c, coeffs):
         return m.count_pipeline(ff, c, m.PipelineConfig(table=coeffs))
@@ -427,7 +429,7 @@ class TestSharedPrefactorPass(KeptEvaluationCases):
     def test_conditioning_warning_names_the_caller(self):
         super().test_conditioning_warning_names_the_caller()
         s = NEAR
-        for f in (m.prefactor, m.prefactor_derivative):
+        for f in self.pair(m.build_zeta_factored())[1]:
             for nodes in (s, np.array([0.57 + 1.57j, s])):
                 with pytest.warns(RuntimeWarning) as record:
                     f(nodes)
