@@ -169,6 +169,8 @@ def integrand_stage2(
 ) -> complex | np.ndarray:
     """As stage 1, with each exponential truncated to its degree-``n``
     Taylor polynomial."""
+    if n is None:  # inv_approx's order None is stage 1's exact exponentials
+        raise ValueError("series order must be a non-negative integer, got None")
     return _reference_integrand(ff, c, phi, lambda f, fprime: fprime * inv_approx(f, table, n))
 
 

@@ -87,10 +87,9 @@ def inv_approx(x, table: ExpSumTable, order: int | None = None):
     Returns sum_j alpha_j * csgn(x) * exp(-c_j * x * csgn(x)). The fold
     guarantees Re(c_j * x * csgn(x)) >= 0, the convergence condition of the
     underlying approximation, and makes the result an odd function of x.
-    With an integer ``order``, each exponential is replaced by its Taylor
-    polynomial of that degree: csgn(x) * :func:`truncated_series` of
-    x csgn(x). An order that is not a non-negative integer raises
-    ``ValueError``.
+    An integer ``order`` cuts each exponential to its Taylor polynomial of
+    that degree, csgn(x) * :func:`truncated_series` of x csgn(x); an order
+    that is not a non-negative integer raises ``ValueError``.
     """
     sgn = csgn(x)
     folded = x * sgn

@@ -5,16 +5,15 @@ on a uniform grid of step h. On a disk s = c + R u, |u| <= 1, it is a power
 series in u whose coefficients, the moments nu_j = sum_x w(x) (R x)**j / j!
 of the s-free density w(x) = h g(x) e**(c x), are built once
 (:func:`moments`); Z and Z' anywhere on the disk are its sum and derivative
-(:func:`power_sums`). M is the least degree of at least 5 whose tail
-estimate, sum_x |w| e**(R|x|) (R|x|)**(M+1) / (M+1)!, and that of Z', fall
-under 1e-16 of their sums of |w|, all summed over the abscissae where |w|
-passes that floor. It estimates, and does not bound, the tail: the abscissae
-it leaves out have the largest R|x|, and on a large disk they can carry more
-than the floor. The series converges like (R / d)**j, d the distance from c
-to the nearest singularity of Z, so a large disk next to a strip edge needs
-more terms than that; the moments come with error estimates of Z and Z'
-(the tail past M, and the round-off of terms as large as |w| e**(R|x|)) for
-the caller's tolerance.
+(:func:`power_sums`). M is the least degree whose tail estimate, sum_x |w|
+e**(R|x|) (R|x|)**(M+1) / (M+1)!, and that of Z', fall under 1e-16 of their
+sums of |w|, all summed over the abscissae where |w| passes that floor. It
+estimates, and does not bound, the tail: the abscissae it leaves out have the
+largest R|x|, and on a large disk they can carry more than the floor. The series
+converges like (R / d)**j, d the distance from c to the nearest singularity
+of Z, so a large disk next to a strip edge needs more terms than that; the
+moments come with error estimates of Z and Z' (the tail past M, and the
+round-off of terms as large as |w| e**(R|x|)) for the caller's tolerance.
 Z**k and Z' Z**k are products of Z and Z': in x a Mellin convolution is a
 convolution, whose trapezoid sum is the product of its factors' sums. The
 trapezoid rule converges exponentially for analytic, fast-decaying densities
@@ -40,12 +39,8 @@ __all__ = ["moments", "power_sums"]
 _SCAN = 40.0
 _X_MAX = 700.0
 _EPS = np.finfo(float).eps
-# The least M kept. The tail is estimated from the last two moments, and on a
-# small disk the coarse pass can pick M < 5, where those are leading Taylor
-# terms of Z and Z' (nu_1 / R is Z' itself), not a tail: a disk of radius
-# 1e-9 estimated Z''s error as 0.28. nu_4 and nu_5 are O(R**4) and O(R**5)
-# of Z, small even after Z''s estimate divides them by R; with a floor of 3,
-# radius 1e-7 still failed.
+# The least M kept: below it the last two moments, which estimate the tail,
+# are Z's and Z''s leading Taylor terms on a tiny disk (3 fails at R = 1e-7).
 _MIN_DEGREE = 5
 
 

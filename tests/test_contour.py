@@ -42,6 +42,12 @@ class TestTypes:
         with pytest.raises(ValueError, match="integer"):
             m.PipelineConfig(table=coeffs, series_order=1.5)
 
+    @pytest.mark.parametrize("n", [None, -1, 1.5])
+    def test_stage2_order_must_be_an_integer(self, zeta_ff, ref_contour, coeffs, n):
+        # inv_approx reads order None as the exact exponentials of stage 1
+        with pytest.raises(ValueError, match="integer"):
+            m.integrand_stage2(zeta_ff, ref_contour, 0.3, coeffs, n)
+
     def test_pipeline_config_has_one_sign_mode(self, coeffs):
         # the sign factor is always csgn(f): no smooth-sign width is accepted
         assert "eps" not in {f.name for f in dataclasses.fields(m.PipelineConfig)}
@@ -358,15 +364,27 @@ class TestCounting:
         assert abs(count - value) <= 1e-12 * max(1.0, abs(value))
         assert len(moments(zeta_ff.zf, center, radius)[0]) - 1 == degree
 
-    @pytest.mark.parametrize("center", [0.57 + 1.57j, 1.0 + 0.3j, 0.5 + 14.134725j, -0.7 + 0j, 2.0 + 5.0j])
-    def test_pipeline_counts_tiny_disks(self, zeta_ff, coeffs, center):
+    @pytest.mark.parametrize(
+        "center, radii",
+        [
+            (0.57 + 1.57j, (1e-6, 1e-7, 1e-9, 1e-12, 1e-100, 1e-300)),
+            (1.0 + 0.3j, (1e-6, 1e-7, 1e-9, 1e-12, 1e-100, 1e-300)),
+            # zeta's first zero is 1.42e-7 from this centre: only smaller
+            # disks hold no zero
+            (0.5 + 14.134725j, (1e-7, 1e-9, 1e-12, 1e-100, 1e-300)),
+            (-0.7 + 0j, (1e-6, 1e-7, 1e-9, 1e-12, 1e-100, 1e-300)),
+            (2.0 + 5.0j, (1e-6, 1e-7, 1e-9, 1e-12, 1e-100, 1e-300)),
+        ],
+    )
+    def test_pipeline_counts_tiny_disks(self, zeta_ff, coeffs, center, radii):
         # the moments' tail estimate takes their last two terms, so a disk
         # keeps at least five: with fewer, those were the leading Taylor
-        # terms of Z and Z' and a tiny disk raised NonConvergenceError
+        # terms of Z and Z' and a tiny disk raised NonConvergenceError. No
+        # disk here holds a zero or pole, so each counts 0
         from melroot.logspace import moments
 
         cfg = m.PipelineConfig(table=coeffs)
-        for radius in (1e-6, 1e-7, 1e-9, 1e-12, 1e-100, 1e-300):
+        for radius in radii:
             result = m.count_pipeline(zeta_ff, m.CircularContour(center, radius, 16), cfg)
             assert (result.rounded, result.reliable) == (0, True), radius
             assert len(moments(zeta_ff.zf, center, radius)[0]) == 6
