@@ -1,3 +1,4 @@
+import cmath
 import csv
 import json
 import math
@@ -303,13 +304,6 @@ class TestConvolutionCheck:
     "argv",
     [
         pytest.param(["count", "--method", "direct", "--center-re", "-800"], id="count"),
-        # 50 terms leave zeta 87% off here: refused, not counted
-        pytest.param(["count", "--method", "direct", "--center-im", "1000"], id="count-high-im"),
-        pytest.param(["count", "--method", "direct", "--center-im=-1000"], id="count-high-im-negative"),
-        # the reference column's nodes reach Im s = 50.05; K alone is fine there
-        pytest.param(["table1", "--center-im", "50"], id="table1-high-im"),
-        pytest.param(["sign-map", "--re-min", "0", "--re-max", "1", "--im-min", "44", "--im-max", "46",
-                      "--grid-nx", "2", "--grid-ny", "3"], id="sign-map-high-im"),
         pytest.param(["sign-map", "--re-min", "-800", "--re-max", "-799", "--im-min", "0", "--im-max", "1",
                       "--grid-nx", "2", "--grid-ny", "2"], id="sign-map"),
         pytest.param(["table1", "--radius", "1e308"], id="table1"),
@@ -322,6 +316,49 @@ def test_eta_series_out_of_range_exits_2(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, rounded",
+    [
+        # the nearest zeros are the 649th and 650th, at 0.5 + 999.79i and 0.5 + 1001.35i
+        pytest.param(["count", "--method", "direct", "--center-im", "1000"], 0, id="count-high-im"),
+        pytest.param(["count", "--method", "direct", "--center-im=-1000"], 0, id="count-high-im-negative"),
+        pytest.param(["count", "--method", "direct", "--center-re", "0.5", "--center-im", "999.7916",
+                      "--radius", "0.05", "--nodes", "128"], 1, id="count-649th-zero"),
+    ],
+)
+def test_direct_count_at_high_im(argv, rounded, capsys):
+    assert main([*argv, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["rounded"] == rounded
+    assert report["reliable"]
+
+
+def test_table1_direct_column_at_high_im(capsys):
+    # the nodes reach Im s = 50.05; the direct column is f'/f ds/dphi / 2 pi i
+    # with f = zeta, here from mpmath
+    import mpmath as mp
+
+    mp.mp.dps = 30
+    assert main(["table1", "--center-im", "50", "--format", "json"]) == 0
+    for record in json.loads(capsys.readouterr().out):
+        u = cmath.exp(2j * math.pi * record["phi_over_2pi"])
+        s = complex(0.57, 50.0) + 0.1 * u
+        want = complex(mp.zeta(s, derivative=1) / mp.zeta(s)) * 0.1 * u / (2.0 * math.pi)
+        assert abs(complex(record["direct"]["re"], record["direct"]["im"]) - want) <= 1e-7
+
+
+def test_sign_map_at_high_im(capsys):
+    import mpmath as mp
+
+    mp.mp.dps = 30
+    argv = ["sign-map", "--re-min", "0", "--re-max", "1", "--im-min", "44", "--im-max", "46",
+            "--grid-nx", "2", "--grid-ny", "3", "--format", "json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    want = [[m.csgn(complex(mp.zeta(complex(x, y)))) for x in payload["re_axis"]] for y in payload["im_axis"]]
+    assert payload["sign"] == want
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         pytest.param(["table1", "--center-im", "500"], id="table1-csv"),
@@ -331,9 +368,9 @@ def test_eta_series_out_of_range_exits_2(argv, capsys):
     ],
 )
 def test_prefactor_out_of_range_exits_2(argv, capsys):
-    # 1 / Gamma(s + 1) in K leaves double range past |Im s| ~ 450 (table1's
-    # direct column stops first, at the eta series' |Im s| = 45); no numpy
-    # warning comes before the error, and no NaN cell is written
+    # 1 / Gamma(s + 1) in K leaves double range past |Im s| ~ 450, where
+    # table1's direct column is still summed; no numpy warning comes before
+    # the error, and no NaN cell is written
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 2
@@ -351,7 +388,7 @@ def _reject_constant(constant):
     [
         pytest.param(["table1"], 0, id="table1"),
         pytest.param(["table1", "--center-im", "500"], 2, id="table1-out-of-range"),
-        pytest.param(["count", "--method", "direct", "--center-im", "1000"], 2, id="count-high-im"),
+        pytest.param(["count", "--method", "direct", "--center-im", "1000"], 0, id="count-high-im"),
         pytest.param(["count", "--method", "direct"], 0, id="count-direct"),
         pytest.param(["count", "--method", "pipeline"], 0, id="count-pipeline"),
         # a tiny disk: it exited 3 before the moments kept at least five terms

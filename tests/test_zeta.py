@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 import melroot as m
 from melroot import zeta as zeta_module
+from melroot.cli import main
 from melroot.numerics import _gamma_pass, elementwise
 
 
@@ -30,8 +32,8 @@ class TestZetaReference:
 
     @pytest.mark.parametrize("s", [-800.0, 0.5 + 1e308j], ids=["overflow", "domain"])
     def test_series_out_of_range_is_a_domain_error(self, s):
-        # cmath's OverflowError and ValueError, raised in 2**(1-s) or the
-        # 50-term loop, come out typed
+        # points whose terms would overflow, or whose series length is not
+        # finite, are refused with a typed error before any term is summed
         ff = m.build_zeta_factored()
         nodes = np.array([0.5 + 1j, s])
         for reference, at in ((m.zeta_reference, s), (ff.fprime_reference, s), (ff.f_reference, nodes)):
@@ -67,33 +69,85 @@ class TestZetaReference:
             assert abs(m.zeta_reference(s) - complex(mp.zeta(s))) < 1e-10
             assert abs(ff.fprime_reference(s) - complex(mp.zeta(s, derivative=1))) < 1e-9
 
-    def test_series_refused_past_im_45(self):
-        # the 50-term series keeps 6.8e-10 of zeta and zeta' at |Im s| = 45;
-        # past it the error grows to 0.29 at 100, so it is refused
+    def test_series_answers_past_im_45(self):
+        # the series grows with |Im s|, so at 45 and past it zeta and zeta'
+        # keep 12 digits
         import mpmath as mp
 
         mp.mp.dps = 30
         ff = m.build_zeta_factored()
-        for re in (-0.9, 0.0, 0.5, 1.5, 3.0):
-            for s in (complex(re, 45.0), complex(re, -45.0)):
-                for ours, k in ((m.zeta_reference, 0), (ff.fprime_reference, 1)):
-                    exact = complex(mp.zeta(s, derivative=k))
-                    assert abs(ours(s) - exact) < 1e-9 * abs(exact)
-        s = 0.5 + 45.5j
-        nodes = np.array([0.5 + 1j, s])
-        for reference, at in ((m.zeta_reference, s), (ff.fprime_reference, s.conjugate()), (ff.f_reference, nodes)):
-            with pytest.raises(m.DomainError, match="eta series"):
-                reference(at)
-        # a circle about 0.5 + 45i of radius 0.4 has nodes past |Im s| = 45
-        with pytest.raises(m.DomainError, match="eta series"):
-            m.count_direct(ff, m.CircularContour(0.5 + 45.0j, 0.4, nodes=16))
+        for re in (-1.0, -0.9, 0.0, 0.5, 1.5, 3.0):
+            for im in (45.0, math.nextafter(45.0, math.inf), 45.5, 100.0):
+                for s in (complex(re, im), complex(re, -im)):
+                    for ours, k in ((m.zeta_reference, 0), (ff.fprime_reference, 1)):
+                        exact = complex(mp.zeta(s, derivative=k))
+                        assert abs(ours(s) - exact) < 1e-12 * abs(exact)
+        # nodes on both sides of |Im s| = 45 in one array
+        nodes = np.array([0.5 + 1j, 0.5 + 45.5j])
+        assert ff.f_reference(nodes).tolist() == [m.zeta_reference(s) for s in nodes]
+        # a circle about 0.5 + 45i of radius 0.4 holds no zero (the eighth and
+        # ninth are at 43.33 and 48.01)
+        result = m.count_direct(ff, m.CircularContour(0.5 + 45.0j, 0.4, nodes=16))
+        assert result.rounded == 0
+        assert result.reliable
 
-    @pytest.mark.parametrize("im", [45.0, -45.0])
-    def test_guard_starts_just_past_45(self, im):
-        # |Im s| = 45 itself is summed; the next double outward is refused
-        assert cmath.isfinite(m.zeta_reference(complex(0.5, im)))
-        with pytest.raises(m.DomainError, match="eta series"):
-            m.zeta_reference(complex(0.5, math.nextafter(im, math.copysign(math.inf, im))))
+    def test_against_multiprecision_to_im_1000(self):
+        # a grid of Re s from -1 to 3 and |Im s| up to 1000; without the
+        # phase correction past |Im s| = 100 the error reaches 1.1e-12
+        import mpmath as mp
+
+        mp.mp.dps = 20
+        ff = m.build_zeta_factored()
+        points = [complex(re, im) for re in (-1.0, 0.25, 0.5, 3.0) for im in (150.5, 432.1, -718.9, 1000.0)]
+        points += [complex(re, im) for re in (-0.6, 1.7) for im in (-261.3, 865.2)]
+        # the worst of 480 random points before the phase correction: 1.09e-12
+        points.append(0.31963821296734585 - 774.033999427935j)
+        # the edges of the checked range
+        points += [-1.0 + 0j, -1.0 + 3.0j, 0.5 + 1096.0j]
+        for s in points:
+            for ours, k in ((m.zeta_reference, 0), (ff.fprime_reference, 1)):
+                exact = complex(mp.zeta(s, derivative=k))
+                assert abs(ours(s) - exact) < 1e-12 * abs(exact), (s, k)
+
+    def test_direct_count_about_the_649th_zero(self):
+        # the 649th zero is at 0.5 + 999.79157i (mpmath.zetazero); the
+        # series sums 915 terms at each node
+        ff = m.build_zeta_factored()
+        result = m.count_direct(ff, m.CircularContour(0.5 + 999.7916j, 0.05, nodes=128))
+        assert result.rounded == 1
+        assert result.reliable
+
+    @pytest.mark.parametrize(
+        "s, match",
+        [
+            (complex(math.nextafter(-1.0, -math.inf), 0.0), "left of Re s = -1"),
+            (-2.0 + 5.0j, "left of Re s = -1"),
+            (0.5 + 1097.0j, "more than 1000 terms"),
+            (-0.5 - 1097.0j, "more than 1000 terms"),
+        ],
+    )
+    def test_refused_outside_the_checked_range(self, s, match, monkeypatch):
+        # refused before any weights are built
+        built = []
+        monkeypatch.setattr(zeta_module, "_eta_series", lambda n: built.append(n))
+        with pytest.raises(m.DomainError, match=match):
+            m.zeta_reference(s)
+        assert built == []
+
+    @pytest.mark.parametrize("bad", [complex(math.nan), complex(math.inf, 1.0), complex(1.0, -math.inf)])
+    def test_non_finite_s_is_a_domain_error(self, bad):
+        # raised before any arithmetic: no numpy warning, no bare ValueError
+        ff = m.build_zeta_factored()
+        nodes = np.array([0.57 + 1.57j, bad])
+        calls = [(m.zeta_reference, bad), (zeta_module._zeta_and_prime, bad)]
+        calls += [(getattr(ff, name), at) for name in ("f_reference", "fprime_reference", "K", "Kprime") for at in (bad, nodes)]
+        for fn, at in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(m.DomainError, match=r"s = .* is not finite") as info:
+                    fn(at)
+            assert not isinstance(info.value, m.PoleError)
+            assert str(bad) in str(info.value)
 
     # the seventh and eighth zeros (mpmath.zetazero), and the eighth's conjugate
     @pytest.mark.parametrize("im", [40.918719012147498, 43.327073280915002, -43.327073280915002])
@@ -112,6 +166,62 @@ class TestZetaReference:
         mp.mp.dps = 30
         s = 0.5 + 14.134725j
         assert abs(m.zeta_reference(s) - complex(mp.zeta(s))) < 1e-11
+
+
+class TestSeriesLength:
+    """The eta series sums, at each point, the terms its error bound asks for."""
+
+    def test_terms_of_a_direct_count_on_the_reference_circle(self, monkeypatch):
+        lengths = []
+        series = zeta_module._eta_series
+
+        def counted(n):
+            lengths.append(n)
+            return series(n)
+
+        monkeypatch.setattr(zeta_module, "_eta_series", counted)
+        m.count_direct(m.build_zeta_factored(), m.CircularContour(0.57 + 1.57j, 0.1, nodes=64))
+        # 21 to 23 terms a node
+        assert len(lengths) == 64
+        assert sum(lengths) == 1422
+
+    def test_lengths_up_to_im_20(self):
+        ims = np.linspace(-20.0, 20.0, 81)
+        right = [zeta_module._eta_terms(complex(re, im)) for re in np.linspace(0.5, 3.0, 11) for im in ims]
+        left = [zeta_module._eta_terms(complex(re, im)) for re in np.linspace(-1.0, 0.45, 30) for im in ims]
+        assert (min(right), max(right)) == (19, 39)
+        assert (min(left), max(left)) == (20, 42)
+
+    @pytest.mark.parametrize("re", [-1.0, -0.3, 0.0, 0.5, 1.0, 3.0])
+    def test_length_does_not_decrease_as_im_grows(self, re):
+        ims = np.linspace(0.0, 1000.0, 4001)
+        up = [zeta_module._eta_terms(complex(re, im)) for im in ims]
+        down = [zeta_module._eta_terms(complex(re, -im)) for im in ims]
+        assert up == down
+        assert all(a <= b for a, b in zip(up, up[1:]))
+        assert up[-1] == (915 if re >= 0.5 else 915 + math.ceil(2.0 * (0.5 - re)))
+
+    @pytest.mark.parametrize("n", [18, 50, 107])
+    def test_weights_match_exact_fractions(self, n):
+        # Borwein's d_k = n sum_{i <= k} (n+i-1)! 4**i / ((n-i)! (2i)!), in Fraction arithmetic
+        d, acc = [], Fraction(0)
+        for i in range(n + 1):
+            acc += Fraction(math.factorial(n + i - 1) * 4**i, math.factorial(n - i) * math.factorial(2 * i))
+            d.append(n * acc)
+        weights, logs = zeta_module._eta_series(n)
+        assert weights == tuple((-1) ** k * float((d[k] - d[n]) / d[n]) for k in range(n))
+        assert logs == tuple(math.log(k) for k in range(1, n + 1))
+
+    def test_cache_stays_bounded(self):
+        # a sign map up to Im s = 1000 asks for about 100 lengths; the cache
+        # keeps 64 of them
+        cache = zeta_module._eta_series
+        cache.cache_clear()
+        argv = ["sign-map", "--re-min", "0.5", "--re-max", "0.5", "--im-min", "0", "--im-max", "1000",
+                "--grid-nx", "1", "--grid-ny", "101", "--out", os.devnull]
+        assert main(argv) == 0
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize == 64 < info.misses
 
 
 class TestPrefactor:
