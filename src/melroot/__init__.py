@@ -24,7 +24,6 @@ from .mellin import (
     MellinIntegrand,
     deriv_times_power,
     power_transform,
-    transform,
 )
 from .numerics import csgn
 from .quadrature import (

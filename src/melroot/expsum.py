@@ -2,8 +2,10 @@
 
 1/x is approximated by sum_j alpha_j * exp(-c_j * x), valid for Re(x) > 0;
 a csgn guard folds arguments into that half-plane, making the approximation
-odd. Given an order, each exponential is replaced by its Taylor polynomial
-of that degree.
+odd. Given an order, :func:`inv_approx` replaces each exponential by its
+Taylor polynomial of that degree and sums the result as one polynomial in
+the folded argument; the fold and the truncated series are that one
+function.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ __all__ = [
     "ExpSumTable",
     "PRESETS",
     "inv_approx",
-    "series_weights",
-    "truncated_series",
     "error_grid",
 ]
 
@@ -47,9 +47,6 @@ class ExpSumTable:
             raise ValueError("all coefficients must be finite and strictly positive")
         if any(b <= a for a, b in zip(self.c, self.c[1:])):
             raise ValueError("rates c must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.alpha)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExpSumTable":
@@ -87,47 +84,33 @@ def inv_approx(x, table: ExpSumTable, order: int | None = None):
     Returns sum_j alpha_j * csgn(x) * exp(-c_j * x * csgn(x)). The fold
     guarantees Re(c_j * x * csgn(x)) >= 0, the convergence condition of the
     underlying approximation, and makes the result an odd function of x.
-    An integer ``order`` cuts each exponential to its Taylor polynomial of
-    that degree, csgn(x) * :func:`truncated_series` of x csgn(x); an order
-    that is not a non-negative integer raises ``ValueError``.
+
+    An integer ``order`` n cuts each exponential to its Taylor polynomial of
+    degree n, which turns the sum into csgn(x) * sum_k b_k y**k with
+    y = x csgn(x) and b_k = (-1)**k / k! * sum_j alpha_j c_j**k, k = 0..n:
+    the sum over j collapses into one weight per power of y. Each term
+    alpha_j (-c_j)**k / k! is the previous one times -c_j / k, so no c_j**k
+    or k! overflows at high order, and the polynomial is evaluated by
+    Horner's rule, so no power y**k is formed. An order that is not a
+    non-negative integer raises ``ValueError``.
     """
     sgn = csgn(x)
     folded = x * sgn
-    if order is not None:
-        return sgn * truncated_series(folded, table, order)
     total = 0j
-    for a, cj in zip(table.alpha, table.c):
-        total += a * sgn * np.exp(-cj * folded)
-    return total
-
-
-def series_weights(table: ExpSumTable, n: int) -> list[float]:
-    """b_k = (-1)**k / k! * sum_j alpha_j c_j**k for k = 0..n.
-
-    Truncating each exp(-c_j y) to its degree-``n`` Taylor polynomial turns
-    the exponential sum into sum_k b_k y**k: the sum over j collapses into
-    one weight per power of y. Each term alpha_j (-c_j)**k / k! is the
-    previous one times -c_j / k, so no c_j**k or k! overflows at high order.
-    """
-    if not isinstance(n, numbers.Integral) or n < 0:
-        raise ValueError(f"series order must be a non-negative integer, got {n!r}")
+    if order is None:
+        for a, cj in zip(table.alpha, table.c):
+            total += a * sgn * np.exp(-cj * folded)
+        return total
+    if not isinstance(order, numbers.Integral) or order < 0:
+        raise ValueError(f"series order must be a non-negative integer, got {order!r}")
     terms = list(table.alpha)
     weights = [sum(terms)]
-    for k in range(1, n + 1):
+    for k in range(1, order + 1):
         terms = [t * -cj / k for t, cj in zip(terms, table.c)]
         weights.append(sum(terms))
-    return weights
-
-
-def truncated_series(y, table: ExpSumTable, n: int):
-    """sum_k b_k y**k with the :func:`series_weights` b_k: the exponential
-    sum sum_j alpha_j exp(-c_j y) with each exponential cut to its degree-``n``
-    Taylor polynomial. Evaluated by Horner's rule, so no power y**k is
-    formed; elementwise over an array ``y``."""
-    total = 0j
-    for b in reversed(series_weights(table, n)):
-        total = total * y + b
-    return total
+    for b in reversed(weights):
+        total = total * folded + b
+    return sgn * total
 
 
 def error_grid(

@@ -1,11 +1,14 @@
 """Mellin transforms evaluated directly from the un-transformed function.
 
-Given z(t) on (0, inf), this module computes Z(s) = int z(t) t**(s-1) dt,
-its derivative Z'(s) (ln(t) weight), and -- via the Mellin convolution
-theorem -- the powers Z(s)**k and the product Z'(s) * Z(s)**k as genuinely
-iterated integrals of z alone, never of Z. All four are the transform of a
-k-fold Mellin convolution built by nested adaptive quadratures, one s at a
-time; contours use :mod:`melroot.logspace` instead.
+Given z(t) on (0, inf), this module computes -- via the Mellin convolution
+theorem -- the powers Z(s)**k of Z(s) = int z(t) t**(s-1) dt and the
+products Z'(s) * Z(s)**k as genuinely iterated integrals of z alone, never
+of Z. There are two entry points, which mirror the kernel's Z**(k+1) and
+Z' Z**k terms: :func:`power_transform` (k >= 1, whose k = 1 is Z) and
+:func:`deriv_times_power` (k >= 0, whose k = 0 is Z', the ln(t)-weighted
+transform). Each is the transform of a k-fold Mellin convolution built by
+nested adaptive quadratures, one s at a time; contours use
+:mod:`melroot.logspace` instead.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .quadrature import QuadratureConfig, QuadratureResult, integrate_semi_infin
 
 __all__ = [
     "MellinIntegrand",
-    "transform",
     "power_transform",
     "deriv_times_power",
 ]
@@ -130,11 +132,6 @@ def _convolution_transform(
         quad,
         k,
     )
-
-
-def transform(zf: MellinIntegrand, s: complex, quad: QuadratureConfig | None = None) -> QuadratureResult:
-    """Z(s) = int_0^inf z(t) t**(s-1) dt."""
-    return _convolution_transform(zf, False, 1, s, quad)
 
 
 def power_transform(zf: MellinIntegrand, k: int, s: complex, quad: QuadratureConfig | None = None) -> QuadratureResult:

@@ -126,6 +126,8 @@ def _eta_terms(s: complex) -> int:
 
 
 _CONDITIONING_CUTOFF = 1e-6
+# K(s) = 2**(s-1) / ((1 - 2**(1-s)) Gamma(s+1)) is taken for Re s > -1 only
+_K_MIN_RE = -1.0
 _PACKAGE = __name__.partition(".")[0]
 
 
@@ -209,13 +211,17 @@ def _prefactor_pass(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     element of smallest |1 - 2**(1-s)| is validated by
     :func:`_check_eta_factor` when that is below the conditioning cutoff, so
     a pole anywhere raises :class:`PoleError` first. Raises
-    :class:`DomainError` next at the first element that is not finite, and
-    after the gamma pass at the first where K or K' is not finite: past
-    |Im s| ~ 450 the 1 / Gamma(s+1) factor leaves double range."""
+    :class:`DomainError` next at the first element that is not finite, then
+    at the first with Re s <= -1, outside K's domain, and after the gamma
+    pass at the first where K or K' is not finite: past |Im s| ~ 450 the
+    1 / Gamma(s+1) factor leaves double range. No numpy warning escapes; far
+    right on the real axis K and K' underflow to 0."""
     finite = np.isfinite(s)
-    # the pole check runs on the finite elements only, a non-finite one
-    # standing in as s = 0, so no arithmetic touches inf or NaN
-    exponent = (1.0 - np.where(finite, s, 0.0)) * _LN2
+    inside = finite & (s.real > _K_MIN_RE)
+    # the pole check runs on the elements inside K's domain only, any other
+    # standing in as s = 0, so no arithmetic touches inf or NaN and 2**(1-s)
+    # cannot overflow; 1 - 2**(1-s) has no zero outside the domain
+    exponent = (1.0 - np.where(inside, s, 0.0)) * _LN2
     two = np.exp(exponent)
     lam = 1.0 - two
     mags = np.abs(lam)
@@ -225,8 +231,13 @@ def _prefactor_pass(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _check_eta_factor(lam.flat[i], s.flat[i])
     if not finite.all():
         raise DomainError(f"s = {s.flat[(~finite).argmax()]} is not finite")
-    log_gamma, psi = _gamma_pass(s + 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    if not inside.all():
+        s_out = s.flat[(~inside).argmax()]
+        raise DomainError(f"the prefactor K is taken for Re s > {_K_MIN_RE:g} only, not at s = {s_out}")
+    # at huge |s| the gamma pass overflows to inf or NaN, which the check
+    # below reports, or K underflows to 0
+    with np.errstate(all="ignore"):
+        log_gamma, psi = _gamma_pass(s + 1.0)
         K = np.exp(-exponent - log_gamma) / lam
         Kprime = K * (_LN2 - two * _LN2 / lam - psi)
     bad = ~(np.isfinite(K) & np.isfinite(Kprime))

@@ -197,6 +197,28 @@ def test_bad_arguments_exit_2(argv, capsys, tmp_path):
         assert "unrecognized arguments: --eps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["count", "--method", "pipeline", "--format", "json"], id="count"),
+        pytest.param(["table1"], id="table1"),
+        pytest.param(["expsum-error", *_GRID], id="expsum-error"),
+    ],
+)
+def test_coeff_file_matches_its_preset(argv, capsys, tmp_path):
+    # appendixC's pairs written at full precision; the file overrides
+    # --preset table2, so its output is appendixC's byte for byte
+    table = m.PRESETS["appendixC"]
+    path = tmp_path / "appendixC.txt"
+    path.write_text("".join(f"{a!r} {c!r}\n" for a, c in zip(table.alpha, table.c)))
+    outputs = []
+    for source in (["--preset", "appendixC"], ["--preset", "table2", "--coeff-file", str(path)]):
+        assert main([*argv, *source]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 class TestSignMap:
     def test_signs_and_pole_marker(self, tmp_path):
         path = tmp_path / "map.csv"

@@ -232,13 +232,13 @@ class TestPrefactor:
         quad = m.QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13)
         for _ in range(20):
             s = complex(rng.uniform(0.05, 2.0), rng.uniform(-12.0, 12.0))
-            lhs = zeta_ff.K(s) * m.transform(zeta_ff.zf, s, quad).value
+            lhs = zeta_ff.K(s) * m.power_transform(zeta_ff.zf, 1, s, quad).value
             assert abs(lhs - m.zeta_reference(s)) < 1e-7
 
     def test_identity_degrades_gracefully_at_large_imag(self, zeta_ff):
         quad = m.QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13)
         s = 1.88 - 20.0j
-        lhs = zeta_ff.K(s) * m.transform(zeta_ff.zf, s, quad).value
+        lhs = zeta_ff.K(s) * m.power_transform(zeta_ff.zf, 1, s, quad).value
         assert abs(lhs - m.zeta_reference(s)) < 1e-4
 
     def test_inverse_identity(self, zeta_zf):
@@ -250,7 +250,7 @@ class TestPrefactor:
             lam = 1.0 - cmath.exp((1.0 - s) * math.log(2.0))
             log_gamma = complex(_gamma_pass(np.array([s + 1.0]))[0][0])
             recovered = m.zeta_reference(s) * lam * cmath.exp(log_gamma) / 2.0 ** (s - 1.0)
-            assert abs(recovered - m.transform(zeta_zf, s, quad).value) < 1e-7
+            assert abs(recovered - m.power_transform(zeta_zf, 1, s, quad).value) < 1e-7
 
     def test_derivative_against_finite_differences(self, zeta_ff):
         rng = np.random.default_rng(31)
@@ -282,7 +282,7 @@ class TestBuildZetaFactored:
     def test_wiring(self, zeta_ff):
         s = 0.4
         quad = m.QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13)
-        val = zeta_ff.K(s) * m.transform(zeta_ff.zf, s, quad).value
+        val = zeta_ff.K(s) * m.power_transform(zeta_ff.zf, 1, s, quad).value
         assert abs(val - m.zeta_reference(s)) < 1e-8
 
     def test_kprime_wired(self, zeta_ff):
@@ -292,7 +292,7 @@ class TestBuildZetaFactored:
         assert abs(zeta_ff.Kprime(s) - fd) < 1e-6
 
     def test_transform_cube_reference_value(self, zeta_ff):
-        v = m.transform(zeta_ff.zf, 0.4).value
+        v = m.power_transform(zeta_ff.zf, 1, 0.4).value
         assert abs(v**3 - 0.4875296044) < 1e-7
 
     def test_strip(self, zeta_ff):
@@ -340,6 +340,56 @@ class TestPrefactorArrays:
         near = complex(1.0, 2.0 * math.pi / math.log(2.0)) + 1e-8
         with pytest.warns(RuntimeWarning, match="resonance"):
             getattr(m.build_zeta_factored(), name)(np.array([0.57 + 1.57j, near, 2.0 + 0j]))
+
+
+class TestPrefactorExtremes:
+    """K and K' at the ends of double range give a value or a typed error,
+    never a numpy warning; a scalar and a node array that holds the same
+    point agree."""
+
+    @staticmethod
+    def call(f, at):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return f(at)
+
+    @pytest.mark.parametrize("name", ["K", "Kprime"])
+    @pytest.mark.parametrize("s", [-1e308, -800.0, -2.0, -1.0, -1.0 + 5.0j])
+    def test_left_of_domain_is_a_domain_error(self, name, s):
+        # K has zeros, not poles, at s = -1, -2, ...: no PoleError there
+        f = getattr(m.build_zeta_factored(), name)
+        for at in (s, np.array([0.57 + 1.57j, s])):
+            with pytest.raises(m.DomainError, match=r"Re s > -1 only") as info:
+                self.call(f, at)
+            assert not isinstance(info.value, m.PoleError)
+
+    @pytest.mark.parametrize("name", ["K", "Kprime"])
+    def test_far_right_underflows_to_zero(self, name):
+        f = getattr(m.build_zeta_factored(), name)
+        assert self.call(f, 1e308) == 0
+        values = self.call(f, np.array([0.57 + 1.57j, 1e308]))
+        assert values[1] == 0
+        assert values[0] == f(0.57 + 1.57j)
+
+    @pytest.mark.parametrize("name", ["K", "Kprime"])
+    @pytest.mark.parametrize("s", [0.5 + 1e308j, 0.5 - 1e308j, 1e308j, -0.5 + 1e308j])
+    def test_huge_imaginary_part_leaves_range(self, name, s):
+        f = getattr(m.build_zeta_factored(), name)
+        for at in (s, np.array([0.57 + 1.57j, s])):
+            with pytest.raises(m.DomainError, match="leaves floating-point range"):
+                self.call(f, at)
+
+    @pytest.mark.parametrize("name", ["K", "Kprime"])
+    def test_error_order(self, name):
+        # the pole, then a non-finite s, then the domain, then the range
+        f = getattr(m.build_zeta_factored(), name)
+        huge, left = 0.5 + 1e308j, -800.0
+        with pytest.raises(m.PoleError):
+            self.call(f, np.array([huge, left, complex(math.nan), 1.0]))
+        with pytest.raises(m.DomainError, match="is not finite"):
+            self.call(f, np.array([huge, left, complex(math.inf)]))
+        with pytest.raises(m.DomainError, match="Re s > -1 only"):
+            self.call(f, np.array([huge, left]))
 
 
 NEAR = complex(1.0, 2.0 * math.pi / math.log(2.0)) + 1e-8  # 1 - 2**(1-s) ~ 1e-8
