@@ -17,13 +17,14 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, PoleError
 from .expsum import ExpSumTable, inv_approx
-from .mellin import MellinIntegrand
+from .mellin import MellinIntegrand, moments, power_sums
 from .quadrature import QuadratureConfig
 
 __all__ = [
@@ -132,36 +133,83 @@ class CountResult:
         return self.residual < 0.25
 
 
-def _reference_integrand(ff: FactoredFunction, c: CircularContour, phi, combine: Callable) -> complex | np.ndarray:
-    """(1/2*pi*i) * combine(f, f') * ds/dphi at s = s(phi), with f and f' from
-    one call of each reference on the nodes of the angle ``phi`` or of the
-    array of angles ``phi``. A scalar angle gives a complex, an array an
-    array of its shape."""
+def _integrand(c: CircularContour, phi, source: Callable, combine: Callable) -> complex | np.ndarray:
+    """(1/2*pi*i) * combine(f, f') * ds/dphi at s = s(phi), with (f, f') from
+    one call ``source(phis, s)`` on the flat arrays of the angles ``phi`` and
+    of their nodes. A scalar angle gives a complex, an array an array of its
+    shape. A :class:`NonConvergenceError` of ``source``, whose best estimate
+    is (f, f'), is raised again with the values from those as its own."""
+    phis = np.asarray(phi, dtype=float)
+    flat, failure = phis.reshape(-1), None
+    try:
+        f, fprime = source(flat, c.point(flat))
+    except NonConvergenceError as exc:
+        (f, fprime), failure = exc.best_estimate, exc
+    # a NaN f or f' gives a NaN value without a warning, as in scalar arithmetic
+    with np.errstate(invalid="ignore"):
+        values = (combine(f, fprime) * c.velocity(flat) / _TWO_PI_I).reshape(phis.shape)
+    if values.ndim == 0:
+        values = complex(values)
+    if failure is not None:
+        estimate = failure.error_estimate
+        raise NonConvergenceError(str(failure), best_estimate=values, error_estimate=estimate) from failure
+    return values
+
+
+def _from_references(ff: FactoredFunction, phis: np.ndarray, s: np.ndarray) -> tuple:
+    """(f, f') at the nodes ``s`` from one call of each reference."""
     if ff.f_reference is None or ff.fprime_reference is None:
         raise ValueError("direct evaluation needs both f_reference and fprime_reference")
-    phis = np.atleast_1d(np.asarray(phi, dtype=float))
-    s = c.point(phis)
     f = ff.f_reference(s)
     zero = np.broadcast_to(f == 0, s.shape)
     if zero.any():
         raise PoleError(f"f vanishes on the contour at phi = {phis[zero][0]}")
-    fprime = ff.fprime_reference(s)
-    # a NaN f or f' gives a NaN value without a warning, as in scalar arithmetic
-    with np.errstate(invalid="ignore"):
-        values = combine(f, fprime) * c.velocity(phis) / _TWO_PI_I
-    return values if np.ndim(phi) else complex(values[0])
+    return f, ff.fprime_reference(s)
+
+
+def _from_z(ff: FactoredFunction, c: CircularContour, quad: QuadratureConfig, phis: np.ndarray, s: np.ndarray) -> tuple:
+    """f = K Z and f' = K' Z + K Z' at the nodes ``s``, with Z and Z' the
+    power sums of the moments of the contour's disk and one call of K and of
+    K'. A :class:`NonConvergenceError` carries (f, f') from the finest
+    moments."""
+    failure = None
+    try:
+        nu, error = moments(ff.zf, c.center, c.radius, quad)
+    except NonConvergenceError as exc:
+        (nu, error), failure = exc.best_estimate, exc
+    z, zprime = power_sums(nu, np.exp(1j * phis), c.radius)
+    # the moments' errors on the disk against the tolerance at the nodes
+    if failure is None and max(error) > quad.abs_tol and any(
+        e > max(quad.abs_tol, quad.rel_tol * np.abs(v).min(initial=math.inf)) for e, v in zip(error, (z, zprime))
+    ):
+        message = f"their tail and round-off ({error[0]:.3g} in Z, {error[1]:.3g} in Z') pass the tolerance at a node"
+        failure = NonConvergenceError(f"{message}: a smaller disk converges faster", error_estimate=max(error))
+    Ks = ff.K(s)
+    f, fprime = Ks * z, ff.Kprime(s) * z + Ks * zprime
+    if failure is not None:
+        message, estimate = f"Mellin moments did not converge on the contour: {failure}", failure.error_estimate
+        raise NonConvergenceError(message, best_estimate=(f, fprime), error_estimate=estimate) from failure
+    return f, fprime
+
+
+def _truncated(table: ExpSumTable, n: int) -> Callable:
+    """Stage 2's combine step: f' times the exp-sum reciprocal of f, each
+    exponential cut to its degree-``n`` Taylor polynomial."""
+    if n is None:  # inv_approx's order None is stage 1's exact exponentials
+        raise ValueError("series order must be a non-negative integer, got None")
+    return lambda f, fprime: fprime * inv_approx(f, table, n)
 
 
 def integrand_direct(ff: FactoredFunction, c: CircularContour, phi) -> complex | np.ndarray:
     """(1/2*pi*i) * f'(s)/f(s) * ds/dphi at s = s(phi), from the references;
     ``phi`` is an angle or an array of angles."""
-    return _reference_integrand(ff, c, phi, lambda f, fprime: fprime / f)
+    return _integrand(c, phi, partial(_from_references, ff), lambda f, fprime: fprime / f)
 
 
 def integrand_stage1(ff: FactoredFunction, c: CircularContour, phi, table: ExpSumTable) -> complex | np.ndarray:
     """Direct integrand with 1/f replaced by the exponential-sum
     approximation of the reciprocal."""
-    return _reference_integrand(ff, c, phi, lambda f, fprime: fprime * inv_approx(f, table))
+    return _integrand(c, phi, partial(_from_references, ff), lambda f, fprime: fprime * inv_approx(f, table))
 
 
 def integrand_stage2(
@@ -169,64 +217,22 @@ def integrand_stage2(
 ) -> complex | np.ndarray:
     """As stage 1, with each exponential truncated to its degree-``n``
     Taylor polynomial."""
-    if n is None:  # inv_approx's order None is stage 1's exact exponentials
-        raise ValueError("series order must be a non-negative integer, got None")
-    return _reference_integrand(ff, c, phi, lambda f, fprime: fprime * inv_approx(f, table, n))
-
-
-def _kernel_values(ff: FactoredFunction, c: CircularContour, phi, cfg: PipelineConfig) -> complex | np.ndarray:
-    """The expanded counting integrand at the angle or angles ``phi``, a
-    complex or an array of their shape, computed on one flat array of nodes:
-    the :func:`integrand_stage2` of f = K Z and f' = K' Z + K Z', with Z and
-    Z' the power sums of the moments of the contour's disk, so each Z**k and
-    Z' Z**k is a product of them, and the sign factor csgn(f) folded in by
-    :func:`inv_approx` at the series order, as in stage 2. K and K' are
-    called once each, on all nodes. A :class:`NonConvergenceError`
-    carries the values from the finest moments.
-    """
-    # Imported here: only this route needs it, so `import melroot` does not
-    # pay for loading it.
-    from .logspace import moments, power_sums
-
-    u = np.exp(1j * np.asarray(phi, dtype=float).reshape(-1))
-    nodes, failure = c.center + c.radius * u, None
-    try:
-        nu, error = moments(ff.zf, c.center, c.radius, cfg.quad)
-    except NonConvergenceError as exc:
-        (nu, error), failure = exc.best_estimate, exc
-    z, zprime = power_sums(nu, u, c.radius)
-    # the moments' errors on the disk against the tolerance at the nodes
-    tol = cfg.quad
-    if failure is None and max(error) > tol.abs_tol and any(
-        e > max(tol.abs_tol, tol.rel_tol * np.abs(v).min(initial=math.inf)) for e, v in zip(error, (z, zprime))
-    ):
-        message = f"their tail and round-off ({error[0]:.3g} in Z, {error[1]:.3g} in Z') pass the tolerance at a node"
-        failure = NonConvergenceError(f"{message}: a smaller disk converges faster", error_estimate=max(error))
-    Ks = ff.K(nodes)
-    f = Ks * z
-    fprime = ff.Kprime(nodes) * z + Ks * zprime
-    series = inv_approx(f, cfg.table, cfg.series_order)
-    # (1 / 2 pi i) ds/dphi = radius u / 2 pi
-    values = (fprime * series * (c.radius / (2.0 * math.pi) * u)).reshape(np.shape(phi))
-    if values.ndim == 0:
-        values = complex(values)
-    if failure is not None:
-        message = f"Mellin moments did not converge on the contour: {failure}"
-        raise NonConvergenceError(message, best_estimate=values, error_estimate=failure.error_estimate) from failure
-    return values
+    return _integrand(c, phi, partial(_from_references, ff), _truncated(table, n))
 
 
 def kernel_mellin(ff: FactoredFunction, c: CircularContour, phi, cfg: PipelineConfig) -> complex | np.ndarray:
     """Fully expanded counting-integrand at the contour angle ``phi``, or at
     each angle of an array.
 
-    The stage-2 integrand with f and f' from K, K' and the Mellin transforms
-    Z and Z' of z(t) alone, the sign factor included; the references of
-    ``ff`` are not used. An angle gets the same value alone as in any array:
-    a scalar angle gives a complex, an array an array of its shape, and so
-    does the best estimate of a :class:`NonConvergenceError`.
+    The :func:`integrand_stage2` of f = K Z and f' = K' Z + K Z', with Z and
+    Z' from z(t) alone: the power sums of the moments of the contour's disk,
+    so each Z**k and Z' Z**k is a product of them, and the sign factor
+    csgn(f) folded in by :func:`inv_approx` at the series order. The
+    references of ``ff`` are not used. An angle gets the same value alone as
+    in any array: a scalar angle gives a complex, an array an array of its
+    shape, and so does the best estimate of a :class:`NonConvergenceError`.
     """
-    return _kernel_values(ff, c, phi, cfg)
+    return _integrand(c, phi, partial(_from_z, ff, c, cfg.quad), _truncated(cfg.table, cfg.series_order))
 
 
 def count_direct(ff: FactoredFunction, c: CircularContour) -> CountResult:
@@ -253,8 +259,9 @@ def count_pipeline(ff: FactoredFunction, c: CircularContour, cfg: PipelineConfig
     evaluated.
     """
     step = 2.0 * math.pi / c.nodes
+    phis = step * np.arange(c.nodes)
     try:
-        values = _kernel_values(ff, c, step * np.arange(c.nodes), cfg)
+        values = _integrand(c, phis, partial(_from_z, ff, c, cfg.quad), _truncated(cfg.table, cfg.series_order))
     except NonConvergenceError as exc:
         best = complex(exc.best_estimate.sum()) * step
         raise NonConvergenceError(str(exc), best_estimate=best, error_estimate=exc.error_estimate) from exc

@@ -1,14 +1,34 @@
 """Mellin transforms evaluated directly from the un-transformed function.
 
-Given z(t) on (0, inf), this module computes -- via the Mellin convolution
-theorem -- the powers Z(s)**k of Z(s) = int z(t) t**(s-1) dt and the
-products Z'(s) * Z(s)**k as genuinely iterated integrals of z alone, never
-of Z. There are two entry points, which mirror the kernel's Z**(k+1) and
-Z' Z**k terms: :func:`power_transform` (k >= 1, whose k = 1 is Z) and
+Given z(t) on (0, inf) and Z(s) = int z(t) t**(s-1) dt, two engines compute
+Z and its powers from z alone, never from Z; both weight a density by t**s in
+log space, e**(log density + s ln t), and check the strip the same way.
+
+At one point, :func:`power_transform` (k >= 1, whose k = 1 is Z) and
 :func:`deriv_times_power` (k >= 0, whose k = 0 is Z', the ln(t)-weighted
-transform). Each is the transform of a k-fold Mellin convolution built by
-nested adaptive quadratures, one s at a time; contours use
-:mod:`melroot.logspace` instead.
+transform) mirror the kernel's Z**(k+1) and Z' Z**k terms. By the Mellin
+convolution theorem each is the transform of a k-fold Mellin convolution,
+built by nested adaptive exp-sinh quadratures, one s at a time.
+
+On a disk s = c + R u, |u| <= 1, as contour counts need them, Z and Z' come
+from one density in x = ln t. There Z(s) = int g(x) e**(s x) dx, g(x) =
+z(e**x), is a trapezoid sum on a uniform grid of step h, and on the disk a
+power series in u whose coefficients, the moments nu_j = sum_x w(x)
+(R x)**j / j! of the s-free density w(x) = h g(x) e**(c x), are built once
+(:func:`moments`); Z and Z' anywhere on the disk are its sum and derivative
+(:func:`power_sums`). M is the least degree whose tail estimate, sum_x |w|
+e**(R|x|) (R|x|)**(M+1) / (M+1)!, and that of Z', fall under 1e-16 of their
+sums of |w|, all summed over the abscissae where |w| passes that floor. It
+estimates, and does not bound, the tail: the abscissae it leaves out have the
+largest R|x|, and on a large disk they can carry more than the floor. The series
+converges like (R / d)**j, d the distance from c to the nearest singularity
+of Z, so a large disk next to a strip edge needs more terms than that; the
+moments come with error estimates of Z and Z' (the tail past M, and the
+round-off of terms as large as |w| e**(R|x|)) for the caller's tolerance.
+Z**k and Z' Z**k are products of Z and Z': in x a Mellin convolution is a
+convolution, whose trapezoid sum is the product of its factors' sums. The
+trapezoid rule converges exponentially for analytic, fast-decaying densities
+(Trefethen & Weideman, SIAM Rev. 56, 2014).
 """
 
 from __future__ import annotations
@@ -22,12 +42,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
-from .quadrature import QuadratureConfig, QuadratureResult, integrate_semi_infinite
+from .quadrature import _H0, TRUNCATION_DECAY, QuadratureConfig, QuadratureResult
+from .quadrature import _halving_trapezoid, integrate_semi_infinite
 
 __all__ = [
     "MellinIntegrand",
     "power_transform",
     "deriv_times_power",
+    "moments",
+    "power_sums",
 ]
 
 # Outer abscissae integrated together by one batched inner quadrature. The
@@ -39,6 +62,14 @@ __all__ = [
 # (512 KB); rows that have converged are not sampled again, so a large block
 # costs little more than its slowest row.
 _ROWS = 128
+# A side of the strip without a finite edge is scanned out to |x| = _SCAN; no
+# grid passes |x| = _X_MAX, where t = e**x would under- or overflow.
+_SCAN = 40.0
+_X_MAX = 700.0
+_EPS = np.finfo(float).eps
+# The least M kept: below it the last two moments, which estimate the tail,
+# are Z's and Z''s leading Taylor terms on a tiny disk (3 fails at R = 1e-7).
+_MIN_DEGREE = 5
 
 
 @dataclass(frozen=True)
@@ -58,16 +89,24 @@ class MellinIntegrand:
             raise ValueError(f"empty convergence strip ({lo}, {hi})")
 
 
-def _require_in_strip(zf: MellinIntegrand, s: complex) -> complex:
+def _require_in_strip(zf: MellinIntegrand, s: complex, radius: float = 0.0) -> complex:
+    """``s`` as a complex, once it is finite and Re(s) -/+ ``radius`` lie
+    inside the convergence strip; :class:`DomainError` otherwise."""
     s = complex(s)
     if not cmath.isfinite(s):
         raise DomainError(f"s = {s} is not finite")
     lo, hi = zf.convergence_strip
-    if not (lo < s.real < hi):
-        raise DomainError(
-            f"Re(s) = {s.real} outside the convergence strip ({lo}, {hi})"
-        )
+    if not (lo < s.real - radius and s.real + radius < hi):
+        disk = f" +/- {radius}" if radius else ""
+        raise DomainError(f"Re(s) = {s.real}{disk} outside the convergence strip ({lo}, {hi})")
     return s
+
+
+def _log_weight(density, s: complex, log_t: np.ndarray) -> np.ndarray:
+    """density * t**s as e**(log density + s ln t): the plain product
+    overflows where t**Re(s) alone leaves double range although the weighted
+    value does not, and log 0 = -inf makes a 0 density 0."""
+    return np.exp(np.log(density, dtype=np.complex128) + s * log_t)
 
 
 def _integrate(
@@ -125,13 +164,7 @@ def _convolution_transform(
     c = (lambda t: np.log(t) * z(t)) if derivative else z
     for j in range(1, k):
         c = level(c, j)
-    # t**(s-1) in log space: the plain product overflows where t**(Re(s)-1)
-    # alone leaves double range although the weighted value does not.
-    return _integrate(
-        lambda t: np.exp((s - 1.0) * np.log(t) + np.log(np.asarray(c(t), dtype=np.complex128))),
-        quad,
-        k,
-    )
+    return _integrate(lambda t: _log_weight(c(t), s - 1.0, np.log(t)), quad, k)
 
 
 def power_transform(zf: MellinIntegrand, k: int, s: complex, quad: QuadratureConfig | None = None) -> QuadratureResult:
@@ -150,3 +183,122 @@ def deriv_times_power(zf: MellinIntegrand, k: int, s: complex, quad: QuadratureC
     if not isinstance(k, numbers.Integral) or k < 0:
         raise ValueError(f"deriv_times_power order must be an integer >= 0, got {k!r}")
     return _convolution_transform(zf, True, k + 1, s, quad)
+
+
+def _tail_cutoff(margin: float) -> float:
+    """x > 0 past which |x| e**(-margin x), the decay of x g e**(s x) next to
+    a strip edge ``margin`` away, stays below about ``TRUNCATION_DECAY``."""
+    x = -math.log(TRUNCATION_DECAY) / margin
+    x += 2.0 * math.log(max(x, 1.0)) / margin
+    if x > _X_MAX:
+        raise DomainError(f"Re(s) within {margin:.3g} of the strip edge: the density tail passes t = e**{_X_MAX:g}")
+    return x
+
+
+def _degree(w: np.ndarray, y: np.ndarray) -> tuple[int, float, float]:
+    """The least M with sum |w| e**y y**(M+1)/(M+1)!, the estimate of Z's
+    tail, at most ``TRUNCATION_DECAY`` sum |w|, and M + 1 times it, the
+    estimate of R Z''s, at most ``TRUNCATION_DECAY`` sum |w| y, for y = R|x|;
+    and the round-off estimates of Z and R Z', eps sum |w| e**y and eps sum
+    |w| y e**y. The sums run over the abscissae where |w| exceeds
+    ``TRUNCATION_DECAY`` of its peak only, so they estimate and do not bound."""
+    mags = np.abs(w)
+    keep = mags > TRUNCATION_DECAY * mags.max()
+    mags, y = mags[keep], y[keep]
+    y_max = float(y.max(initial=0.0))
+    if y_max > _X_MAX:
+        raise DomainError(f"the disk is too large for its moments: R |x| reaches {y_max:.3g}")
+    # Both tails are below their floors at the first m >= y_max - 1 with
+    # e**y_max y_max**m / m! at most TRUNCATION_DECAY (halved for round-off).
+    m, bound = 0, math.exp(y_max)
+    while bound > 0.5 * TRUNCATION_DECAY or m + 1 < y_max:
+        m += 1
+        bound *= y_max / m
+    majorant = mags * np.exp(y)
+    # y**j / j!, j = 1..m+1, on one row per abscissa
+    tails = (majorant @ np.multiply.accumulate(np.divide.outer(y, np.arange(1.0, m + 2)), axis=1)).tolist()
+    floor, floor_prime = TRUNCATION_DECAY * mags.sum(), TRUNCATION_DECAY * (mags @ y)
+    for degree, tail in enumerate(tails):
+        if tail <= floor and (degree + 1) * tail <= floor_prime:
+            return degree, _EPS * majorant.sum(), _EPS * tails[0]
+    raise DomainError("the moment tail bound overflows: |w| e**(R|x|) is not finite")
+
+
+def moments(
+    zf: MellinIntegrand, center: complex, radius: float, quad: QuadratureConfig | None = None
+) -> tuple[np.ndarray, tuple[float, float]]:
+    """nu_0, ..., nu_M for the disk |s - center| <= radius, the rows of the
+    halving trapezoid (its coarse pass sets M, at least 5) on a grid to
+    |x| = 40 or to a strip edge's tail cutoff, and error estimates of Z and Z'
+    anywhere on the disk: their round-off, eps h sum |w| e**(R|x|) times 1 and
+    |x|, plus their tails past M, each estimated by its last two terms.
+
+    A radius that is not positive and finite raises ``ValueError``, a disk
+    that leaves the convergence strip :class:`DomainError`, both before z is
+    evaluated. A z that maps an array of t to another shape raises
+    ``ValueError``, one not finite on the grid or 0 on all of it
+    :class:`DomainError`, and an exhausted ``quad.max_evals``
+    :class:`NonConvergenceError` with the finest moments and their errors.
+    """
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    c, r = _require_in_strip(zf, center, radius), radius
+    lo, hi = zf.convergence_strip
+    x_lo = -_tail_cutoff(c.real - r - lo) if math.isfinite(lo) else -_SCAN
+    x_hi = _tail_cutoff(hi - c.real - r) if math.isfinite(hi) else _SCAN
+    noise = [0.0, 0.0]
+
+    ratios = None  # r / j, j = 1..M, from the coarse pass
+
+    def sample(x: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+        # row j: w (r x)**j / j! without the step h, as a cumulative product
+        # down the rows from w; rows 0..M when None
+        nonlocal ratios
+        g = np.asarray(zf.z(np.exp(x)))
+        if g.shape != x.shape:
+            raise ValueError("z must map an array of t to an array of the same shape")
+        # g sums to a finite value when every sample is finite
+        if not cmath.isfinite(g.sum()) and not np.isfinite(g).all():
+            raise DomainError(f"z(t) is not finite at t = e**{float(x[~np.isfinite(g)][0]):.6g}")
+        # e**(c x) overflows only where g is tiny or 0
+        w = _log_weight(g, c, x)
+        if rows is None:
+            degree, noise[0], noise[1] = _degree(w, r * np.abs(x))
+            ratios = r / np.arange(1, max(degree, _MIN_DEGREE) + 1)
+        last = len(ratios) if rows is None else rows[-1]
+        table = np.empty((last + 1, len(x)), dtype=np.complex128)
+        table[0] = w
+        np.multiply(ratios[:last, np.newaxis], x, out=table[1:])
+        np.multiply.accumulate(table, axis=0, out=table)
+        return table if rows is None or len(rows) == len(table) else table[rows]
+
+    def with_errors(nu: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
+        m = len(nu) - 1
+        a, b = abs(nu[m - 1]), abs(nu[m])
+        return nu, (_H0 * noise[0] + a + b, (_H0 * noise[1] + (m - 1) * a + m * b) / r)
+
+    # z may under- or overflow far out on the grid, and log 0 = -inf
+    with np.errstate(all="ignore"):
+        nu, error = _halving_trapezoid(sample, x_lo, x_hi, quad or QuadratureConfig(), with_errors).value
+    if not nu.any():
+        raise DomainError("Z(s) = 0 on the disk: z(t) vanishes on the grid")
+    return nu, error
+
+
+def power_sums(nu: np.ndarray, u, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(Z, Z')`` at s = c + radius u from the :func:`moments` ``nu`` of the
+    disk about c: sum_j nu_j u**j and its derivative in s, each of the shape
+    of ``u``, an array of any shape. A point gets the same value alone as in
+    any array. A u that is not finite raises :class:`DomainError`, one
+    outside the disk, |u| > 1 beyond round-off, ``ValueError``."""
+    u = np.asarray(u, dtype=np.complex128)
+    if not np.abs(u).max(initial=0.0) <= 1.0 + 4.0 * _EPS:
+        if not np.isfinite(u).all():
+            raise DomainError("points must be finite")
+        raise ValueError("points outside the disk: |u| > 1")
+    powers = np.empty(u.shape + nu.shape, dtype=np.complex128)
+    powers[..., 0] = 1.0
+    powers[..., 1:] = u[..., np.newaxis]
+    np.multiply.accumulate(powers, axis=-1, out=powers)
+    zprime = (powers[..., :-1] * (nu[1:] * np.arange(1, len(nu)))).sum(axis=-1) / radius
+    return (powers * nu).sum(axis=-1), zprime

@@ -13,9 +13,9 @@ Two entry points:
 Every adaptive integral in the package is one refinement loop,
 :func:`_halving_trapezoid` (coarse pass, trim, step halving, a stop test per
 row, a budget of sampled abscissae), on a map of (0, inf): the exp-sinh rule
-in u with t = exp(pi/2 sinh u), :mod:`melroot.logspace` in x = ln t. Each
-halving is one call of the integrand, except the first two, which no row can
-retire from: they share one.
+in u with t = exp(pi/2 sinh u), and x = ln t for the disk moments of
+:mod:`melroot.mellin`. Each halving is one call of the integrand, except the
+first two, which no row can retire from: they share one.
 
 All engines are pure and re-entrant; summation order is fixed so repeated
 runs are bit-identical.
@@ -47,7 +47,8 @@ _U_CAP = 6.5
 _H0 = 0.5
 _MIN_LEVELS = 2
 # The coarse pass keeps the abscissae where some row exceeds this fraction of
-# its largest sample; a finite-edge tail of logspace is cut at the same level.
+# its largest sample; a finite-edge tail of the moments' ln t grid is cut at
+# the same level.
 TRUNCATION_DECAY = 1e-16
 
 

@@ -122,6 +122,9 @@ class TestAngleArrays:
         assert all(type(v) is complex for v in loop)
         assert values.shape == phis.shape
         assert values.tolist() == loop
+        grid = integrand(zeta_ff, c, phis.reshape(8, 8), coeffs)
+        assert grid.shape == (8, 8)
+        assert grid.tolist() == values.reshape(8, 8).tolist()
 
     def test_kernel_matches_its_scalar_loop(self, zeta_ff, ref_contour, coeffs):
         # one moment density per disk: an angle gets the same value alone as
@@ -357,7 +360,7 @@ class TestCounting:
     def test_pipeline_counts_are_pinned(self, zeta_ff, coeffs, center, radius, nodes, value, degree):
         # the benchmark's unjittered circles: a change that makes counts
         # faster keeps their values and the degree M of their moments
-        from melroot.logspace import moments
+        from melroot.mellin import moments
 
         c = m.CircularContour(center, radius, nodes)
         count = m.count_pipeline(zeta_ff, c, m.PipelineConfig(table=coeffs)).value
@@ -381,7 +384,7 @@ class TestCounting:
         # keeps at least five: with fewer, those were the leading Taylor
         # terms of Z and Z' and a tiny disk raised NonConvergenceError. No
         # disk here holds a zero or pole, so each counts 0
-        from melroot.logspace import moments
+        from melroot.mellin import moments
 
         cfg = m.PipelineConfig(table=coeffs)
         for radius in radii:

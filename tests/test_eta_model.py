@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import melroot as m
-from melroot.logspace import moments, power_sums
+from melroot.mellin import moments, power_sums
 from melroot.numerics import _gamma_pass, elementwise
 
 FIRST_ZETA_ZERO = 0.5 + 14.134725141734693j

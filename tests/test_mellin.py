@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import melroot as m
-from melroot.logspace import moments, power_sums
+from melroot.mellin import moments, power_sums
 
 EXP_DECAY = m.MellinIntegrand(z=lambda t: np.exp(-t), convergence_strip=(0.0, math.inf))
 
