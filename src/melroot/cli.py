@@ -8,7 +8,8 @@ Subcommands::
     expsum-error       grids of the reciprocal-approximation error
     convolution-check  3-fold convolution vs direct third power of Z
 
-Exit codes: 0 success, 1 unreliable count, 2 invalid arguments, domain
+Exit codes: 0 success, 1 unreliable count (its residual, or a direct
+count's contour gap, too large), 2 invalid arguments, domain
 error or an ``--out`` that cannot be written, 3 quadrature non-convergence.
 All commands are deterministic: identical arguments give byte-identical
 output.
@@ -179,6 +180,7 @@ def cmd_count(args) -> int:
             "value": {"re": result.value.real, "im": result.value.imag},
             "rounded": result.rounded,
             "residual": result.residual,
+            "contour_gap": result.contour_gap,
             "reliable": result.reliable,
         }
     else:

@@ -17,6 +17,12 @@ proven; there a point sums ceil(2 (1/2 - Re s)) more terms than at
 left, and past 1000 terms (about |Im s| = 1096), the series is refused.
 Past |Im s| = 100 the weights also take out the round-off of the phases
 Im(s) ln k, which left up to 1.1e-12 of zeta at |Im s| = 1000.
+
+Each point runs its series as array arithmetic along the terms: the
+weights and logarithms are cached read-only arrays, the terms are weights
+times (k+1)**(-s), and the sums of zeta and zeta' are the last elements of
+np.add.accumulate, which adds in the terms' order. So every point keeps
+the bits a scalar cmath loop over its terms gives.
 """
 
 from __future__ import annotations
@@ -51,17 +57,24 @@ _ETA_LOG_TOL = math.log(1e-14)
 _ETA_LOG_RATE = math.log(3.0 + math.sqrt(8.0))
 _ETA_MIN_RE = -1.0
 _ETA_MAX_TERMS = 1000
-# Past this |Im s| the phases Im(s) ln k that cmath.exp is given carry more
+# Past this |Im s| the phases Im(s) ln k that exp is given carry more
 # than about 1e-13 of round-off, and the weights take it out.
 _PHASE_ROUNDOFF_IM = 100.0
 _VELTKAMP = 134217729.0  # 2**27 + 1
 
 
+def _frozen(values) -> np.ndarray:
+    """``values`` as a read-only float array, safe to share from a cache."""
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
 @functools.lru_cache(maxsize=64)
-def _eta_series(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _eta_series(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The signed weights (-1)**k (d_k - d_n) / d_n and the logarithms
-    ln(k + 1), k < n, of Borwein's n-term series; the cache keeps the
-    last 64 lengths asked for.
+    ln(k + 1), k < n, of Borwein's n-term series, as read-only arrays; the
+    cache keeps the last 64 lengths asked for.
 
     d_k = c_0 + ... + c_k sums the coefficients c_i = n (n+i-1)! 4**i /
     ((n-i)! (2i)!) of the Chebyshev polynomial T_2n, integers that the
@@ -74,7 +87,7 @@ def _eta_series(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         d.append(acc)
         c = c * 4 * (n + i) * (n - i) // ((2 * i + 1) * (2 * i + 2))
     dn = d[n]
-    return tuple((-1) ** k * ((d[k] - dn) / dn) for k in range(n)), tuple(math.log(k + 1) for k in range(n))
+    return _frozen([(-1) ** k * ((d[k] - dn) / dn) for k in range(n)]), _frozen([math.log(k + 1) for k in range(n)])
 
 
 def _halves(x: float) -> tuple[float, float]:
@@ -86,27 +99,44 @@ def _halves(x: float) -> tuple[float, float]:
 
 
 @functools.cache
-def _log_parts() -> tuple[tuple[float, float, float], ...]:
-    """For k = 1 .. the most terms: the halves of math.log(k) and its error
-    ln k - math.log(k), from 40-digit decimal logarithms."""
+def _log_parts() -> np.ndarray:
+    """A read-only table of three rows over k = 1 .. the most terms: the
+    halves of math.log(k) and its error ln k - math.log(k), from 40-digit
+    decimal logarithms."""
     exact = decimal.Context(prec=40).ln
-    return tuple(
-        (*_halves(math.log(k)), float(exact(k) - decimal.Decimal(math.log(k)))) for k in range(1, _ETA_MAX_TERMS + 1)
-    )
+    return _frozen(
+        [(*_halves(math.log(k)), float(exact(k) - decimal.Decimal(math.log(k)))) for k in range(1, _ETA_MAX_TERMS + 1)]
+    ).T
 
 
-def _phase_corrected(weights: tuple[float, ...], t: float) -> list[complex]:
-    """The weights w_k times e**(-i d_k), d_k the round-off of the phase
-    fl(t math.log(k+1)) that the series hands cmath.exp: Dekker's exact error
-    of that product plus t times the error of math.log. |d_k| < 1e-12, so
-    e**(-i d_k) = 1 - i d_k to double precision."""
+def _phase_corrected(weights: np.ndarray, t: float, powers: np.ndarray) -> np.ndarray:
+    """The terms w_k e**(-i d_k) (k+1)**(-s) of the weights w_k and the
+    ``powers`` (k+1)**(-s), d_k the round-off of the phase fl(t math.log(k+1))
+    that the series hands exp: Dekker's exact error of that product plus t
+    times the error of math.log. |d_k| < 1e-12, so e**(-i d_k) = 1 - i d_k
+    to double precision. The complex product is formed in real arithmetic,
+    as Python's complex product forms it."""
     th, tl = _halves(t)
-    corrected = []
-    for w, (hi, lo, err) in zip(weights, _log_parts()):
-        p = t * (hi + lo)
-        d = ((th * hi - p) + th * lo + tl * hi) + tl * lo + t * err
-        corrected.append(complex(w, -w * d))
-    return corrected
+    hi, lo, err = _log_parts()[:, : len(weights)]
+    p = t * (hi + lo)
+    d = ((th * hi - p) + th * lo + tl * hi) + tl * lo + t * err
+    w_im = -weights * d
+    terms = np.empty_like(powers)
+    terms.real = weights * powers.real - w_im * powers.imag
+    terms.imag = weights * powers.imag + w_im * powers.real
+    return terms
+
+
+def _eta_sums(s: complex, n: int) -> list[complex]:
+    """The sums over k < n of the terms w_k (k+1)**(-s) of the n-term series
+    and of ln(k+1) times them, in array arithmetic along the terms. The
+    last elements of np.add.accumulate are the sums: it adds in the terms'
+    order, as a loop would, so both sums equal a scalar cmath loop's to the
+    bit."""
+    weights, logs = _eta_series(n)
+    powers = np.exp(-s * logs)
+    terms = _phase_corrected(weights, s.imag, powers) if abs(s.imag) > _PHASE_ROUNDOFF_IM else weights * powers
+    return np.add.accumulate((terms, logs * terms), axis=1)[:, -1].tolist()
 
 
 def _eta_terms(s: complex) -> int:
@@ -175,17 +205,16 @@ def _zeta_and_prime(s: complex) -> tuple[complex, complex]:
     lam = 1.0 - two
     _check_eta_factor(lam, s)
     lam_prime = two * _LN2
-    minus_s = -s
-    weights, logs = _eta_series(n)
-    if abs(s.imag) > _PHASE_ROUNDOFF_IM:
-        weights = _phase_corrected(weights, s.imag)
-    acc = 0j
-    acc_prime = 0j
-    for w, ln in zip(weights, logs):
-        term = w * cmath.exp(minus_s * ln)
-        acc += term
-        acc_prime -= ln * term
-    return -acc / lam, -acc_prime / lam + acc * lam_prime / lam**2
+    # far right on the real axis -s ln k overflows to -inf, whose exp is 0,
+    # as cmath gives it without a warning; only there is numpy's warning
+    # silenced, as the guard costs about a tenth of a typical node's series
+    if math.isinf(s.real * math.log(n)):
+        with np.errstate(over="ignore"):
+            acc, acc_log = _eta_sums(s, n)
+    else:
+        acc, acc_log = _eta_sums(s, n)
+    # acc is -eta(s) and acc_log is eta'(s), and zeta = eta / lam
+    return -acc / lam, acc_log / lam + acc * lam_prime / lam**2
 
 
 def zeta_reference(s: complex) -> complex:

@@ -92,6 +92,24 @@ class TestCount:
         assert report["residual"] < 1e-6
         assert report["reliable"] is True
 
+    def test_direct_json_reports_the_contour_gap(self, capsys):
+        assert main(["count", "--method", "direct", "--nodes", "64", "--format", "json"]) == 0
+        assert 0.0 <= json.loads(capsys.readouterr().out)["contour_gap"] < 1e-15
+        # an odd node count has no half-node sum, and the pipeline none either
+        assert main(["count", "--method", "direct", "--nodes", "63", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["contour_gap"] is None
+        assert main(["count", "--method", "pipeline", "--nodes", "8", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["contour_gap"] is None
+
+    def test_direct_wide_contour_gap_exits_1(self, capsys):
+        # the residual alone (0.22) would pass; the gap of 1.21 does not
+        rc = main(["count", "--method", "direct", "--center-re", "0.8656", "--center-im", "13.9828",
+                   "--radius", "0.4009", "--nodes", "64", "--format", "json"])
+        assert rc == 1
+        report = json.loads(capsys.readouterr().out)
+        assert (report["rounded"], report["reliable"]) == (2, False)
+        assert report["residual"] < 0.25 < 1.0 < report["contour_gap"]
+
     def test_direct_no_roots(self, capsys):
         rc = main(["count", "--method", "direct"])
         assert rc == 0

@@ -60,6 +60,10 @@ class TestTypes:
         assert r.residual < 1e-5
         assert r.reliable
         assert not m.CountResult.from_value(0.5 + 0.2j).reliable
+        # a direct count's contour gap must also be under 1e-3
+        assert m.CountResult.from_value(1.0 + 0j, contour_gap=9.99e-4).reliable
+        assert not m.CountResult.from_value(1.0 + 0j, contour_gap=1e-3).reliable
+        assert not m.CountResult.from_value(1.0 + 0j, contour_gap=math.nan).reliable
 
     @pytest.mark.parametrize("value", [complex(math.nan, 0.0), complex(math.inf, 0.0)])
     def test_count_result_rejects_non_finite(self, value):
@@ -148,7 +152,13 @@ class TestAngleArrays:
         step = 2.0 * math.pi / c.nodes
         phis = step * np.arange(c.nodes)
         assert m.count_pipeline(zeta_ff, c, cfg).value == complex(m.kernel_mellin(zeta_ff, c, phis, cfg).sum()) * step
-        assert m.count_direct(zeta_ff, c).value == complex(m.integrand_direct(zeta_ff, c, phis).sum()) * step
+        values = m.integrand_direct(zeta_ff, c, phis)
+        direct = m.count_direct(zeta_ff, c)
+        assert direct.value == complex(values.sum()) * step
+        # the contour gap is the distance from the sum on every other node
+        assert direct.contour_gap == abs(direct.value - complex(values[::2].sum()) * (2.0 * step))
+        assert m.count_pipeline(zeta_ff, c, cfg).contour_gap is None
+        assert m.count_direct(zeta_ff, m.CircularContour(0.57 + 1.57j, 0.1, nodes=63)).contour_gap is None
 
 
 class TestStages:
@@ -304,6 +314,16 @@ class TestCounting:
         )
         c = m.CircularContour(0.1 + 0j, 0.10001, nodes=8)
         assert not m.count_direct(ff, c).reliable
+
+    def test_contour_gap_flags_a_wrong_count(self, zeta_ff):
+        # the first zero lies inside, 0.005 from the circle (0.988 R from the
+        # centre): the 64-node sum lands near 2, yet the half-node sum is 1.2
+        # away (the truth is +1)
+        r = m.count_direct(zeta_ff, m.CircularContour(0.8656 + 13.9828j, 0.4009, nodes=64))
+        assert r.rounded == 2
+        assert r.residual < 0.25
+        assert r.contour_gap > 1.0
+        assert not r.reliable
 
     def test_pipeline_is_trapezoid_sum_of_kernel(self, zeta_ff, coeffs):
         cfg = m.PipelineConfig(table=coeffs)

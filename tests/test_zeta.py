@@ -209,8 +209,8 @@ class TestSeriesLength:
             acc += Fraction(math.factorial(n + i - 1) * 4**i, math.factorial(n - i) * math.factorial(2 * i))
             d.append(n * acc)
         weights, logs = zeta_module._eta_series(n)
-        assert weights == tuple((-1) ** k * float((d[k] - d[n]) / d[n]) for k in range(n))
-        assert logs == tuple(math.log(k) for k in range(1, n + 1))
+        assert weights.tolist() == [(-1) ** k * float((d[k] - d[n]) / d[n]) for k in range(n)]
+        assert logs.tolist() == [math.log(k) for k in range(1, n + 1)]
 
     def test_cache_stays_bounded(self):
         # a sign map up to Im s = 1000 asks for about 100 lengths; the cache
@@ -222,6 +222,55 @@ class TestSeriesLength:
         assert main(argv) == 0
         info = cache.cache_info()
         assert info.currsize <= info.maxsize == 64 < info.misses
+
+
+def _loop_zeta_and_prime(s: complex) -> tuple[complex, complex]:
+    """zeta and zeta' from the module's weights and logarithms, summed by a
+    plain cmath loop over the terms, as the series was summed before it ran
+    as array arithmetic."""
+    ln2 = math.log(2.0)
+    two = cmath.exp((1.0 - s) * ln2)
+    lam, lam_prime = 1.0 - two, two * ln2
+    weights, logs = zeta_module._eta_series(zeta_module._eta_terms(s))
+    weights = weights.tolist()
+    t = s.imag
+    if abs(t) > 100.0:
+        th, tl = zeta_module._halves(t)
+        parts = zip(*(row.tolist() for row in zeta_module._log_parts()))
+        for k, (w, (hi, lo, err)) in enumerate(zip(weights, parts)):
+            d = ((th * hi - t * (hi + lo)) + th * lo + tl * hi) + tl * lo + t * err
+            weights[k] = complex(w, -w * d)
+    acc = acc_prime = 0j
+    for w, ln in zip(weights, logs.tolist()):
+        term = w * cmath.exp(-s * ln)
+        acc += term
+        acc_prime -= ln * term
+    return -acc / lam, -acc_prime / lam + acc * lam_prime / lam**2
+
+
+class TestEtaArrays:
+    """The series runs as array arithmetic along its terms and keeps every
+    bit of a scalar loop."""
+
+    def test_equals_a_scalar_loop_to_the_bit(self):
+        rng = np.random.default_rng(27)
+        re = rng.uniform(-1.0, 3.0, 1200)
+        # a third up to |Im s| = 1090, most past the phase correction's 100
+        im = np.concatenate([rng.uniform(-100.0, 100.0, 800), rng.uniform(-1090.0, 1090.0, 400)])
+        points = [complex(x, y) for x, y in zip(re, im)]
+        assert sum(abs(s.imag) > 100.0 for s in points) > 300
+        # far right on the real axis -s ln k overflows to -inf, whose power
+        # is 0 as in cmath, and no warning escapes
+        points += [1e308 + 0.57j, 1e308 + 150.0j]
+        got = [zeta_module._zeta_and_prime(s) for s in points]
+        assert got == [_loop_zeta_and_prime(s) for s in points]
+
+    def test_cached_arrays_are_read_only(self):
+        weights, logs = zeta_module._eta_series(31)
+        for array in (weights, logs, zeta_module._log_parts()):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
 
 class TestPrefactor:
