@@ -8,20 +8,24 @@ import argparse
 import melroot as m
 
 
+def _report(label: str, result: m.CountResult) -> None:
+    gap = "none (odd node count)" if result.contour_gap is None else f"{result.contour_gap:.3e}"
+    print(f"{label:10s}value = {result.value:.6e}")
+    print(f"          rounded {result.rounded}, residual {result.residual:.3e}, contour gap {gap}")
+
+
 def run(center: complex, radius: float, nodes: int) -> None:
     ff = m.build_zeta_factored()
     c = m.CircularContour(center, radius, nodes=nodes)
 
-    direct = m.count_direct(ff, c)
-    print(f"direct:   value = {direct.value:.6e}")
-    print(f"          rounded {direct.rounded}, residual {direct.residual:.3e}")
+    _report("direct:", m.count_direct(ff, c))
 
     cfg = m.PipelineConfig(table=m.PRESETS["appendixC"])
     pipe = m.count_pipeline(ff, c, cfg)
-    print(f"pipeline: value = {pipe.value:.6e}")
-    print(f"          rounded {pipe.rounded}, residual {pipe.residual:.3e}")
+    _report("pipeline:", pipe)
     if not pipe.reliable:
-        print("          (residual too large for a trustworthy integer count)")
+        print("          (not a trustworthy integer count: the residual must be under 0.25")
+        print("          and the contour gap under 1e-3)")
 
 
 if __name__ == "__main__":

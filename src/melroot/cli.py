@@ -8,11 +8,10 @@ Subcommands::
     expsum-error       grids of the reciprocal-approximation error
     convolution-check  3-fold convolution vs direct third power of Z
 
-Exit codes: 0 success, 1 unreliable count (its residual, or a direct
-count's contour gap, too large), 2 invalid arguments, domain
-error or an ``--out`` that cannot be written, 3 quadrature non-convergence.
-All commands are deterministic: identical arguments give byte-identical
-output.
+Exit codes: 0 success, 1 unreliable count (its residual or its contour
+gap too large), 2 invalid arguments, domain error or an ``--out`` that
+cannot be written, 3 quadrature non-convergence. All commands are
+deterministic: identical arguments give byte-identical output.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import numpy as np
 
 from .contour import (
     CircularContour,
-    CountResult,
     PipelineConfig,
     count_direct,
     count_pipeline,
@@ -189,6 +187,8 @@ def cmd_count(args) -> int:
             f"rounded  {result.rounded}",
             f"residual {result.residual:.3e}",
         ]
+        if result.contour_gap is not None:
+            body.append(f"contour_gap {result.contour_gap:.3e}")
     _write(args, body)
     return 0 if result.reliable else 1
 

@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 _TWO_PI_I = 2j * math.pi
-# a reliable direct count's contour gap is under this
+# a reliable count's contour gap is under this
 _GAP_TOL = 1e-3
 
 
@@ -116,9 +116,11 @@ class CountResult:
     """Raw contour integral, its nearest integer, and the distance between
     them (the winding residual -- a quality measure for the count).
 
-    A direct count on an even number N of nodes also carries its contour
-    gap |T_N - T_(N/2)|, the distance from the trapezoid sum on every other
-    node; else the gap is None."""
+    A count on an even number N of nodes also carries its contour gap
+    |T_N - T_(N/2)|, the distance from the trapezoid sum on every other node
+    of the same values, else None. The periodic trapezoid rule converges
+    geometrically (Trefethen & Weideman, SIAM Rev. 56 (2014)), so the gap
+    estimates the error of T_(N/2), and T_N, the value, is closer still."""
 
     value: complex
     rounded: int
@@ -228,6 +230,12 @@ def integrand_stage2(
     return _integrand(c, phi, partial(_from_references, ff), _truncated(table, n))
 
 
+def _kernel(ff: FactoredFunction, c: CircularContour, cfg: PipelineConfig) -> Callable:
+    """:func:`kernel_mellin` on the contour ``c`` as a function of the angles."""
+    source = partial(_from_z, ff, c, cfg.quad)
+    return partial(_integrand, c, source=source, combine=_truncated(cfg.table, cfg.series_order))
+
+
 def kernel_mellin(ff: FactoredFunction, c: CircularContour, phi, cfg: PipelineConfig) -> complex | np.ndarray:
     """Fully expanded counting-integrand at the contour angle ``phi``, or at
     each angle of an array.
@@ -240,48 +248,39 @@ def kernel_mellin(ff: FactoredFunction, c: CircularContour, phi, cfg: PipelineCo
     in any array: a scalar angle gives a complex, an array an array of its
     shape, and so does the best estimate of a :class:`NonConvergenceError`.
     """
-    return _integrand(c, phi, partial(_from_z, ff, c, cfg.quad), _truncated(cfg.table, cfg.series_order))
+    return _kernel(ff, c, cfg)(phi)
 
 
-def count_direct(ff: FactoredFunction, c: CircularContour) -> CountResult:
-    """Roots minus poles inside the contour, from the reference f'/f.
-
-    Exact up to trapezoid error, which decays spectrally with the node
-    count for contours staying clear of all roots and poles. The integrand
-    is one array computation (:func:`integrand_direct`) over all nodes.
-
-    On an even node count N the result carries the contour gap
-    |T_N - T_(N/2)|, with T_(N/2) the trapezoid sum on every other node of
-    the same integrand array, so the gap costs no evaluation. The periodic
-    trapezoid rule converges geometrically (Trefethen & Weideman, SIAM Rev.
-    56 (2014)), so the gap estimates the error of T_(N/2), and T_N, the
-    value, is closer still; a gap of 1e-3 or more makes the count
-    unreliable.
-    """
+def _count(c: CircularContour, integrand: Callable[[np.ndarray], np.ndarray]) -> CountResult:
+    """Trapezoid sum and contour gap of ``integrand``, called once on all node
+    angles of ``c``; a :class:`NonConvergenceError` is raised with its best estimate summed."""
     step = 2.0 * math.pi / c.nodes
-    values = integrand_direct(ff, c, step * np.arange(c.nodes))
+    try:
+        values = integrand(step * np.arange(c.nodes))
+    except NonConvergenceError as exc:
+        best = complex(exc.best_estimate.sum()) * step
+        raise NonConvergenceError(str(exc), best_estimate=best, error_estimate=exc.error_estimate) from exc
     value = complex(values.sum()) * step
     gap = abs(value - complex(values[::2].sum()) * (2.0 * step)) if c.nodes % 2 == 0 else None
     return CountResult.from_value(value, gap)
 
 
-def count_pipeline(ff: FactoredFunction, c: CircularContour, cfg: PipelineConfig) -> CountResult:
-    """Roots minus poles through the approximated convolution kernel.
+def count_direct(ff: FactoredFunction, c: CircularContour) -> CountResult:
+    """Roots minus poles inside the contour, from the reference f'/f in one
+    array computation (:func:`integrand_direct`) over all nodes; exact up to
+    trapezoid error, which decays spectrally for contours clear of all roots
+    and poles."""
+    return _count(c, partial(integrand_direct, ff, c))
 
-    The result carries the exponential-sum and series-truncation error; the
-    integer rounding is only meaningful when the residual is small.
+
+def count_pipeline(ff: FactoredFunction, c: CircularContour, cfg: PipelineConfig) -> CountResult:
+    """Roots minus poles through the approximated convolution kernel, whose
+    value carries the exponential-sum and series-truncation error.
 
     The kernel values (:func:`kernel_mellin`) at all nodes, from one moment
-    density of the contour's disk, summed by the trapezoid rule. Only
+    density of the contour's disk, summed by the trapezoid rule; a switch of
+    csgn(f) on the contour is a jump, which the contour gap shows. Only
     ``ff.zf``, ``ff.K`` and ``ff.Kprime`` are used. A contour that leaves the
     convergence strip of ``ff.zf`` raises :class:`DomainError` before z is
-    evaluated.
-    """
-    step = 2.0 * math.pi / c.nodes
-    phis = step * np.arange(c.nodes)
-    try:
-        values = _integrand(c, phis, partial(_from_z, ff, c, cfg.quad), _truncated(cfg.table, cfg.series_order))
-    except NonConvergenceError as exc:
-        best = complex(exc.best_estimate.sum()) * step
-        raise NonConvergenceError(str(exc), best_estimate=best, error_estimate=exc.error_estimate) from exc
-    return CountResult.from_value(complex(values.sum()) * step)
+    evaluated."""
+    return _count(c, _kernel(ff, c, cfg))

@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 import melroot as m
@@ -95,10 +96,17 @@ class TestCount:
     def test_direct_json_reports_the_contour_gap(self, capsys):
         assert main(["count", "--method", "direct", "--nodes", "64", "--format", "json"]) == 0
         assert 0.0 <= json.loads(capsys.readouterr().out)["contour_gap"] < 1e-15
-        # an odd node count has no half-node sum, and the pipeline none either
+        # an odd node count has no half-node sum
         assert main(["count", "--method", "direct", "--nodes", "63", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["contour_gap"] is None
+        # the pipeline's gap is that of its kernel values on the same nodes
         assert main(["count", "--method", "pipeline", "--nodes", "8", "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        c, step = m.CircularContour(0.57 + 1.57j, 0.1, nodes=8), 2.0 * math.pi / 8
+        kernel = m.kernel_mellin(m.build_zeta_factored(), c, step * np.arange(8), m.PipelineConfig(m.PRESETS["appendixC"]))
+        value = complex(report["value"]["re"], report["value"]["im"])
+        assert report["contour_gap"] == abs(value - complex(kernel[::2].sum()) * (2.0 * step))
+        assert main(["count", "--method", "pipeline", "--nodes", "7", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["contour_gap"] is None
 
     def test_direct_wide_contour_gap_exits_1(self, capsys):
@@ -479,6 +487,7 @@ class TestFormatsAgree:
             f"value    {value['re']:+.12e} {value['im']:+.12e}i",
             f"rounded  {report['rounded']}",
             f"residual {report['residual']:.3e}",
+            f"contour_gap {report['contour_gap']:.3e}",
         ]
         assert report["rounded"] == -1
 

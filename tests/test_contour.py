@@ -151,14 +151,18 @@ class TestAngleArrays:
         c = m.CircularContour(0.57 + 1.57j, 0.1, nodes=64)
         step = 2.0 * math.pi / c.nodes
         phis = step * np.arange(c.nodes)
-        assert m.count_pipeline(zeta_ff, c, cfg).value == complex(m.kernel_mellin(zeta_ff, c, phis, cfg).sum()) * step
+        kernel = m.kernel_mellin(zeta_ff, c, phis, cfg)
+        pipeline = m.count_pipeline(zeta_ff, c, cfg)
+        assert pipeline.value == complex(kernel.sum()) * step
         values = m.integrand_direct(zeta_ff, c, phis)
         direct = m.count_direct(zeta_ff, c)
         assert direct.value == complex(values.sum()) * step
         # the contour gap is the distance from the sum on every other node
         assert direct.contour_gap == abs(direct.value - complex(values[::2].sum()) * (2.0 * step))
-        assert m.count_pipeline(zeta_ff, c, cfg).contour_gap is None
-        assert m.count_direct(zeta_ff, m.CircularContour(0.57 + 1.57j, 0.1, nodes=63)).contour_gap is None
+        assert pipeline.contour_gap == abs(pipeline.value - complex(kernel[::2].sum()) * (2.0 * step))
+        odd = m.CircularContour(0.57 + 1.57j, 0.1, nodes=63)
+        assert m.count_direct(zeta_ff, odd).contour_gap is None
+        assert m.count_pipeline(zeta_ff, odd, cfg).contour_gap is None
 
 
 class TestStages:
@@ -315,14 +319,29 @@ class TestCounting:
         c = m.CircularContour(0.1 + 0j, 0.10001, nodes=8)
         assert not m.count_direct(ff, c).reliable
 
-    def test_contour_gap_flags_a_wrong_count(self, zeta_ff):
-        # the first zero lies inside, 0.005 from the circle (0.988 R from the
-        # centre): the 64-node sum lands near 2, yet the half-node sum is 1.2
-        # away (the truth is +1)
-        r = m.count_direct(zeta_ff, m.CircularContour(0.8656 + 13.9828j, 0.4009, nodes=64))
-        assert r.rounded == 2
+    @pytest.mark.parametrize(
+        "method, center, radius, nodes, wrong, min_gap",
+        [
+            # the first zero lies inside, 0.005 from the circle (0.988 R from
+            # the centre): the 64-node sum lands near 2, yet the half-node sum
+            # is 1.2 away (the truth is +1)
+            ("direct", 0.8656 + 13.9828j, 0.4009, 64, 2, 1.0),
+            # the pipeline's two-way csgn fold misses the pole (truth -1) and
+            # the first zero (truth +1); its sign switches on the contour are
+            # jumps, which the half-node sum does not follow
+            ("pipeline", 1.0077179653704582 + 0.002032038206469709j, 0.1, 16, -25, 1e-3),
+            ("pipeline", 0.5 + 14.134725j, 0.05, 8, 0, 1e-3),
+            ("pipeline", 1.0 + 0j, 0.9, 64, -2, 1e-3),
+            ("pipeline", 0.5 + 14.134725j, 1e-2, 16, 0, 1e-3),
+        ],
+        ids=["direct", "pipeline-pole", "pipeline-first-zero", "pipeline-circle-about-1", "pipeline-tiny-disk"],
+    )
+    def test_contour_gap_flags_a_wrong_count(self, zeta_ff, coeffs, method, center, radius, nodes, wrong, min_gap):
+        c = m.CircularContour(center, radius, nodes=nodes)
+        r = m.count_direct(zeta_ff, c) if method == "direct" else m.count_pipeline(zeta_ff, c, m.PipelineConfig(coeffs))
+        assert r.rounded == wrong
         assert r.residual < 0.25
-        assert r.contour_gap > 1.0
+        assert r.contour_gap > min_gap
         assert not r.reliable
 
     def test_pipeline_is_trapezoid_sum_of_kernel(self, zeta_ff, coeffs):
