@@ -4,12 +4,13 @@ comparing the direct f'/f route with the approximated convolution pipeline.
 """
 
 import argparse
+import math
 
 import melroot as m
 
 
 def _report(label: str, result: m.CountResult) -> None:
-    gap = "none (odd node count)" if result.contour_gap is None else f"{result.contour_gap:.3e}"
+    gap = "inf (odd node count)" if math.isinf(result.contour_gap) else f"{result.contour_gap:.3e}"
     print(f"{label:10s}value = {result.value:.6e}")
     print(f"          rounded {result.rounded}, residual {result.residual:.3e}, contour gap {gap}")
 
@@ -25,7 +26,7 @@ def run(center: complex, radius: float, nodes: int) -> None:
     _report("pipeline:", pipe)
     if not pipe.reliable:
         print("          (not a trustworthy integer count: the residual must be under 0.25")
-        print("          and the contour gap under 1e-3)")
+        print("          and the contour gap under 1e-3, which an odd node count never is)")
 
 
 if __name__ == "__main__":

@@ -32,10 +32,6 @@ from .quadrature import (
     integrate_periodic,
     integrate_semi_infinite,
 )
-from .zeta import (
-    build_zeta_factored,
-    z_integrand,
-    zeta_reference,
-)
+from .zeta import build_zeta_factored, z_integrand
 
 __version__ = "0.1.0"

@@ -9,8 +9,9 @@ Subcommands::
     convolution-check  3-fold convolution vs direct third power of Z
 
 Exit codes: 0 success, 1 unreliable count (its residual or its contour
-gap too large), 2 invalid arguments, domain error or an ``--out`` that
-cannot be written, 3 quadrature non-convergence. All commands are
+gap too large; an odd ``--nodes`` has no half-node sum, and its gap is
+inf), 2 invalid arguments, domain error or an ``--out`` that cannot be
+written, 3 quadrature non-convergence. All commands are
 deterministic: identical arguments give byte-identical output.
 """
 
@@ -36,12 +37,12 @@ from .contour import (
     integrand_stage2,
     kernel_mellin,
 )
-from .errors import DomainError, NonConvergenceError, PoleError
+from .errors import DomainError, NonConvergenceError
 from .expsum import PRESETS, ExpSumTable, error_grid
 from .mellin import power_transform
 from .numerics import csgn
 from .quadrature import QuadratureConfig
-from .zeta import build_zeta_factored, zeta_reference
+from .zeta import _eta_poles, build_zeta_factored
 
 TABLE_DECIMALS = 7
 CHECK_SIGDIGITS = 10
@@ -178,7 +179,8 @@ def cmd_count(args) -> int:
             "value": {"re": result.value.real, "im": result.value.imag},
             "rounded": result.rounded,
             "residual": result.residual,
-            "contour_gap": result.contour_gap,
+            # an odd node count's gap is inf, which strict JSON cannot hold
+            "contour_gap": result.contour_gap if math.isfinite(result.contour_gap) else None,
             "reliable": result.reliable,
         }
     else:
@@ -186,9 +188,8 @@ def cmd_count(args) -> int:
             f"value    {result.value.real:+.12e} {result.value.imag:+.12e}i",
             f"rounded  {result.rounded}",
             f"residual {result.residual:.3e}",
+            f"contour_gap {result.contour_gap:.3e}",
         ]
-        if result.contour_gap is not None:
-            body.append(f"contour_gap {result.contour_gap:.3e}")
     _write(args, body)
     return 0 if result.reliable else 1
 
@@ -196,19 +197,15 @@ def cmd_count(args) -> int:
 def cmd_sign_map(args) -> int:
     xs = np.linspace(args.re_min, args.re_max, args.grid_nx)
     ys = np.linspace(args.im_min, args.im_max, args.grid_ny)
-    zeta = np.ones((len(ys), len(xs)), dtype=np.complex128)
-    pole = np.zeros(zeta.shape, dtype=bool)
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            try:
-                zeta[iy, ix] = zeta_reference(complex(x, y))
-            except PoleError:
-                pole[iy, ix] = True
-    grid = np.where(pole, 0, csgn(zeta)).tolist()  # 0 marks a pole
+    s = np.empty((len(ys), len(xs)), dtype=np.complex128)
+    s.real, s.imag = xs, ys[:, None]
+    pole = _eta_poles(s)  # 0 marks a pole
+    grid = np.zeros(s.shape, dtype=int)
+    grid[~pole] = csgn(build_zeta_factored().f_reference(s[~pole]))
     if args.format == "json":
-        _write(args, {"re_axis": xs.tolist(), "im_axis": ys.tolist(), "sign": grid})
+        _write(args, {"re_axis": xs.tolist(), "im_axis": ys.tolist(), "sign": grid.tolist()})
     else:
-        _write(args, _grid_rows(xs, ys, grid))
+        _write(args, _grid_rows(xs, ys, grid.tolist()))
     return 0
 
 

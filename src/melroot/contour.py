@@ -118,9 +118,11 @@ class CountResult:
 
     A count on an even number N of nodes also carries its contour gap
     |T_N - T_(N/2)|, the distance from the trapezoid sum on every other node
-    of the same values, else None. The periodic trapezoid rule converges
-    geometrically (Trefethen & Weideman, SIAM Rev. 56 (2014)), so the gap
-    estimates the error of T_(N/2), and T_N, the value, is closer still."""
+    of the same values. The periodic trapezoid rule converges geometrically
+    (Trefethen & Weideman, SIAM Rev. 56 (2014)), so the gap estimates the
+    error of T_(N/2), and T_N, the value, is closer still. On an odd N the
+    gap is inf, as no half-node sum bounds the value's error, and the count
+    is never reliable; a result from a value alone has no gap (None)."""
 
     value: complex
     rounded: int
@@ -261,7 +263,7 @@ def _count(c: CircularContour, integrand: Callable[[np.ndarray], np.ndarray]) ->
         best = complex(exc.best_estimate.sum()) * step
         raise NonConvergenceError(str(exc), best_estimate=best, error_estimate=exc.error_estimate) from exc
     value = complex(values.sum()) * step
-    gap = abs(value - complex(values[::2].sum()) * (2.0 * step)) if c.nodes % 2 == 0 else None
+    gap = abs(value - complex(values[::2].sum()) * (2.0 * step)) if c.nodes % 2 == 0 else math.inf
     return CountResult.from_value(value, gap)
 
 

@@ -96,9 +96,11 @@ class TestCount:
     def test_direct_json_reports_the_contour_gap(self, capsys):
         assert main(["count", "--method", "direct", "--nodes", "64", "--format", "json"]) == 0
         assert 0.0 <= json.loads(capsys.readouterr().out)["contour_gap"] < 1e-15
-        # an odd node count has no half-node sum
-        assert main(["count", "--method", "direct", "--nodes", "63", "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["contour_gap"] is None
+        # an odd node count has no half-node sum: its gap is inf, which the
+        # JSON prints as null, and its count is unreliable
+        assert main(["count", "--method", "direct", "--nodes", "63", "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert (report["contour_gap"], report["reliable"]) == (None, False)
         # the pipeline's gap is that of its kernel values on the same nodes
         assert main(["count", "--method", "pipeline", "--nodes", "8", "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -106,8 +108,22 @@ class TestCount:
         kernel = m.kernel_mellin(m.build_zeta_factored(), c, step * np.arange(8), m.PipelineConfig(m.PRESETS["appendixC"]))
         value = complex(report["value"]["re"], report["value"]["im"])
         assert report["contour_gap"] == abs(value - complex(kernel[::2].sum()) * (2.0 * step))
-        assert main(["count", "--method", "pipeline", "--nodes", "7", "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["contour_gap"] is None
+        assert main(["count", "--method", "pipeline", "--nodes", "7", "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert (report["contour_gap"], report["reliable"]) == (None, False)
+
+    def test_odd_node_count_about_the_first_zero_exits_1(self, capsys):
+        # 7 pipeline nodes read 0.0964 + 0.0151i, rounded 0 with a residual
+        # under 0.25; the truth is +1, and with no half-node sum the count is
+        # unreliable
+        argv = ["count", "--method", "pipeline", "--center-re", "0.5", "--center-im", "14.134725",
+                "--radius", "0.05", "--nodes", "7"]
+        assert main(argv + ["--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert (report["rounded"], report["contour_gap"], report["reliable"]) == (0, None, False)
+        assert report["residual"] < 0.25
+        assert main(argv) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "contour_gap inf"
 
     def test_direct_wide_contour_gap_exits_1(self, capsys):
         # the residual alone (0.22) would pass; the gap of 1.21 does not
@@ -270,8 +286,49 @@ class TestSignMap:
         ])
         assert rc == 0
         payload = json.loads(path.read_text())
-        expected = m.csgn(m.zeta_reference(0.57 + 1.57j))
+        expected = m.csgn(m.build_zeta_factored().f_reference(0.57 + 1.57j))
         assert payload["sign"] == [[expected]]
+
+    def test_pole_and_resonance_cells(self, tmp_path):
+        # Re s = 1 crosses the pole at Im s = 0 and passes within 1e-8 of a
+        # zero of 1 - 2**(1-s) at Im s = 2 pi / ln 2
+        near = 2.0 * math.pi / math.log(2.0) + 1e-8
+        path = tmp_path / "map.json"
+        with pytest.warns(RuntimeWarning, match="resonance") as record:
+            rc = main([
+                "sign-map",
+                "--re-min", "0", "--re-max", "1",
+                "--im-min", "0", "--im-max", repr(near),
+                "--grid-nx", "3", "--grid-ny", "2",
+                "--format", "json", "--out", str(path),
+            ])
+        assert rc == 0
+        assert len(record) == 1
+        payload = json.loads(path.read_text())
+        assert payload["im_axis"] == [0.0, near]
+        cells = [complex(x, y) for y in payload["im_axis"] for x in payload["re_axis"]]
+        signs = [v for row in payload["sign"] for v in row]
+        assert signs[2] == 0 and cells[2] == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = [m.csgn(m.build_zeta_factored().f_reference(s)) for s in cells[:2] + cells[3:]]
+        assert signs[:2] + signs[3:] == want
+
+    def test_double_below_the_pole_reads_as_the_pole(self, tmp_path):
+        # the grid's middle cell is the double below 1, where 1 - 2**(1-s)
+        # rounds to 0 too
+        path = tmp_path / "map.json"
+        rc = main([
+            "sign-map",
+            "--re-min", "-0.4", "--re-max", "2.4",
+            "--im-min", "0", "--im-max", "0",
+            "--grid-nx", "3", "--grid-ny", "1",
+            "--format", "json", "--out", str(path),
+        ])
+        assert rc == 0
+        payload = json.loads(path.read_text())
+        assert payload["re_axis"][1] == math.nextafter(1.0, 0.0)
+        assert payload["sign"] == [[-1, 0, 1]]
 
 
 class TestExpsumError:

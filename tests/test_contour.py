@@ -60,7 +60,8 @@ class TestTypes:
         assert r.residual < 1e-5
         assert r.reliable
         assert not m.CountResult.from_value(0.5 + 0.2j).reliable
-        # a direct count's contour gap must also be under 1e-3
+        # a count's contour gap must also be under 1e-3; an odd N's is inf
+        assert not m.CountResult.from_value(1.0 + 0j, contour_gap=math.inf).reliable
         assert m.CountResult.from_value(1.0 + 0j, contour_gap=9.99e-4).reliable
         assert not m.CountResult.from_value(1.0 + 0j, contour_gap=1e-3).reliable
         assert not m.CountResult.from_value(1.0 + 0j, contour_gap=math.nan).reliable
@@ -161,8 +162,8 @@ class TestAngleArrays:
         assert direct.contour_gap == abs(direct.value - complex(values[::2].sum()) * (2.0 * step))
         assert pipeline.contour_gap == abs(pipeline.value - complex(kernel[::2].sum()) * (2.0 * step))
         odd = m.CircularContour(0.57 + 1.57j, 0.1, nodes=63)
-        assert m.count_direct(zeta_ff, odd).contour_gap is None
-        assert m.count_pipeline(zeta_ff, odd, cfg).contour_gap is None
+        assert m.count_direct(zeta_ff, odd).contour_gap == math.inf
+        assert m.count_pipeline(zeta_ff, odd, cfg).contour_gap == math.inf
 
 
 class TestStages:

@@ -18,15 +18,18 @@ from melroot.numerics import _gamma_pass, elementwise
 
 
 class TestZetaReference:
-    def test_basel_value(self):
-        assert abs(m.zeta_reference(2.0) - math.pi**2 / 6.0) < 1e-12
+    """The zeta model's f_reference and fprime_reference, the eta-series
+    oracle of zeta and zeta'."""
 
-    def test_value_at_zero(self):
-        assert abs(m.zeta_reference(0.0) + 0.5) < 1e-12
+    def test_basel_value(self, zeta_ff):
+        assert abs(zeta_ff.f_reference(2.0) - math.pi**2 / 6.0) < 1e-12
+
+    def test_value_at_zero(self, zeta_ff):
+        assert abs(zeta_ff.f_reference(0.0) + 0.5) < 1e-12
 
     def test_pole_at_one(self):
         with pytest.raises(m.PoleError):
-            m.zeta_reference(1.0)
+            m.build_zeta_factored().f_reference(1.0)
         with pytest.raises(m.PoleError):
             m.build_zeta_factored().fprime_reference(1.0)
 
@@ -36,20 +39,20 @@ class TestZetaReference:
         # finite, are refused with a typed error before any term is summed
         ff = m.build_zeta_factored()
         nodes = np.array([0.5 + 1j, s])
-        for reference, at in ((m.zeta_reference, s), (ff.fprime_reference, s), (ff.f_reference, nodes)):
+        for reference, at in ((ff.f_reference, s), (ff.fprime_reference, s), (ff.f_reference, nodes)):
             with pytest.raises(m.DomainError, match="eta series"):
                 reference(at)
 
     def test_bad_argument_keeps_its_own_error(self):
         with pytest.raises(ValueError) as info:
-            m.zeta_reference("not a number")
+            m.build_zeta_factored().f_reference("not a number")
         assert not isinstance(info.value, m.DomainError)
 
     def test_conditioning_warning_near_resonance(self):
         # 1 - 2**(1-s) vanishes along Re(s) = 1 at Im(s) = 2*pi*k/ln 2
         s = complex(1.0, 2.0 * math.pi / math.log(2.0)) + 1e-8
         ff = m.build_zeta_factored()
-        for reference in (m.zeta_reference, zeta_module._zeta_and_prime, ff.f_reference, ff.fprime_reference):
+        for reference in (ff.f_reference, ff.fprime_reference):
             s += 1e-12  # a new point each time, so the model evaluates afresh
             with pytest.warns(RuntimeWarning) as record:
                 reference(s)
@@ -66,7 +69,7 @@ class TestZetaReference:
             s = complex(rng.uniform(-0.9, 3.0), rng.uniform(-20.0, 20.0))
             if abs(s - 1.0) < 0.05:
                 continue
-            assert abs(m.zeta_reference(s) - complex(mp.zeta(s))) < 1e-10
+            assert abs(ff.f_reference(s) - complex(mp.zeta(s))) < 1e-10
             assert abs(ff.fprime_reference(s) - complex(mp.zeta(s, derivative=1))) < 1e-9
 
     def test_series_answers_past_im_45(self):
@@ -79,12 +82,12 @@ class TestZetaReference:
         for re in (-1.0, -0.9, 0.0, 0.5, 1.5, 3.0):
             for im in (45.0, math.nextafter(45.0, math.inf), 45.5, 100.0):
                 for s in (complex(re, im), complex(re, -im)):
-                    for ours, k in ((m.zeta_reference, 0), (ff.fprime_reference, 1)):
+                    for ours, k in ((ff.f_reference, 0), (ff.fprime_reference, 1)):
                         exact = complex(mp.zeta(s, derivative=k))
                         assert abs(ours(s) - exact) < 1e-12 * abs(exact)
         # nodes on both sides of |Im s| = 45 in one array
         nodes = np.array([0.5 + 1j, 0.5 + 45.5j])
-        assert ff.f_reference(nodes).tolist() == [m.zeta_reference(s) for s in nodes]
+        assert ff.f_reference(nodes).tolist() == [ff.f_reference(complex(s)) for s in nodes]
         # a circle about 0.5 + 45i of radius 0.4 holds no zero (the eighth and
         # ninth are at 43.33 and 48.01)
         result = m.count_direct(ff, m.CircularContour(0.5 + 45.0j, 0.4, nodes=16))
@@ -105,7 +108,7 @@ class TestZetaReference:
         # the edges of the checked range
         points += [-1.0 + 0j, -1.0 + 3.0j, 0.5 + 1096.0j]
         for s in points:
-            for ours, k in ((m.zeta_reference, 0), (ff.fprime_reference, 1)):
+            for ours, k in ((ff.f_reference, 0), (ff.fprime_reference, 1)):
                 exact = complex(mp.zeta(s, derivative=k))
                 assert abs(ours(s) - exact) < 1e-12 * abs(exact), (s, k)
 
@@ -131,7 +134,7 @@ class TestZetaReference:
         built = []
         monkeypatch.setattr(zeta_module, "_eta_series", lambda n: built.append(n))
         with pytest.raises(m.DomainError, match=match):
-            m.zeta_reference(s)
+            m.build_zeta_factored().f_reference(s)
         assert built == []
 
     @pytest.mark.parametrize("bad", [complex(math.nan), complex(math.inf, 1.0), complex(1.0, -math.inf)])
@@ -139,8 +142,7 @@ class TestZetaReference:
         # raised before any arithmetic: no numpy warning, no bare ValueError
         ff = m.build_zeta_factored()
         nodes = np.array([0.57 + 1.57j, bad])
-        calls = [(m.zeta_reference, bad), (zeta_module._zeta_and_prime, bad)]
-        calls += [(getattr(ff, name), at) for name in ("f_reference", "fprime_reference", "K", "Kprime") for at in (bad, nodes)]
+        calls = [(getattr(ff, name), at) for name in ("f_reference", "fprime_reference", "K", "Kprime") for at in (bad, nodes)]
         for fn, at in calls:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -165,7 +167,20 @@ class TestZetaReference:
 
         mp.mp.dps = 30
         s = 0.5 + 14.134725j
-        assert abs(m.zeta_reference(s) - complex(mp.zeta(s))) < 1e-11
+        assert abs(m.build_zeta_factored().f_reference(s) - complex(mp.zeta(s))) < 1e-11
+
+    @pytest.mark.parametrize("name", ["f_reference", "fprime_reference"])
+    def test_error_order(self, name):
+        # the pole, then a non-finite s, then the series' refusal, wherever
+        # they stand in the node array, as for K and K'
+        f = getattr(m.build_zeta_factored(), name)
+        huge, left = 0.5 + 1e308j, -800.0
+        with pytest.raises(m.PoleError):
+            f(np.array([huge, left, complex(math.nan), 1.0]))
+        with pytest.raises(m.DomainError, match="is not finite"):
+            f(np.array([huge, left, complex(math.inf)]))
+        with pytest.raises(m.DomainError, match="more than 1000 terms"):
+            f(np.array([huge, left]))
 
 
 class TestSeriesLength:
@@ -262,8 +277,10 @@ class TestEtaArrays:
         # far right on the real axis -s ln k overflows to -inf, whose power
         # is 0 as in cmath, and no warning escapes
         points += [1e308 + 0.57j, 1e308 + 150.0j]
-        got = [zeta_module._zeta_and_prime(s) for s in points]
-        assert got == [_loop_zeta_and_prime(s) for s in points]
+        want = [_loop_zeta_and_prime(s) for s in points]
+        f, fprime = zeta_module._eta_pass(np.array(points))
+        assert list(zip(f.tolist(), fprime.tolist())) == want
+        assert [tuple(v.item() for v in zeta_module._eta_pass(np.array([s]))) for s in points] == want
 
     def test_cached_arrays_are_read_only(self):
         weights, logs = zeta_module._eta_series(31)
@@ -282,15 +299,15 @@ class TestPrefactor:
         for _ in range(20):
             s = complex(rng.uniform(0.05, 2.0), rng.uniform(-12.0, 12.0))
             lhs = zeta_ff.K(s) * m.power_transform(zeta_ff.zf, 1, s, quad).value
-            assert abs(lhs - m.zeta_reference(s)) < 1e-7
+            assert abs(lhs - zeta_ff.f_reference(s)) < 1e-7
 
     def test_identity_degrades_gracefully_at_large_imag(self, zeta_ff):
         quad = m.QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13)
         s = 1.88 - 20.0j
         lhs = zeta_ff.K(s) * m.power_transform(zeta_ff.zf, 1, s, quad).value
-        assert abs(lhs - m.zeta_reference(s)) < 1e-4
+        assert abs(lhs - zeta_ff.f_reference(s)) < 1e-4
 
-    def test_inverse_identity(self, zeta_zf):
+    def test_inverse_identity(self, zeta_ff, zeta_zf):
         # zeta(s) * (1 - 2**(1-s)) * Gamma(s+1) / 2**(s-1) recovers Z(s)
         rng = np.random.default_rng(29)
         quad = m.QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13)
@@ -298,7 +315,7 @@ class TestPrefactor:
             s = complex(rng.uniform(0.05, 2.0), rng.uniform(-12.0, 12.0))
             lam = 1.0 - cmath.exp((1.0 - s) * math.log(2.0))
             log_gamma = complex(_gamma_pass(np.array([s + 1.0]))[0][0])
-            recovered = m.zeta_reference(s) * lam * cmath.exp(log_gamma) / 2.0 ** (s - 1.0)
+            recovered = zeta_ff.f_reference(s) * lam * cmath.exp(log_gamma) / 2.0 ** (s - 1.0)
             assert abs(recovered - m.power_transform(zeta_zf, 1, s, quad).value) < 1e-7
 
     def test_derivative_against_finite_differences(self, zeta_ff):
@@ -332,7 +349,7 @@ class TestBuildZetaFactored:
         s = 0.4
         quad = m.QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13)
         val = zeta_ff.K(s) * m.power_transform(zeta_ff.zf, 1, s, quad).value
-        assert abs(val - m.zeta_reference(s)) < 1e-8
+        assert abs(val - zeta_ff.f_reference(s)) < 1e-8
 
     def test_kprime_wired(self, zeta_ff):
         s = 0.57 + 1.57j
@@ -545,9 +562,8 @@ class TestSharedEtaPass(KeptEvaluationCases):
     node."""
 
     def pair(self, ff):
-        # the stateless eta series takes one point at a time
-        series = zeta_module._zeta_and_prime
-        stateless = tuple(np.vectorize(lambda s, i=i: series(s)[i], otypes=[complex]) for i in range(2))
+        # the stateless eta pass, on a point or a node array
+        stateless = tuple(elementwise(lambda s, i=i: zeta_module._eta_pass(s)[i]) for i in range(2))
         return (ff.f_reference, ff.fprime_reference), stateless
 
     def count(self, ff, c, coeffs):
@@ -555,13 +571,13 @@ class TestSharedEtaPass(KeptEvaluationCases):
 
     def test_count_direct_runs_one_pass_per_node(self, monkeypatch):
         passes = []
-        series = zeta_module._zeta_and_prime
+        series = zeta_module._eta_sums
 
-        def counted(s):
+        def counted(s, n):
             passes.append(s)
-            return series(s)
+            return series(s, n)
 
-        monkeypatch.setattr(zeta_module, "_zeta_and_prime", counted)
+        monkeypatch.setattr(zeta_module, "_eta_sums", counted)
         calls = []
 
         def recorded(name, fn):
@@ -585,8 +601,8 @@ class TestSharedEtaPass(KeptEvaluationCases):
         ff = m.build_zeta_factored()
         s1, s2 = 0.57 + 1.57j, 0.5 + 14.134725j
         got = [ff.f_reference(s1), ff.fprime_reference(s2), ff.f_reference(s2), ff.fprime_reference(s1)]
-        series = zeta_module._zeta_and_prime
-        want = [series(s1)[0], series(s2)[1], series(s2)[0], series(s1)[1]]
+        f0, g0 = self.pair(ff)[1]
+        want = [f0(s1), g0(s2), f0(s2), g0(s1)]
         assert got == want
 
     def test_count_direct_matches_stateless_references(self):
