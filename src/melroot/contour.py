@@ -191,7 +191,7 @@ def _from_z(ff: FactoredFunction, c: CircularContour, quad: QuadratureConfig, ph
         (nu, error), failure = exc.best_estimate, exc
     z, zprime = power_sums(nu, np.exp(1j * phis), c.radius)
     # the moments' errors on the disk against the tolerance at the nodes
-    if failure is None and max(error) > quad.abs_tol and any(
+    if failure is None and any(
         e > max(quad.abs_tol, quad.rel_tol * np.abs(v).min(initial=math.inf)) for e, v in zip(error, (z, zprime))
     ):
         message = f"their tail and round-off ({error[0]:.3g} in Z, {error[1]:.3g} in Z') pass the tolerance at a node"

@@ -8,7 +8,9 @@ Two entry points:
   decaying tails in one scheme. Integrands are vectorized over numpy arrays;
   a batched integrand computes many rows of integrals on one shared grid.
 * :func:`integrate_periodic` -- trapezoidal rule over [0, 2*pi) for smooth
-  periodic integrands (spectrally convergent).
+  periodic integrands (spectrally convergent). No count path calls it; it is
+  kept as the reference trapezoid sum of the tests and the benchmark's own
+  tests until the benchmark rework (ROADMAP item 1) deletes it.
 
 Every adaptive integral in the package is one refinement loop,
 :func:`_halving_trapezoid` (coarse pass, trim, step halving, a stop test per
@@ -23,7 +25,6 @@ runs are bit-identical.
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -144,25 +145,18 @@ def _halving_trapezoid(
     u = h * np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
     vals = sample(u, None)
     n_rows, evals = vals.shape[0], len(u)
+    finite = np.isfinite(vals)
+    if not finite.any(axis=1).all():
+        raise DomainError(f"the integrand is not finite at any abscissa of the coarse pass over [{lo:g}, {hi:g}]")
+    vals[~finite] = 0.0
     mags = np.abs(vals)
-    peak = mags.max(axis=1, keepdims=True)
-    # a NaN or infinite sample makes its row's peak NaN or infinite
-    all_finite = bool(np.isfinite(peak).all())
-    if not all_finite:
-        finite = np.isfinite(vals)
-        if not finite.any(axis=1).all():
-            raise DomainError(
-                f"the integrand is not finite at any abscissa of the coarse pass over [{lo:g}, {hi:g}]"
-            )
-        vals[~finite] = mags[~finite] = 0.0
-        peak = mags.max(axis=1, keepdims=True)
-    keep = (mags > TRUNCATION_DECAY * peak).any(axis=0).nonzero()[0]
+    keep = (mags > TRUNCATION_DECAY * mags.max(axis=1, keepdims=True)).any(axis=0).nonzero()[0]
     if keep.size == 0:
         return QuadratureResult(value_of(np.zeros(n_rows, dtype=vals.dtype)), 0.0, evals)
     i_lo = max(int(keep[0]) - 1, 0)
     i_hi = min(int(keep[-1]) + 1, len(u) - 1)
     lo, hi = float(u[i_lo]), float(u[i_hi])
-    if not (all_finite or finite[:, i_lo : i_hi + 1].all()):
+    if not finite[:, i_lo : i_hi + 1].all():
         _raise_not_finite(lo, hi)
     total = h * vals[:, i_lo : i_hi + 1].sum(axis=1)
     err = np.full(n_rows, math.inf)
@@ -186,9 +180,7 @@ def _halving_trapezoid(
         for h, u in zip(hs, us):
             new = vals[:, start : start + len(u)].sum(axis=1)
             start += len(u)
-            # the sum of the rows is finite when each row is, and one that is
-            # not gets the exact test
-            if not cmath.isfinite(new.sum()) and not np.isfinite(new).all():
+            if not np.isfinite(new).all():
                 _raise_not_finite(lo, hi)
             new = sums / 2.0 + h * new
             evals += len(u)
@@ -271,8 +263,11 @@ def integrate_periodic(k: Callable[[float], complex], nodes: int) -> complex:
     """Trapezoidal rule for a 2*pi-periodic integrand on uniform nodes.
 
     Spectrally accurate for integrands analytic in a strip around the real
-    axis. Convergence checking (node doubling) is the caller's contract.
-    ``nodes`` must be a positive integer, else ``ValueError``.
+    axis; it checks no convergence. No count path calls it: it is kept as
+    the reference trapezoid sum of the tests and of ``bench/test_bench.py``,
+    and its deletion waits on the benchmark rework (ROADMAP item 1), as
+    ``bench/tracing.py`` patches it too. ``nodes`` must be a positive
+    integer, else ``ValueError``.
     """
     if not isinstance(nodes, numbers.Integral) or nodes < 1:
         raise ValueError(f"nodes must be a positive integer, got {nodes!r}")

@@ -267,20 +267,16 @@ def _eta_pass(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     points = s.ravel().tolist()
     lengths = [_eta_terms(x) for x in points]
     values = []
-    # the combine runs in Python complex arithmetic, whose division and
-    # square give other bits than numpy's
-    for x, n, two_x, lam_x in zip(points, lengths, two.ravel().tolist(), lam.ravel().tolist()):
-        # far right on the real axis -s ln k overflows to -inf, whose exp is
-        # 0, as cmath gives it without a warning; only there is numpy's
-        # warning silenced, as the guard costs about a tenth of a typical
-        # node's series
-        if math.isinf(x.real * math.log(n)):
-            with np.errstate(over="ignore"):
-                acc, acc_log = _eta_sums(x, n)
-        else:
+    # Re s >= -1 keeps each power |(k+1)**(-s)| <= 1000, and _eta_terms
+    # refuses |Im s| past about 1096, so only a huge Re s overflows: -s ln k
+    # goes to -inf, whose exp is 0, as cmath gives it without a warning
+    with np.errstate(over="ignore"):
+        # the combine runs in Python complex arithmetic, whose division and
+        # square give other bits than numpy's
+        for x, n, two_x, lam_x in zip(points, lengths, two.ravel().tolist(), lam.ravel().tolist()):
             acc, acc_log = _eta_sums(x, n)
-        # acc is -eta(s) and acc_log is eta'(s), and zeta = eta / lam
-        values.append((-acc / lam_x, acc_log / lam_x + acc * (two_x * _LN2) / lam_x**2))
+            # acc is -eta(s) and acc_log is eta'(s), and zeta = eta / lam
+            values.append((-acc / lam_x, acc_log / lam_x + acc * (two_x * _LN2) / lam_x**2))
     values = np.array(values, dtype=np.complex128).reshape(s.shape + (2,))
     return values[..., 0], values[..., 1]
 

@@ -84,6 +84,15 @@ class TestNonFinite:
         with pytest.raises(m.DomainError):
             m.integrate_semi_infinite(g)
 
+    def test_interior_nan_of_a_halving_raises(self):
+        # NaN at u = +-1/4 and +-3/4, t = exp(pi/2 sinh u): the coarse pass
+        # samples multiples of 1/2 only, and the first halving samples these
+        nan_at = np.exp(0.5 * math.pi * np.sinh([-0.75, -0.25, 0.25, 0.75]))
+        nan = lambda t: np.isclose(t[..., np.newaxis], nan_at, rtol=1e-12, atol=0.0).any(axis=-1)
+        g = lambda t: np.where(nan(t), math.nan, np.exp(-t))
+        with pytest.raises(m.DomainError, match="not finite inside its support"):
+            m.integrate_semi_infinite(g)
+
     def test_nan_everywhere_raises(self):
         # no coarse abscissa is finite, so there is no support to read as 0
         with pytest.raises(m.DomainError):
