@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 from .quadrature import _H0, TRUNCATION_DECAY, QuadratureConfig, QuadratureResult
-from .quadrature import _halving_trapezoid, integrate_semi_infinite
+from .quadrature import _passes, _refined, _support, integrate_semi_infinite
 
 __all__ = [
     "MellinIntegrand",
@@ -137,8 +137,20 @@ def _convolution_transform(
     batched quadrature whose rows (one per abscissa t) share the exp-sinh
     grid in u; a row stops being sampled once it has converged. The levels
     are real for a real z; only the outer t**(s-1) weight is complex.
+
+    Nested levels (k >= 2) raise :class:`DomainError` left of Re s = 0,
+    before any quadrature: there the outer weight, like t**(Re s - 1) with
+    Re s - 1 < -1, amplifies the inner levels' errors near t = 0 past their
+    own error estimates. For zeta's z, Z**2 at -0.5 - 2i came out 3.4e-6 off
+    while claiming 7e-11, and Z**3 and Z' Z raised NonConvergenceError
+    after about a second; at Re s = 1e-4 all three are within 2e-13.
     """
     s = _require_in_strip(zf, s)
+    if k >= 2 and s.real < 0.0:
+        raise DomainError(
+            f"nested Mellin convolutions are not accurate left of Re(s) = 0 (s = {s}); "
+            f"ROADMAP item 6 replaces them with product trapezoids on the ln t grid"
+        )
     quad = quad or QuadratureConfig()
     z = zf.z
 
@@ -170,7 +182,7 @@ def _convolution_transform(
 def power_transform(zf: MellinIntegrand, k: int, s: complex, quad: QuadratureConfig | None = None) -> QuadratureResult:
     """Z(s)**k computed from z(t) through the convolution representation, a
     k-fold iterated integral, for any integer k >= 1 (each order adds a
-    dimension)."""
+    dimension); k >= 2 raises :class:`DomainError` left of Re s = 0."""
     if not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"power_transform order must be an integer >= 1, got {k!r}")
     return _convolution_transform(zf, False, k, s, quad)
@@ -179,7 +191,8 @@ def power_transform(zf: MellinIntegrand, k: int, s: complex, quad: QuadratureCon
 def deriv_times_power(zf: MellinIntegrand, k: int, s: complex, quad: QuadratureConfig | None = None) -> QuadratureResult:
     """Z'(s) * Z(s)**k from z(t), for any integer k >= 0: k = 0 is
     Z'(s) = int_0^inf ln(t) z(t) t**(s-1) dt, and k >= 1 the (k + 1)-fold
-    convolution with an ln(u1) weight."""
+    convolution with an ln(u1) weight, which raises :class:`DomainError`
+    left of Re s = 0."""
     if not isinstance(k, numbers.Integral) or k < 0:
         raise ValueError(f"deriv_times_power order must be an integer >= 0, got {k!r}")
     return _convolution_transform(zf, True, k + 1, s, quad)
@@ -227,11 +240,19 @@ def _degree(w: np.ndarray, y: np.ndarray) -> tuple[int, float, float]:
 def moments(
     zf: MellinIntegrand, center: complex, radius: float, quad: QuadratureConfig | None = None
 ) -> tuple[np.ndarray, tuple[float, float]]:
-    """nu_0, ..., nu_M for the disk |s - center| <= radius, the rows of the
-    halving trapezoid (its coarse pass sets M, at least 5) on a grid to
-    |x| = 40 or to a strip edge's tail cutoff, and error estimates of Z and Z'
-    anywhere on the disk: their round-off, eps h sum |w| e**(R|x|) times 1 and
-    |x|, plus their tails past M, each estimated by its last two terms.
+    """nu_0, ..., nu_M for the disk |s - center| <= radius, trapezoid sums of
+    rows on one halving grid in x = ln t, to |x| = 40 or to a strip edge's
+    tail cutoff, and error estimates of Z and Z' anywhere on the disk: their
+    round-off, eps h sum |w| e**(R|x|) times 1 and |x|, plus their tails past
+    M, each estimated by its last two terms.
+
+    The coarse pass at step 1/2 samples w on the whole grid and cuts its
+    exact zeros beyond one step of the outermost nonzero abscissae, before M
+    (at least 5) is set from it and before any rows are formed. The support
+    trim, the sampler calls of the halvings and the ``quad.max_evals``
+    budget of abscissae sampled are quadrature's (``_support``,
+    ``_passes``); from the second halving on, the rows stop together, once
+    every one of them changed by at most ``max(abs_tol, rel_tol * |row|)``.
 
     A radius that is not positive and finite raises ``ValueError``, a disk
     that leaves the convergence strip :class:`DomainError`, both before z is
@@ -243,45 +264,62 @@ def moments(
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     c, r = _require_in_strip(zf, center, radius), radius
+    quad = quad or QuadratureConfig()
     lo, hi = zf.convergence_strip
     x_lo = -_tail_cutoff(c.real - r - lo) if math.isfinite(lo) else -_SCAN
     x_hi = _tail_cutoff(hi - c.real - r) if math.isfinite(hi) else _SCAN
-    noise = [0.0, 0.0]
 
-    ratios = None  # r / j, j = 1..M, from the coarse pass
-
-    def sample(x: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-        # row j: w (r x)**j / j! without the step h, as a cumulative product
-        # down the rows from w; rows 0..M when None
-        nonlocal ratios
+    def density(x: np.ndarray) -> np.ndarray:
+        # w = z(e**x) e**(c x) without the step h; e**(c x) overflows only
+        # where z is tiny or 0
         g = np.asarray(zf.z(np.exp(x)))
         if g.shape != x.shape:
             raise ValueError("z must map an array of t to an array of the same shape")
-        if not np.isfinite(g).all():
-            raise DomainError(f"z(t) is not finite at t = e**{float(x[~np.isfinite(g)][0]):.6g}")
-        # e**(c x) overflows only where g is tiny or 0
-        w = _log_weight(g, c, x)
-        if rows is None:
-            degree, noise[0], noise[1] = _degree(w, r * np.abs(x))
-            ratios = r / np.arange(1, max(degree, _MIN_DEGREE) + 1)
-        last = len(ratios) if rows is None else rows[-1]
-        table = np.empty((last + 1, len(x)), dtype=np.complex128)
+        return _log_weight(g, c, x)
+
+    def rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # row j: w (r x)**j / j!, as a cumulative product down the rows from w
+        table = np.empty((len(ratios) + 1, len(x)), dtype=np.complex128)
         table[0] = w
-        np.multiply(ratios[:last, np.newaxis], x, out=table[1:])
-        np.multiply.accumulate(table, axis=0, out=table)
-        return table if rows is None or len(rows) == len(table) else table[rows]
+        np.multiply(ratios[:, np.newaxis], x, out=table[1:])
+        return np.multiply.accumulate(table, axis=0, out=table)
 
     def with_errors(nu: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
         m = len(nu) - 1
         a, b = abs(nu[m - 1]), abs(nu[m])
-        return nu, (_H0 * noise[0] + a + b, (_H0 * noise[1] + (m - 1) * a + m * b) / r)
+        return nu, (_H0 * noise + a + b, (_H0 * noise_prime + (m - 1) * a + m * b) / r)
 
     # z may under- or overflow far out on the grid, and log 0 = -inf
     with np.errstate(all="ignore"):
-        nu, error = _halving_trapezoid(sample, x_lo, x_hi, quad or QuadratureConfig(), with_errors).value
-    if not nu.any():
-        raise DomainError("Z(s) = 0 on the disk: z(t) vanishes on the grid")
-    return nu, error
+        x = _H0 * np.arange(math.ceil(x_lo / _H0), math.floor(x_hi / _H0) + 1)
+        w = density(x)
+        # only the coarse pass checks w: a later pass's non-finite w makes
+        # the sums non-finite, and _refined raises
+        if not np.isfinite(w).all():
+            raise DomainError(f"z(t) t**c is not finite at t = e**{float(x[~np.isfinite(w)][0]):.6g}")
+        nonzero = w.nonzero()[0]
+        if nonzero.size == 0:
+            raise DomainError("Z(s) = 0 on the disk: z(t) vanishes on the grid")
+        # Every row is 0 where w is, and the support trim keeps one step past
+        # the outermost nonzero abscissae: the zeros beyond are cut here.
+        cut = slice(max(int(nonzero[0]) - 1, 0), int(nonzero[-1]) + 2)
+        xs, w = x[cut], w[cut]
+        degree, noise, noise_prime = _degree(w, r * np.abs(xs))
+        ratios = r / np.arange(1, max(degree, _MIN_DEGREE) + 1)
+        table = rows(xs, w)
+        support = _support(table, xs)
+        x_lo, x_hi = float(xs[support.start]), float(xs[support.stop - 1])
+        nu, delta = _H0 * table[:, support].sum(axis=1), math.inf
+        for levels, _, testable in _passes(x_lo, x_hi, len(x), quad.max_evals):
+            xs = np.concatenate([u for _, u in levels])
+            nu, delta = _refined(nu, rows(xs, density(xs)), levels, x_lo, x_hi)
+            if testable and (delta <= np.maximum(quad.abs_tol, quad.rel_tol * np.abs(nu))).all():
+                return with_errors(nu)
+    raise NonConvergenceError(
+        f"tolerance not reached within {quad.max_evals} evaluations (last delta {float(np.max(delta)):.3e})",
+        best_estimate=with_errors(nu),
+        error_estimate=float(np.max(delta)),
+    )
 
 
 def power_sums(nu: np.ndarray, u, radius: float) -> tuple[np.ndarray, np.ndarray]:

@@ -12,12 +12,16 @@ Two entry points:
   kept as the reference trapezoid sum of the tests and the benchmark's own
   tests until the benchmark rework (ROADMAP item 1) deletes it.
 
-Every adaptive integral in the package is one refinement loop,
-:func:`_halving_trapezoid` (coarse pass, trim, step halving, a stop test per
-row, a budget of sampled abscissae), on a map of (0, inf): the exp-sinh rule
-in u with t = exp(pi/2 sinh u), and x = ln t for the disk moments of
-:mod:`melroot.mellin`. Each halving is one call of the integrand, except the
-first two, which no row can retire from: they share one.
+Every adaptive integral in the package is a halving trapezoid on a map of
+(0, inf): a coarse pass at step 1/2, one trim of the support
+(:func:`_support`), step halving at the new abscissae only
+(:func:`_passes`, :func:`_refined`), a stop test on the rows and a budget
+of sampled abscissae. Each halving is one call of the integrand, except the
+first two: no row can stop after the first, so they share one.
+:func:`_halving_trapezoid` runs it on the exp-sinh map t = exp(pi/2 sinh u),
+where a row that has converged is not sampled again;
+:func:`melroot.mellin.moments` runs its own loop on x = ln t, refining every
+row until all of them have converged.
 
 All engines are pure and re-entrant; summation order is fixed so repeated
 runs are bit-identical.
@@ -112,80 +116,110 @@ def _raise_not_finite(lo: float, hi: float):
     )
 
 
+def _support(vals: np.ndarray, u: np.ndarray) -> slice | None:
+    """The coarse pass's trim of the rows ``vals`` sampled at ``u``: the
+    abscissae where some row exceeds ``TRUNCATION_DECAY`` times its own peak,
+    plus one step on each side, or None when every row is 0 at ``u``. A
+    non-finite sample is set to 0 in ``vals`` outside the support and raises
+    :class:`DomainError` inside it, as does a row finite at no abscissa."""
+    finite = np.isfinite(vals)
+    if not finite.any(axis=1).all():
+        raise DomainError(
+            f"the integrand is not finite at any abscissa of the coarse pass over [{u[0]:g}, {u[-1]:g}]"
+        )
+    vals[~finite] = 0.0
+    mags = np.abs(vals)
+    keep = (mags > TRUNCATION_DECAY * mags.max(axis=1, keepdims=True)).any(axis=0).nonzero()[0]
+    if keep.size == 0:
+        return None
+    i_lo, i_hi = max(int(keep[0]) - 1, 0), min(int(keep[-1]) + 1, len(u) - 1)
+    if not finite[:, i_lo : i_hi + 1].all():
+        _raise_not_finite(u[i_lo], u[i_hi])
+    return slice(i_lo, i_hi + 1)
+
+
+def _passes(lo: float, hi: float, evals: int, max_evals: int):
+    """The sampler calls of the halvings of a grid on [lo, hi], whose coarse
+    pass at step ``_H0`` sampled ``evals`` abscissae, while fewer than
+    ``max_evals`` are sampled. Yields, for each call, its levels as (h, new
+    abscissae) pairs, the abscissae sampled after it and whether rows may
+    stop after it. The new abscissae of a level are the odd multiples of h
+    (lo / h and hi / h are even), each exact. No row can stop before the
+    ``_MIN_LEVELS``-th halving, so the levels up to it share one call, each
+    as far as the budget would have run it alone."""
+    h, level = _H0, 0
+    while evals < max_evals:
+        levels = []
+        while True:
+            level += 1
+            h *= 0.5
+            levels.append((h, np.arange(lo + h, hi, 2.0 * h)))
+            evals += len(levels[-1][1])
+            if level >= _MIN_LEVELS or evals >= max_evals:
+                break
+        yield levels, evals, level >= _MIN_LEVELS
+
+
+def _refined(sums: np.ndarray, vals: np.ndarray, levels: list, lo: float, hi: float) -> tuple:
+    """The trapezoid sums of the rows after the ``levels`` of one sampler
+    call, whose samples ``vals`` hold each level's new abscissae as a
+    contiguous column block, and the change of the last level:
+    sums / 2 + h * sum(new samples), level by level. A sum that is not
+    finite at any level stays so to the last, which raises
+    :class:`DomainError`."""
+    start = 0
+    for h, u in levels:
+        last, sums = sums, sums / 2.0 + h * vals[:, start : start + len(u)].sum(axis=1)
+        start += len(u)
+    if not np.isfinite(sums).all():
+        _raise_not_finite(lo, hi)
+    return sums, np.abs(sums - last)
+
+
 def _halving_trapezoid(
-    sample: Callable, lo: float, hi: float, quad: QuadratureConfig, value_of: Callable[[np.ndarray], Any]
+    sample: Callable,
+    n_rows: int,
+    lo: float,
+    hi: float,
+    quad: QuadratureConfig,
+    value_of: Callable[[np.ndarray], Any],
 ) -> QuadratureResult:
-    """Trapezoid sums h * sum_k sample(h k) of rows of integrals on one
-    shared grid: the abscissae h k in [lo, hi], with h = 0.5, 0.25, ...
+    """Trapezoid sums h * sum_k sample(h k) of ``n_rows`` rows of integrals
+    on one shared grid: the abscissae h k in [lo, hi], with h = 0.5, 0.25, ...
 
     ``sample(u, active)`` returns the rows ``active`` (ascending row indices)
-    at the abscissae ``u``, shape (len(active), len(u)); on the coarse pass
-    ``active`` is None and it returns all its rows, which sets their number.
-    The coarse pass trims the support once, to where some row exceeds
-    ``TRUNCATION_DECAY`` times its own peak, plus one step on each side
-    (every row is 0 when that is nowhere); each halving samples the new
-    abscissae inside it in one sampler call, which holds the rows still
-    refining times those abscissae. The halvings up to the
-    ``_MIN_LEVELS``-th, which no row can retire from, share one call, each
-    as far as the budget would have run it alone; their sums are formed
-    level by level from their column blocks, as if sampled one by one. A
-    non-finite sample is read as 0 outside that support and raises
-    :class:`DomainError` inside it (a sampler that must forgive one zeroes
-    it itself), as does a row that is not finite at any abscissa of the
-    coarse pass. From the second halving on, a row that
-    changed by at most ``max(abs_tol, rel_tol * |row|)`` keeps its value and
-    error and is not sampled again. Halving stops when no row is left, or
-    raises :class:`NonConvergenceError` with ``value_of`` of the finest sums
-    as best estimate once ``quad.max_evals`` abscissae have been sampled.
+    at the abscissae ``u``, shape (len(active), len(u)). The coarse pass
+    samples every row and trims the support once (:func:`_support`; every
+    row is 0 when it is nowhere); each halving samples the new abscissae
+    inside it in one sampler call (:func:`_passes`), which holds the rows
+    still refining times those abscissae. A non-finite sample is read as 0
+    outside that support and raises :class:`DomainError` inside it (a
+    sampler that must forgive one zeroes it itself). From the second halving
+    on, a row that changed by at most ``max(abs_tol, rel_tol * |row|)`` keeps
+    its value and error and is not sampled again. Halving stops when no row
+    is left, or raises :class:`NonConvergenceError` with ``value_of`` of the
+    finest sums as best estimate once ``quad.max_evals`` abscissae have been
+    sampled.
 
     Returns ``value_of`` of the sums, the largest row error and the number of
     abscissae sampled (not rows times abscissae).
     """
     h = _H0
     u = h * np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
-    vals = sample(u, None)
-    n_rows, evals = vals.shape[0], len(u)
-    finite = np.isfinite(vals)
-    if not finite.any(axis=1).all():
-        raise DomainError(f"the integrand is not finite at any abscissa of the coarse pass over [{lo:g}, {hi:g}]")
-    vals[~finite] = 0.0
-    mags = np.abs(vals)
-    keep = (mags > TRUNCATION_DECAY * mags.max(axis=1, keepdims=True)).any(axis=0).nonzero()[0]
-    if keep.size == 0:
+    active = np.arange(n_rows)
+    vals, evals = sample(u, active), len(u)
+    support = _support(vals, u)
+    if support is None:
         return QuadratureResult(value_of(np.zeros(n_rows, dtype=vals.dtype)), 0.0, evals)
-    i_lo = max(int(keep[0]) - 1, 0)
-    i_hi = min(int(keep[-1]) + 1, len(u) - 1)
-    lo, hi = float(u[i_lo]), float(u[i_hi])
-    if not finite[:, i_lo : i_hi + 1].all():
-        _raise_not_finite(lo, hi)
-    total = h * vals[:, i_lo : i_hi + 1].sum(axis=1)
+    lo, hi = float(u[support.start]), float(u[support.stop - 1])
+    total = h * vals[:, support].sum(axis=1)
     err = np.full(n_rows, math.inf)
     # sums and last changes of the rows still refining, kept until they retire
-    active, sums, delta = np.arange(n_rows), total, err
+    sums, delta = total, err
 
-    level = 0
-    while evals < quad.max_evals:
-        # the new abscissae of a level, odd multiples of h (coarse-pass lo / h,
-        # hi / h are even), each exact; the levels up to _MIN_LEVELS share one
-        # sampler call, each of them as far as the budget would have run it alone
-        hs, us = [], []
-        while True:
-            level += 1
-            h *= 0.5
-            hs.append(h)
-            us.append(np.arange(lo + h, hi, 2.0 * h))
-            if level >= _MIN_LEVELS or evals + sum(map(len, us)) >= quad.max_evals:
-                break
-        vals, start = sample(np.concatenate(us), active), 0
-        for h, u in zip(hs, us):
-            new = vals[:, start : start + len(u)].sum(axis=1)
-            start += len(u)
-            if not np.isfinite(new).all():
-                _raise_not_finite(lo, hi)
-            new = sums / 2.0 + h * new
-            evals += len(u)
-            delta, sums = np.abs(new - sums), new
-        if level >= _MIN_LEVELS:
+    for levels, evals, testable in _passes(lo, hi, evals, quad.max_evals):
+        sums, delta = _refined(sums, sample(np.concatenate([u for _, u in levels]), active), levels, lo, hi)
+        if testable:
             # delta <= tol is false for a NaN row, which goes on refining
             done = delta <= np.maximum(quad.abs_tol, quad.rel_tol * np.abs(sums))
             if done.any():
@@ -247,7 +281,7 @@ def integrate_semi_infinite(
         t = np.exp(_LAMBDA * np.sinh(u))
         w = _LAMBDA * np.cosh(u) * t
         with np.errstate(all="ignore"):
-            vals = _call(g, t, rows if rows is None or active is None else rows[active]) * w
+            vals = _call(g, t, rows if rows is None else rows[active]) * w
         if rows is not None:
             # One row's weight can overflow inside the support that another
             # row keeps; such a sample is far below that row's own threshold.
@@ -256,7 +290,8 @@ def integrate_semi_infinite(
         return vals.reshape(-1, len(u))
 
     value_of = (lambda total: complex(total[0])) if rows is None else (lambda total: total)
-    return _halving_trapezoid(sample, -_U_CAP, _U_CAP, quad, value_of)
+    n_rows = 1 if rows is None else len(rows)
+    return _halving_trapezoid(sample, n_rows, -_U_CAP, _U_CAP, quad, value_of)
 
 
 def integrate_periodic(k: Callable[[float], complex], nodes: int) -> complex:

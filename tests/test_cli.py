@@ -2,6 +2,7 @@ import cmath
 import csv
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -403,6 +404,14 @@ class TestConvolutionCheck:
         assert rc == 0
         out = capsys.readouterr().out
         assert "0.4875296" in out
+
+    def test_left_of_zero_is_a_domain_error(self, capsys):
+        # the nested convolutions are refused there before any quadrature;
+        # they exited 3 after about 1 s
+        start = time.perf_counter()
+        assert main(["convolution-check", "--s-re", "-0.5", "--s-im", "-2"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "domain error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

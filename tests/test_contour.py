@@ -373,12 +373,15 @@ class TestCounting:
             (0.57 + 1.57j, 0.1, 64, 2, 334),  # the reference circle
             (1.0 + 0j, 0.1, 16, 2, 282),  # the pole
             (0.5 + 14.134725j, 0.05, 8, 3, 602),  # the first zero: a third halving
+            # the benchmark's seed-0 pole and first-zero circles
+            (1.0077179653704582 + 0.002032038206469709j, 0.1, 16, 2, 278),
+            (0.5051661181591516 + 14.135263418556582j, 0.05, 8, 3, 602),
         ],
     )
     def test_pipeline_grid_work_is_pinned(self, zeta_ff, coeffs, center, radius, nodes, calls, points):
-        # the z calls and z points of the benchmark's unjittered circles: the
-        # coarse pass is one call, the first two halvings share one and each
-        # later halving is one, at the new abscissae only
+        # the z calls and z points of the benchmark's circles, unjittered and
+        # at seed 0: the coarse pass is one call, the first two halvings
+        # share one and each later halving is one, at the new abscissae only
         sizes = []
 
         def z(t):

@@ -235,7 +235,7 @@ class TestSamplerCalls:
         # [-37, 37], where e**-|u| passes 1e-16; its first halving samples 148
         quad = m.QuadratureConfig(max_evals=200)
         with pytest.raises(m.NonConvergenceError) as exc:
-            m.quadrature._halving_trapezoid(sample, -40.0, 40.0, quad, lambda total: total)
+            m.quadrature._halving_trapezoid(sample, 1, -40.0, 40.0, quad, lambda total: total)
         assert widths == [161, 148]
         first = 0.25 * f(0.25 * np.arange(-148, 149)).sum()
         assert exc.value.best_estimate == pytest.approx([first], rel=1e-15, abs=0.0)
