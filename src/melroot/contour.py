@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -95,16 +95,16 @@ class FactoredFunction:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Approximation orders and tolerances for the convolution route.
+    """Exp-sum table and series order for the convolution route.
 
     ``series_order`` is the degree of the Taylor polynomial that replaces
     each exponential; any non-negative order works, since each order is one
-    more power of the same f = K Z.
+    more power of the same f = K Z. The moments and their error gate use the
+    default tolerances of :class:`QuadratureConfig`.
     """
 
     table: ExpSumTable
     series_order: int = 1
-    quad: QuadratureConfig = field(default_factory=QuadratureConfig)
 
     def __post_init__(self):
         if not isinstance(self.series_order, numbers.Integral) or self.series_order < 0:
@@ -179,14 +179,14 @@ def _from_references(ff: FactoredFunction, phis: np.ndarray, s: np.ndarray) -> t
     return f, ff.fprime_reference(s)
 
 
-def _from_z(ff: FactoredFunction, c: CircularContour, quad: QuadratureConfig, phis: np.ndarray, s: np.ndarray) -> tuple:
+def _from_z(ff: FactoredFunction, c: CircularContour, phis: np.ndarray, s: np.ndarray) -> tuple:
     """f = K Z and f' = K' Z + K Z' at the nodes ``s``, with Z and Z' the
     power sums of the moments of the contour's disk and one call of K and of
     K'. A :class:`NonConvergenceError` carries (f, f') from the finest
     moments."""
-    failure = None
+    failure, quad = None, QuadratureConfig()
     try:
-        nu, error = moments(ff.zf, c.center, c.radius, quad)
+        nu, error = moments(ff.zf, c.center, c.radius)
     except NonConvergenceError as exc:
         (nu, error), failure = exc.best_estimate, exc
     z, zprime = power_sums(nu, np.exp(1j * phis), c.radius)
@@ -234,8 +234,7 @@ def integrand_stage2(
 
 def _kernel(ff: FactoredFunction, c: CircularContour, cfg: PipelineConfig) -> Callable:
     """:func:`kernel_mellin` on the contour ``c`` as a function of the angles."""
-    source = partial(_from_z, ff, c, cfg.quad)
-    return partial(_integrand, c, source=source, combine=_truncated(cfg.table, cfg.series_order))
+    return partial(_integrand, c, source=partial(_from_z, ff, c), combine=_truncated(cfg.table, cfg.series_order))
 
 
 def kernel_mellin(ff: FactoredFunction, c: CircularContour, phi, cfg: PipelineConfig) -> complex | np.ndarray:

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 from .quadrature import _H0, TRUNCATION_DECAY, QuadratureConfig, QuadratureResult
-from .quadrature import _passes, _refined, _support, integrate_semi_infinite
+from .quadrature import _exhausted, _passes, _refined, _support, integrate_semi_infinite
 
 __all__ = [
     "MellinIntegrand",
@@ -208,35 +208,6 @@ def _tail_cutoff(margin: float) -> float:
     return x
 
 
-def _degree(w: np.ndarray, y: np.ndarray) -> tuple[int, float, float]:
-    """The least M with sum |w| e**y y**(M+1)/(M+1)!, the estimate of Z's
-    tail, at most ``TRUNCATION_DECAY`` sum |w|, and M + 1 times it, the
-    estimate of R Z''s, at most ``TRUNCATION_DECAY`` sum |w| y, for y = R|x|;
-    and the round-off estimates of Z and R Z', eps sum |w| e**y and eps sum
-    |w| y e**y. The sums run over the abscissae where |w| exceeds
-    ``TRUNCATION_DECAY`` of its peak only, so they estimate and do not bound."""
-    mags = np.abs(w)
-    keep = mags > TRUNCATION_DECAY * mags.max()
-    mags, y = mags[keep], y[keep]
-    y_max = float(y.max(initial=0.0))
-    if y_max > _X_MAX:
-        raise DomainError(f"the disk is too large for its moments: R |x| reaches {y_max:.3g}")
-    # Both tails are below their floors at the first m >= y_max - 1 with
-    # e**y_max y_max**m / m! at most TRUNCATION_DECAY (halved for round-off).
-    m, bound = 0, math.exp(y_max)
-    while bound > 0.5 * TRUNCATION_DECAY or m + 1 < y_max:
-        m += 1
-        bound *= y_max / m
-    majorant = mags * np.exp(y)
-    # y**j / j!, j = 1..m+1, on one row per abscissa
-    tails = (majorant @ np.multiply.accumulate(np.divide.outer(y, np.arange(1.0, m + 2)), axis=1)).tolist()
-    floor, floor_prime = TRUNCATION_DECAY * mags.sum(), TRUNCATION_DECAY * (mags @ y)
-    for degree, tail in enumerate(tails):
-        if tail <= floor and (degree + 1) * tail <= floor_prime:
-            return degree, _EPS * majorant.sum(), _EPS * tails[0]
-    raise DomainError("the moment tail bound overflows: |w| e**(R|x|) is not finite")
-
-
 def moments(
     zf: MellinIntegrand, center: complex, radius: float, quad: QuadratureConfig | None = None
 ) -> tuple[np.ndarray, tuple[float, float]]:
@@ -247,18 +218,20 @@ def moments(
     M, each estimated by its last two terms.
 
     The coarse pass at step 1/2 samples w on the whole grid and cuts its
-    exact zeros beyond one step of the outermost nonzero abscissae, before M
-    (at least 5) is set from it and before any rows are formed. The support
-    trim, the sampler calls of the halvings and the ``quad.max_evals``
-    budget of abscissae sampled are quadrature's (``_support``,
-    ``_passes``); from the second halving on, the rows stop together, once
-    every one of them changed by at most ``max(abs_tol, rel_tol * |row|)``.
+    exact zeros beyond one step of the outermost nonzero abscissae before it
+    forms one row table, tall enough for every M the tail estimates may
+    pick. M (at least 5) and the round-off are read from that table, which
+    is then cut to M + 1 rows. The support trim, the sampler calls of the
+    halvings and their budget of ``quadrature.MAX_EVALS`` abscissae sampled
+    are quadrature's (``_support``, ``_passes``); from the second halving
+    on, the rows stop together, once every one of them changed by at most
+    ``max(abs_tol, rel_tol * |row|)``.
 
     A radius that is not positive and finite raises ``ValueError``, a disk
     that leaves the convergence strip :class:`DomainError`, both before z is
     evaluated. A z that maps an array of t to another shape raises
     ``ValueError``, one not finite on the grid or 0 on all of it
-    :class:`DomainError`, and an exhausted ``quad.max_evals``
+    :class:`DomainError`, and an exhausted budget
     :class:`NonConvergenceError` with the finest moments and their errors.
     """
     if not 0.0 < radius < math.inf:
@@ -304,22 +277,43 @@ def moments(
         # the outermost nonzero abscissae: the zeros beyond are cut here.
         cut = slice(max(int(nonzero[0]) - 1, 0), int(nonzero[-1]) + 2)
         xs, w = x[cut], w[cut]
-        degree, noise, noise_prime = _degree(w, r * np.abs(xs))
-        ratios = r / np.arange(1, max(degree, _MIN_DEGREE) + 1)
+        # Z's tail past degree j is the sum of |row j + 1| e**(r|x|), and R
+        # Z''s j + 1 times it, over the abscissae where |w| passes
+        # TRUNCATION_DECAY of its peak; M is the least j (at least 5) where
+        # both are under TRUNCATION_DECAY times the sums of |row 0| and
+        # |row 1|, and the same sums of rows 0 and 1 give the round-off.
+        mags = np.abs(w)
+        keep = mags > TRUNCATION_DECAY * mags.max()
+        y = r * np.abs(xs[keep])
+        y_max = float(y.max())
+        if y_max > _X_MAX:
+            raise DomainError(f"the disk is too large for its moments: R |x| reaches {y_max:.3g}")
+        # Both tails are below their floors at the first m >= y_max - 1 with
+        # e**y_max y_max**m / m! at most TRUNCATION_DECAY (halved for round-off).
+        m, bound = 0, math.exp(y_max)
+        while bound > 0.5 * TRUNCATION_DECAY or m + 1 < y_max:
+            m += 1
+            bound *= y_max / m
+        ratios = r / np.arange(1, max(m + 1, _MIN_DEGREE) + 1)
         table = rows(xs, w)
+        kept = np.abs(table[:, keep])
+        tails = (kept * np.exp(y)).sum(axis=1).tolist()
+        floor, floor_prime = (TRUNCATION_DECAY * kept[:2].sum(axis=1)).tolist()
+        degrees = [j for j, tail in enumerate(tails[1:]) if tail <= floor and (j + 1) * tail <= floor_prime]
+        if not degrees:
+            raise DomainError("the moment tail bound overflows: |w| e**(R|x|) is not finite")
+        noise, noise_prime = _EPS * tails[0], _EPS * tails[1]
+        ratios = ratios[: max(degrees[0], _MIN_DEGREE)]
+        table = table[: len(ratios) + 1]
         support = _support(table, xs)
         x_lo, x_hi = float(xs[support.start]), float(xs[support.stop - 1])
         nu, delta = _H0 * table[:, support].sum(axis=1), math.inf
-        for levels, _, testable in _passes(x_lo, x_hi, len(x), quad.max_evals):
+        for levels, _, testable in _passes(x_lo, x_hi, len(x)):
             xs = np.concatenate([u for _, u in levels])
             nu, delta = _refined(nu, rows(xs, density(xs)), levels, x_lo, x_hi)
             if testable and (delta <= np.maximum(quad.abs_tol, quad.rel_tol * np.abs(nu))).all():
                 return with_errors(nu)
-    raise NonConvergenceError(
-        f"tolerance not reached within {quad.max_evals} evaluations (last delta {float(np.max(delta)):.3e})",
-        best_estimate=with_errors(nu),
-        error_estimate=float(np.max(delta)),
-    )
+    raise _exhausted(with_errors(nu), float(np.max(delta)))
 
 
 def power_sums(nu: np.ndarray, u, radius: float) -> tuple[np.ndarray, np.ndarray]:

@@ -55,23 +55,23 @@ _MIN_LEVELS = 2
 # its largest sample; a finite-edge tail of the moments' ln t grid is cut at
 # the same level.
 TRUNCATION_DECAY = 1e-16
+# The budget of both halving loops: abscissae sampled, the coarse pass's
+# included. Read at each call, so one patch of this name reaches both.
+MAX_EVALS = 200_000
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budget for the adaptive engines."""
+    """Tolerances for the adaptive engines."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
-    max_evals: int = 200_000
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if not (0.0 < self.abs_tol < 1.0):
             raise ValueError(f"abs_tol must lie in (0, 1), got {self.abs_tol}")
-        if not isinstance(self.max_evals, numbers.Integral) or self.max_evals < 100:
-            raise ValueError(f"max_evals must be an integer >= 100, got {self.max_evals!r}")
 
     def tightened(self, factor: float = 10.0) -> "QuadratureConfig":
         """Copy with tolerances divided by ``factor`` (for nested integrals),
@@ -138,24 +138,24 @@ def _support(vals: np.ndarray, u: np.ndarray) -> slice | None:
     return slice(i_lo, i_hi + 1)
 
 
-def _passes(lo: float, hi: float, evals: int, max_evals: int):
+def _passes(lo: float, hi: float, evals: int):
     """The sampler calls of the halvings of a grid on [lo, hi], whose coarse
     pass at step ``_H0`` sampled ``evals`` abscissae, while fewer than
-    ``max_evals`` are sampled. Yields, for each call, its levels as (h, new
+    ``MAX_EVALS`` are sampled. Yields, for each call, its levels as (h, new
     abscissae) pairs, the abscissae sampled after it and whether rows may
     stop after it. The new abscissae of a level are the odd multiples of h
     (lo / h and hi / h are even), each exact. No row can stop before the
     ``_MIN_LEVELS``-th halving, so the levels up to it share one call, each
     as far as the budget would have run it alone."""
     h, level = _H0, 0
-    while evals < max_evals:
+    while evals < MAX_EVALS:
         levels = []
         while True:
             level += 1
             h *= 0.5
             levels.append((h, np.arange(lo + h, hi, 2.0 * h)))
             evals += len(levels[-1][1])
-            if level >= _MIN_LEVELS or evals >= max_evals:
+            if level >= _MIN_LEVELS or evals >= MAX_EVALS:
                 break
         yield levels, evals, level >= _MIN_LEVELS
 
@@ -174,6 +174,13 @@ def _refined(sums: np.ndarray, vals: np.ndarray, levels: list, lo: float, hi: fl
     if not np.isfinite(sums).all():
         _raise_not_finite(lo, hi)
     return sums, np.abs(sums - last)
+
+
+def _exhausted(best: Any, error: float) -> NonConvergenceError:
+    """The failure of a halving loop after ``MAX_EVALS`` abscissae, with its
+    finest estimate ``best`` and its rows' largest last change ``error``."""
+    message = f"tolerance not reached within {MAX_EVALS} evaluations (last delta {error:.3e})"
+    return NonConvergenceError(message, best_estimate=best, error_estimate=error)
 
 
 def _halving_trapezoid(
@@ -198,7 +205,7 @@ def _halving_trapezoid(
     on, a row that changed by at most ``max(abs_tol, rel_tol * |row|)`` keeps
     its value and error and is not sampled again. Halving stops when no row
     is left, or raises :class:`NonConvergenceError` with ``value_of`` of the
-    finest sums as best estimate once ``quad.max_evals`` abscissae have been
+    finest sums as best estimate once ``MAX_EVALS`` abscissae have been
     sampled.
 
     Returns ``value_of`` of the sums, the largest row error and the number of
@@ -217,7 +224,7 @@ def _halving_trapezoid(
     # sums and last changes of the rows still refining, kept until they retire
     sums, delta = total, err
 
-    for levels, evals, testable in _passes(lo, hi, evals, quad.max_evals):
+    for levels, evals, testable in _passes(lo, hi, evals):
         sums, delta = _refined(sums, sample(np.concatenate([u for _, u in levels]), active), levels, lo, hi)
         if testable:
             # delta <= tol is false for a NaN row, which goes on refining
@@ -231,12 +238,7 @@ def _halving_trapezoid(
                     return QuadratureResult(value_of(total), float(err.max()), evals)
 
     total[active], err[active] = sums, delta
-    raise NonConvergenceError(
-        f"tolerance not reached within {quad.max_evals} evaluations "
-        f"(last delta {float(err.max()):.3e})",
-        best_estimate=value_of(total),
-        error_estimate=float(err.max()),
-    )
+    raise _exhausted(value_of(total), float(err.max()))
 
 
 def integrate_semi_infinite(
@@ -268,7 +270,7 @@ def integrate_semi_infinite(
     inside another row's support.
 
     Raises :class:`NonConvergenceError` (carrying the best estimate of every
-    row) if the tolerance is not met within ``quad.max_evals`` evaluations.
+    row) if the tolerance is not met within ``MAX_EVALS`` evaluations.
     """
     quad = quad or QuadratureConfig()
     if rows is not None:

@@ -212,8 +212,8 @@ class TestKernel:
         Ks, Kp = zeta_ff.K(s), zeta_ff.Kprime(s)
         rebuilt = 0j
         for k in range(cfg.series_order + 1):
-            z_pow = m.power_transform(zeta_ff.zf, k + 1, s, cfg.quad).value
-            zp_zk = m.deriv_times_power(zeta_ff.zf, k, s, cfg.quad).value
+            z_pow = m.power_transform(zeta_ff.zf, k + 1, s).value
+            zp_zk = m.deriv_times_power(zeta_ff.zf, k, s).value
             weight = sum(a * cj**k for a, cj in zip(coeffs.alpha, coeffs.c))
             body = Kp * Ks**k * z_pow + Ks ** (k + 1) * zp_zk
             rebuilt += sgn ** ((k + 1) % 2) * ((-1) ** k / math.factorial(k)) * weight * body
@@ -398,11 +398,17 @@ class TestCounting:
             (0.57 + 1.57j, 0.1, 64, 2.963325774675302e-17 - 4.2065601514068947e-17j, 15),  # the reference circle
             (1.0 + 0j, 0.1, 16, -24.316441567057584 + 3.1390816482077686e-15j, 14),  # the pole
             (0.5 + 14.134725j, 0.05, 8, 0.09753842569447208 - 0.023322002358374734j, 12),  # the first zero
+            # two of the CI's counts, whose disks need the most moments: the
+            # one whose nodes take the gamma pass's reflection branch
+            # (reliable) and the large circle about the pole (unreliable)
+            (-0.7 + 0j, 0.1, 16, -5.296519057034592e-17 + 3.4061215800865545e-19j, 46),
+            (1.0 + 0j, 0.9, 64, -2.2030603228495993 + 1.8856289067359165e-15j, 61),
         ],
     )
     def test_pipeline_counts_are_pinned(self, zeta_ff, coeffs, center, radius, nodes, value, degree):
-        # the benchmark's unjittered circles: a change that makes counts
-        # faster keeps their values and the degree M of their moments
+        # the benchmark's unjittered circles and two of the CI's: a change
+        # that makes counts faster keeps their values and the degree M of
+        # their moments
         from melroot.mellin import moments
 
         c = m.CircularContour(center, radius, nodes)
@@ -461,8 +467,9 @@ class TestCounting:
             m.count_pipeline(ff, m.CircularContour(3.0, 2.6, 16), cfg)
         assert m.count_pipeline(ff, m.CircularContour(1.5, 1.0, 16), cfg).rounded == 0
 
-    def test_pipeline_grid_budget_exhausted(self, zeta_ff, coeffs):
-        cfg = m.PipelineConfig(table=coeffs, quad=m.QuadratureConfig(max_evals=100))
+    def test_pipeline_grid_budget_exhausted(self, zeta_ff, coeffs, monkeypatch):
+        monkeypatch.setattr(m.quadrature, "MAX_EVALS", 100)
+        cfg = m.PipelineConfig(table=coeffs)
         c = m.CircularContour(0.57 + 1.57j, 0.1, nodes=8)
         for call in (lambda: m.count_pipeline(zeta_ff, c, cfg), lambda: m.kernel_mellin(zeta_ff, c, 0.0, cfg)):
             with pytest.raises(m.NonConvergenceError) as info:

@@ -278,10 +278,11 @@ class TestNestedConvolution:
         assert inner and set(inner) == {np.dtype(np.float64)}
         assert isinstance(r.value, complex)
 
-    def test_inner_failure_reports_dimension(self, zeta_zf):
+    def test_inner_failure_reports_dimension(self, zeta_zf, monkeypatch):
         # the innermost of the two levels runs out of evaluations first
+        monkeypatch.setattr(m.quadrature, "MAX_EVALS", 100)
         with pytest.raises(m.NonConvergenceError) as exc:
-            m.power_transform(zeta_zf, 2, 0.5, m.QuadratureConfig(max_evals=100))
+            m.power_transform(zeta_zf, 2, 0.5)
         assert exc.value.dimension == 1
 
 
@@ -475,10 +476,11 @@ class TestConvolutionPowers:
         with pytest.raises(error):
             moments(zf, 0.57 + 1.57j, 0.1)
 
-    def test_nonconvergence_carries_z_and_zprime(self, zeta_zf):
+    def test_nonconvergence_carries_z_and_zprime(self, zeta_zf, monkeypatch):
         # the best estimate is the finest moments, whose Z and Z' are finite
+        monkeypatch.setattr(m.quadrature, "MAX_EVALS", 200)
         with pytest.raises(m.NonConvergenceError) as exc:
-            moments(zeta_zf, 0.57 + 1.57j, 0.1, m.QuadratureConfig(max_evals=200))
+            moments(zeta_zf, 0.57 + 1.57j, 0.1)
         best, error = exc.value.best_estimate
         assert best.ndim == 1 and np.isfinite(best).all() and np.isfinite(error).all()
         for values in power_sums(best, _rim(8), 0.1):
