@@ -27,7 +27,6 @@ from .mellin import (
 )
 from .numerics import csgn
 from .quadrature import (
-    QuadratureConfig,
     QuadratureResult,
     integrate_periodic,
     integrate_semi_infinite,

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, NonConvergenceError, PoleError
 from .expsum import ExpSumTable, inv_approx
 from .mellin import MellinIntegrand, moments, power_sums
-from .quadrature import QuadratureConfig
+from .quadrature import ABS_TOL, REL_TOL
 
 __all__ = [
     "CircularContour",
@@ -100,7 +100,7 @@ class PipelineConfig:
     ``series_order`` is the degree of the Taylor polynomial that replaces
     each exponential; any non-negative order works, since each order is one
     more power of the same f = K Z. The moments and their error gate use the
-    default tolerances of :class:`QuadratureConfig`.
+    package tolerances ``quadrature.REL_TOL`` and ``quadrature.ABS_TOL``.
     """
 
     table: ExpSumTable
@@ -184,7 +184,7 @@ def _from_z(ff: FactoredFunction, c: CircularContour, phis: np.ndarray, s: np.nd
     power sums of the moments of the contour's disk and one call of K and of
     K'. A :class:`NonConvergenceError` carries (f, f') from the finest
     moments."""
-    failure, quad = None, QuadratureConfig()
+    failure = None
     try:
         nu, error = moments(ff.zf, c.center, c.radius)
     except NonConvergenceError as exc:
@@ -192,7 +192,7 @@ def _from_z(ff: FactoredFunction, c: CircularContour, phis: np.ndarray, s: np.nd
     z, zprime = power_sums(nu, np.exp(1j * phis), c.radius)
     # the moments' errors on the disk against the tolerance at the nodes
     if failure is None and any(
-        e > max(quad.abs_tol, quad.rel_tol * np.abs(v).min(initial=math.inf)) for e, v in zip(error, (z, zprime))
+        e > max(ABS_TOL, REL_TOL * np.abs(v).min(initial=math.inf)) for e, v in zip(error, (z, zprime))
     ):
         message = f"their tail and round-off ({error[0]:.3g} in Z, {error[1]:.3g} in Z') pass the tolerance at a node"
         failure = NonConvergenceError(f"{message}: a smaller disk converges faster", error_estimate=max(error))

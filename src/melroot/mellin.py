@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
-from .quadrature import _H0, TRUNCATION_DECAY, QuadratureConfig, QuadratureResult
+from .quadrature import _H0, ABS_TOL, REL_TOL, TRUNCATION_DECAY, QuadratureResult
 from .quadrature import _exhausted, _passes, _refined, _support, integrate_semi_infinite
 
 __all__ = [
@@ -58,7 +58,7 @@ __all__ = [
 # they bring their new abscissae in one array and fill blocks more often.
 # One sampler call of the inner loop holds its rows still refining times the
 # new abscissae of its pass, so this block size is what bounds a call of
-# the nested levels: at the default tolerances up to 128 x 512 float64 values
+# the nested levels: at the package tolerances up to 128 x 512 float64 values
 # (512 KB); rows that have converged are not sampled again, so a large block
 # costs little more than its slowest row.
 _ROWS = 128
@@ -109,53 +109,49 @@ def _log_weight(density, s: complex, log_t: np.ndarray) -> np.ndarray:
     return np.exp(np.log(density, dtype=np.complex128) + s * log_t)
 
 
-def _integrate(
-    g: Callable, quad: QuadratureConfig, dimension: int, rows: np.ndarray | None = None
-) -> QuadratureResult:
+def _integrate(g: Callable, dimension: int, tighten: int, rows: np.ndarray | None = None) -> QuadratureResult:
     """:func:`integrate_semi_infinite` with a failure tagged by its nesting
     level (1 = innermost) unless a deeper level already tagged it."""
     try:
-        return integrate_semi_infinite(g, quad, rows)
+        return integrate_semi_infinite(g, rows, tighten)
     except NonConvergenceError as exc:
         if exc.dimension is None:
             exc.dimension = dimension
         raise
 
 
-def _convolution_transform(
-    zf: MellinIntegrand, derivative: bool, k: int, s: complex, quad: QuadratureConfig | None
-) -> QuadratureResult:
+def _convolution_transform(zf: MellinIntegrand, derivative: bool, k: int, s: complex) -> QuadratureResult:
     """Mellin transform at s of c_k = first * z * ... * z (k factors), where
     first is z, or ln(t) z for ``derivative``, and * is the Mellin convolution
     (f * z)(t) = int f(u) z(t/u) du/u. By the convolution theorem this is
     Z(s)**k, or Z'(s) Z(s)**(k-1).
 
-    c_{j+1} is the integral at nesting level j, with the tolerances tightened
-    by 10**(k-j); it depends on neither s nor the outer abscissa, so each
-    level is memoized per abscissa. The abscissae a level has not seen yet
-    are sorted and integrated in blocks of ``_ROWS``, each block as one
-    batched quadrature whose rows (one per abscissa t) share the exp-sinh
-    grid in u; a row stops being sampled once it has converged. The levels
-    are real for a real z; only the outer t**(s-1) weight is complex.
+    c_{j+1} is the integral at nesting level j, with the package tolerances
+    tightened by 10**(k-j) (``tighten = k - j``); it depends on neither s
+    nor the outer abscissa, so each level is memoized per abscissa. The
+    abscissae a level has not seen yet are sorted and integrated in blocks
+    of ``_ROWS``, each block as one batched quadrature whose rows (one per
+    abscissa t) share the exp-sinh grid in u; a row stops being sampled once
+    it has converged. The levels are real for a real z; only the outer
+    t**(s-1) weight is complex.
 
     Nested levels (k >= 2) raise :class:`DomainError` left of Re s = 0,
-    before any quadrature: there the outer weight, like t**(Re s - 1) with
-    Re s - 1 < -1, amplifies the inner levels' errors near t = 0 past their
-    own error estimates. For zeta's z, Z**2 at -0.5 - 2i came out 3.4e-6 off
-    while claiming 7e-11, and Z**3 and Z' Z raised NonConvergenceError
-    after about a second; at Re s = 1e-4 all three are within 2e-13.
+    before any quadrature: there the outer weight amplifies the inner
+    levels' errors past their estimates, as t**(Re s - 1) with
+    Re s - 1 < -1 does near t = 0. For zeta's z, Z**2 at -0.5 - 2i came
+    out 3.4e-6 off while claiming 7e-11, and Z**3 and Z' Z raised
+    NonConvergenceError after about a second; at Re s = 1e-4 all three are
+    within 2e-13.
     """
     s = _require_in_strip(zf, s)
     if k >= 2 and s.real < 0.0:
         raise DomainError(
-            f"nested Mellin convolutions are not accurate left of Re(s) = 0 (s = {s}); "
-            f"ROADMAP item 6 replaces them with product trapezoids on the ln t grid"
+            f"nested Mellin convolutions are refused left of Re(s) = 0 (s = {s}): "
+            f"the outer weight amplifies the inner levels' errors past their estimates"
         )
-    quad = quad or QuadratureConfig()
     z = zf.z
 
     def level(c: Callable, j: int) -> Callable:
-        q = quad.tightened(10.0 ** (k - j))
         memo: dict[float, float | complex] = {}
 
         def integrand(u: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -167,7 +163,7 @@ def _convolution_transform(
             new = sorted({t for t in ts.tolist() if t not in memo})
             for i in range(0, len(new), _ROWS):
                 block = new[i : i + _ROWS]
-                values = _integrate(integrand, q, j, np.array(block)).value
+                values = _integrate(integrand, j, k - j, np.array(block)).value
                 memo.update(zip(block, values.tolist()))
             return np.array([memo[t] for t in ts.tolist()])
 
@@ -176,26 +172,26 @@ def _convolution_transform(
     c = (lambda t: np.log(t) * z(t)) if derivative else z
     for j in range(1, k):
         c = level(c, j)
-    return _integrate(lambda t: _log_weight(c(t), s - 1.0, np.log(t)), quad, k)
+    return _integrate(lambda t: _log_weight(c(t), s - 1.0, np.log(t)), k, 0)
 
 
-def power_transform(zf: MellinIntegrand, k: int, s: complex, quad: QuadratureConfig | None = None) -> QuadratureResult:
+def power_transform(zf: MellinIntegrand, k: int, s: complex) -> QuadratureResult:
     """Z(s)**k computed from z(t) through the convolution representation, a
     k-fold iterated integral, for any integer k >= 1 (each order adds a
     dimension); k >= 2 raises :class:`DomainError` left of Re s = 0."""
     if not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"power_transform order must be an integer >= 1, got {k!r}")
-    return _convolution_transform(zf, False, k, s, quad)
+    return _convolution_transform(zf, False, k, s)
 
 
-def deriv_times_power(zf: MellinIntegrand, k: int, s: complex, quad: QuadratureConfig | None = None) -> QuadratureResult:
+def deriv_times_power(zf: MellinIntegrand, k: int, s: complex) -> QuadratureResult:
     """Z'(s) * Z(s)**k from z(t), for any integer k >= 0: k = 0 is
     Z'(s) = int_0^inf ln(t) z(t) t**(s-1) dt, and k >= 1 the (k + 1)-fold
     convolution with an ln(u1) weight, which raises :class:`DomainError`
     left of Re s = 0."""
     if not isinstance(k, numbers.Integral) or k < 0:
         raise ValueError(f"deriv_times_power order must be an integer >= 0, got {k!r}")
-    return _convolution_transform(zf, True, k + 1, s, quad)
+    return _convolution_transform(zf, True, k + 1, s)
 
 
 def _tail_cutoff(margin: float) -> float:
@@ -208,9 +204,7 @@ def _tail_cutoff(margin: float) -> float:
     return x
 
 
-def moments(
-    zf: MellinIntegrand, center: complex, radius: float, quad: QuadratureConfig | None = None
-) -> tuple[np.ndarray, tuple[float, float]]:
+def moments(zf: MellinIntegrand, center: complex, radius: float) -> tuple[np.ndarray, tuple[float, float]]:
     """nu_0, ..., nu_M for the disk |s - center| <= radius, trapezoid sums of
     rows on one halving grid in x = ln t, to |x| = 40 or to a strip edge's
     tail cutoff, and error estimates of Z and Z' anywhere on the disk: their
@@ -225,7 +219,7 @@ def moments(
     halvings and their budget of ``quadrature.MAX_EVALS`` abscissae sampled
     are quadrature's (``_support``, ``_passes``); from the second halving
     on, the rows stop together, once every one of them changed by at most
-    ``max(abs_tol, rel_tol * |row|)``.
+    ``max(ABS_TOL, REL_TOL * |row|)``.
 
     A radius that is not positive and finite raises ``ValueError``, a disk
     that leaves the convergence strip :class:`DomainError`, both before z is
@@ -237,7 +231,6 @@ def moments(
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     c, r = _require_in_strip(zf, center, radius), radius
-    quad = quad or QuadratureConfig()
     lo, hi = zf.convergence_strip
     x_lo = -_tail_cutoff(c.real - r - lo) if math.isfinite(lo) else -_SCAN
     x_hi = _tail_cutoff(hi - c.real - r) if math.isfinite(hi) else _SCAN
@@ -290,10 +283,15 @@ def moments(
             raise DomainError(f"the disk is too large for its moments: R |x| reaches {y_max:.3g}")
         # Both tails are below their floors at the first m >= y_max - 1 with
         # e**y_max y_max**m / m! at most TRUNCATION_DECAY (halved for round-off).
+        # Past y_max ~ 355 the bound overflows at its peak, m ~ y_max.
         m, bound = 0, math.exp(y_max)
         while bound > 0.5 * TRUNCATION_DECAY or m + 1 < y_max:
             m += 1
             bound *= y_max / m
+            if bound == math.inf:
+                raise DomainError(
+                    f"the disk is too large for its moments: their degree bound overflows at R |x| = {y_max:.3g}"
+                )
         ratios = r / np.arange(1, max(m + 1, _MIN_DEGREE) + 1)
         table = rows(xs, w)
         kept = np.abs(table[:, keep])
@@ -311,7 +309,7 @@ def moments(
         for levels, _, testable in _passes(x_lo, x_hi, len(x)):
             xs = np.concatenate([u for _, u in levels])
             nu, delta = _refined(nu, rows(xs, density(xs)), levels, x_lo, x_hi)
-            if testable and (delta <= np.maximum(quad.abs_tol, quad.rel_tol * np.abs(nu))).all():
+            if testable and (delta <= np.maximum(ABS_TOL, REL_TOL * np.abs(nu))).all():
                 return with_errors(nu)
     raise _exhausted(with_errors(nu), float(np.max(delta)))
 

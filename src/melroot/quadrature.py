@@ -16,8 +16,11 @@ Every adaptive integral in the package is a halving trapezoid on a map of
 (0, inf): a coarse pass at step 1/2, one trim of the support
 (:func:`_support`), step halving at the new abscissae only
 (:func:`_passes`, :func:`_refined`), a stop test on the rows and a budget
-of sampled abscissae. Each halving is one call of the integrand, except the
-first two: no row can stop after the first, so they share one.
+of sampled abscissae, both module constants: ``REL_TOL`` and ``ABS_TOL``,
+which only the nested Mellin levels tighten (the integer ``tighten`` of
+:func:`integrate_semi_infinite`), and ``MAX_EVALS``. Each halving is one
+call of the integrand, except the first two: no row can stop after the
+first, so they share one.
 :func:`_halving_trapezoid` runs it on the exp-sinh map t = exp(pi/2 sinh u),
 where a row that has converged is not sampled again;
 :func:`melroot.mellin.moments` runs its own loop on x = ln t, refining every
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -39,7 +42,6 @@ import numpy as np
 from .errors import DomainError, NonConvergenceError
 
 __all__ = [
-    "QuadratureConfig",
     "QuadratureResult",
     "integrate_semi_infinite",
     "integrate_periodic",
@@ -58,30 +60,10 @@ TRUNCATION_DECAY = 1e-16
 # The budget of both halving loops: abscissae sampled, the coarse pass's
 # included. Read at each call, so one patch of this name reaches both.
 MAX_EVALS = 200_000
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances for the adaptive engines."""
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if not (0.0 < self.abs_tol < 1.0):
-            raise ValueError(f"abs_tol must lie in (0, 1), got {self.abs_tol}")
-
-    def tightened(self, factor: float = 10.0) -> "QuadratureConfig":
-        """Copy with tolerances divided by ``factor`` (for nested integrals),
-        floored at 1e-15 relative and 1e-16 absolute; a tolerance already
-        below its floor is kept, never loosened."""
-        return replace(
-            self,
-            rel_tol=min(self.rel_tol, max(self.rel_tol / factor, 1e-15)),
-            abs_tol=min(self.abs_tol, max(self.abs_tol / factor, 1e-16)),
-        )
+# The stop test of both halving loops: a row has converged once it changed
+# by at most max(ABS_TOL, REL_TOL * |row|).
+REL_TOL = 1e-8
+ABS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -183,13 +165,22 @@ def _exhausted(best: Any, error: float) -> NonConvergenceError:
     return NonConvergenceError(message, best_estimate=best, error_estimate=error)
 
 
+def _tolerances(tighten: int) -> tuple[float, float]:
+    """(rel_tol, abs_tol) ``tighten`` decades below the package tolerances:
+    ``REL_TOL / 10**tighten`` floored at 1e-15 and ``ABS_TOL / 10**tighten``
+    floored at 1e-16."""
+    # from 8 decades on both sit on their floors; the cap keeps 10.0 ** tighten finite
+    scale = 10.0 ** min(tighten, 8)
+    return max(REL_TOL / scale, 1e-15), max(ABS_TOL / scale, 1e-16)
+
+
 def _halving_trapezoid(
     sample: Callable,
     n_rows: int,
     lo: float,
     hi: float,
-    quad: QuadratureConfig,
     value_of: Callable[[np.ndarray], Any],
+    tighten: int,
 ) -> QuadratureResult:
     """Trapezoid sums h * sum_k sample(h k) of ``n_rows`` rows of integrals
     on one shared grid: the abscissae h k in [lo, hi], with h = 0.5, 0.25, ...
@@ -203,7 +194,8 @@ def _halving_trapezoid(
     outside that support and raises :class:`DomainError` inside it (a
     sampler that must forgive one zeroes it itself). From the second halving
     on, a row that changed by at most ``max(abs_tol, rel_tol * |row|)`` keeps
-    its value and error and is not sampled again. Halving stops when no row
+    its value and error and is not sampled again, with the tolerances
+    :func:`_tolerances` of ``tighten``. Halving stops when no row
     is left, or raises :class:`NonConvergenceError` with ``value_of`` of the
     finest sums as best estimate once ``MAX_EVALS`` abscissae have been
     sampled.
@@ -211,6 +203,7 @@ def _halving_trapezoid(
     Returns ``value_of`` of the sums, the largest row error and the number of
     abscissae sampled (not rows times abscissae).
     """
+    rel_tol, abs_tol = _tolerances(tighten)
     h = _H0
     u = h * np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
     active = np.arange(n_rows)
@@ -228,7 +221,7 @@ def _halving_trapezoid(
         sums, delta = _refined(sums, sample(np.concatenate([u for _, u in levels]), active), levels, lo, hi)
         if testable:
             # delta <= tol is false for a NaN row, which goes on refining
-            done = delta <= np.maximum(quad.abs_tol, quad.rel_tol * np.abs(sums))
+            done = delta <= np.maximum(abs_tol, rel_tol * np.abs(sums))
             if done.any():
                 # rows that go on refining overwrite their entries later
                 total[active], err[active] = sums, delta
@@ -241,9 +234,7 @@ def _halving_trapezoid(
     raise _exhausted(value_of(total), float(err.max()))
 
 
-def integrate_semi_infinite(
-    g: Callable, quad: QuadratureConfig | None = None, rows: np.ndarray | None = None
-) -> QuadratureResult:
+def integrate_semi_infinite(g: Callable, rows: np.ndarray | None = None, tighten: int = 0) -> QuadratureResult:
     """Integrate ``g`` over (0, inf) with the exp-sinh rule: the halving
     trapezoid of :func:`_halving_trapezoid` in u, with t = exp(pi/2 sinh u)
     and |u| <= 6.5.
@@ -269,10 +260,15 @@ def integrate_semi_infinite(
     ``rows`` it is read as 0 everywhere, since one row's weight can overflow
     inside another row's support.
 
-    Raises :class:`NonConvergenceError` (carrying the best estimate of every
-    row) if the tolerance is not met within ``MAX_EVALS`` evaluations.
+    The tolerances are ``REL_TOL`` and ``ABS_TOL`` divided by 10**``tighten``
+    (floored at 1e-15 and 1e-16), so that a nested level ``tighten`` levels
+    below the outermost converges that many decades further; ``tighten``
+    must be a non-negative integer, else ``ValueError``. Raises
+    :class:`NonConvergenceError` (carrying the best estimate of every row)
+    if the tolerance is not met within ``MAX_EVALS`` evaluations.
     """
-    quad = quad or QuadratureConfig()
+    if not isinstance(tighten, numbers.Integral) or tighten < 0:
+        raise ValueError(f"tighten must be a non-negative integer, got {tighten!r}")
     if rows is not None:
         rows = np.asarray(rows)
         if rows.ndim != 1:
@@ -293,7 +289,7 @@ def integrate_semi_infinite(
 
     value_of = (lambda total: complex(total[0])) if rows is None else (lambda total: total)
     n_rows = 1 if rows is None else len(rows)
-    return _halving_trapezoid(sample, n_rows, -_U_CAP, _U_CAP, quad, value_of)
+    return _halving_trapezoid(sample, n_rows, -_U_CAP, _U_CAP, value_of, tighten)
 
 
 def integrate_periodic(k: Callable[[float], complex], nodes: int) -> complex:

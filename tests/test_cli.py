@@ -411,7 +411,8 @@ class TestConvolutionCheck:
         start = time.perf_counter()
         assert main(["convolution-check", "--s-re", "-0.5", "--s-im", "-2"]) == 2
         assert time.perf_counter() - start < 1.0
-        assert "domain error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "domain error" in err and "amplifies the inner levels' errors past their estimates" in err
 
 
 @pytest.mark.parametrize(

@@ -454,7 +454,7 @@ class TestCounting:
     def test_pipeline_large_disk_raises(self, coeffs):
         # z = exp(-1/(3-t)) on t < 3: on the disk about 3 of radius 2.6 the
         # moment series is slow and its M cuts it short, so Z is 1e-7 off on
-        # the rim, past rel_tol = 1e-8; the count raises instead
+        # the rim, past REL_TOL = 1e-8; the count raises instead
         def z(t):
             with np.errstate(divide="ignore"):
                 return np.exp(-1.0 / np.maximum(3.0 - t, 0.0))

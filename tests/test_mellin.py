@@ -7,8 +7,12 @@ import pytest
 
 import melroot as m
 from melroot.mellin import moments, power_sums
+from melroot.quadrature import ABS_TOL, REL_TOL
 
 EXP_DECAY = m.MellinIntegrand(z=lambda t: np.exp(-t), convergence_strip=(0.0, math.inf))
+# e**(-(ln t)**2 / 2000): an entire Z, and a density that is still e**-0.8
+# at the scan's end, |ln t| = 40
+LOG_NORMAL = m.MellinIntegrand(z=lambda t: np.exp(-np.log(t) ** 2 / 2000.0), convergence_strip=(-math.inf, math.inf))
 
 
 def _never_called(t):
@@ -67,10 +71,9 @@ class TestTransform:
         # finite differences along the real and imaginary directions agree
         s = 0.8 + 1.1j
         h = 1e-5
-        quad = m.QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14)
 
         def z(x):
-            return m.power_transform(zeta_zf, 1, x, quad).value
+            return m.power_transform(zeta_zf, 1, x).value
 
         d_re = (z(s + h) - z(s - h)) / (2 * h)
         d_im = (z(s + 1j * h) - z(s - 1j * h)) / (2j * h)
@@ -84,8 +87,7 @@ class TestTransformDerivative:
     def test_matches_finite_difference(self, zeta_zf):
         s = 0.57 + 1.57j
         h = 1e-5
-        quad = m.QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14)
-        fd = (m.power_transform(zeta_zf, 1, s + h, quad).value - m.power_transform(zeta_zf, 1, s - h, quad).value)
+        fd = m.power_transform(zeta_zf, 1, s + h).value - m.power_transform(zeta_zf, 1, s - h).value
         fd /= 2 * h
         assert abs(m.deriv_times_power(zeta_zf, 0, s).value - fd) < 1e-6
 
@@ -99,13 +101,11 @@ class TestPowerTransform:
         assert abs(m.power_transform(EXP_DECAY, 1, 2.0).value - 1.0) < 1e-9
 
     def test_threefold_real(self, zeta_zf):
-        quad = m.QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13)
-        v = m.power_transform(zeta_zf, 3, 0.4, quad).value
+        v = m.power_transform(zeta_zf, 3, 0.4).value
         assert abs(v - 0.4875296028) < 1e-8
 
     def test_threefold_complex(self, zeta_zf):
-        quad = m.QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13)
-        v = m.power_transform(zeta_zf, 3, 0.4 - 0.3j, quad).value
+        v = m.power_transform(zeta_zf, 3, 0.4 - 0.3j).value
         assert abs(v - (0.4103824778 + 0.1549090396j)) < 1e-8
 
     @pytest.mark.parametrize("s", [0.4 + 0j, 0.4 - 0.3j])
@@ -121,21 +121,19 @@ class TestPowerTransform:
 
     def test_convolution_identity_random_points(self, zeta_zf):
         rng = np.random.default_rng(11)
-        quad = m.QuadratureConfig(rel_tol=1e-8, abs_tol=1e-11)
         for _ in range(50):
             s = complex(rng.uniform(0.3, 1.7), rng.uniform(-3.0, 3.0))
-            direct = m.power_transform(zeta_zf, 1, s, quad).value
-            conv2 = m.power_transform(zeta_zf, 2, s, quad).value
-            assert abs(conv2 - direct**2) < 10.0 * max(quad.abs_tol, quad.rel_tol * abs(conv2)) + 1e-10
+            direct = m.power_transform(zeta_zf, 1, s).value
+            conv2 = m.power_transform(zeta_zf, 2, s).value
+            assert abs(conv2 - direct**2) < 10.0 * max(ABS_TOL, REL_TOL * abs(conv2)) + 1e-10
 
     def test_convolution_identity_threefold_random(self, zeta_zf):
         rng = np.random.default_rng(17)
-        quad = m.QuadratureConfig(rel_tol=1e-7, abs_tol=1e-10)
         for _ in range(50):
             s = complex(rng.uniform(0.3, 1.7), rng.uniform(-3.0, 3.0))
-            direct = m.power_transform(zeta_zf, 1, s, quad).value
-            conv3 = m.power_transform(zeta_zf, 3, s, quad).value
-            assert abs(conv3 - direct**3) < 10.0 * max(quad.abs_tol, quad.rel_tol * abs(conv3)) + 1e-8
+            direct = m.power_transform(zeta_zf, 1, s).value
+            conv3 = m.power_transform(zeta_zf, 3, s).value
+            assert abs(conv3 - direct**3) < 10.0 * max(ABS_TOL, REL_TOL * abs(conv3)) + 1e-8
 
 
 class TestDerivTimesPower:
@@ -195,10 +193,10 @@ class TestLeftOfZero:
         zf = m.MellinIntegrand(z=_never_called, convergence_strip=(-1.0, math.inf))
         start = time.perf_counter()
         for k in (2, 3):
-            with pytest.raises(m.DomainError, match="ROADMAP item 6"):
+            with pytest.raises(m.DomainError, match="amplifies the inner levels' errors past their estimates"):
                 m.power_transform(zf, k, s)
         for k in (1, 2):
-            with pytest.raises(m.DomainError, match="ROADMAP item 6"):
+            with pytest.raises(m.DomainError, match="amplifies the inner levels' errors past their estimates"):
                 m.deriv_times_power(zf, k, s)
         assert time.perf_counter() - start < 1.0
 
@@ -267,8 +265,8 @@ class TestNestedConvolution:
         quadrature = m.mellin.integrate_semi_infinite
         inner = []
 
-        def recording(g, quad=None, rows=None):
-            r = quadrature(g, quad, rows)
+        def recording(g, rows=None, tighten=0):
+            r = quadrature(g, rows, tighten)
             if rows is not None:
                 inner.append(r.value.dtype)
             return r
@@ -291,9 +289,9 @@ def _rim(nodes):
     return np.exp(2j * np.pi * np.arange(nodes) / nodes)
 
 
-def _on_disk(zf, center, radius, u, quad=None):
+def _on_disk(zf, center, radius, u):
     """Z and Z' at center + radius u from the moments of the disk."""
-    nu, _ = moments(zf, center, radius, quad)
+    nu, _ = moments(zf, center, radius)
     return power_sums(nu, u, radius)
 
 
@@ -393,19 +391,18 @@ class TestConvolutionPowers:
                 return np.exp(-1.0 / np.maximum(3.0 - t, 0.0))
 
         zf = m.MellinIntegrand(z=z, convergence_strip=(0.0, math.inf))
-        quad = m.QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16)
-        z_value, zprime = _on_disk(zf, 0.8, 0.4, -0.75, quad)
+        z_value, zprime = _on_disk(zf, 0.8, 0.4, -0.75)
         with mp.workdps(30):
             exact = complex(mp.quad(lambda t: mp.exp(-1 / (3 - t)) / mp.sqrt(t), [0, 1, 2, 3]))
             exact_prime = complex(mp.quad(lambda t: mp.exp(-1 / (3 - t)) * mp.log(t) / mp.sqrt(t), [0, 1, 2, 3]))
         assert abs(z_value - exact) <= 1e-12 * abs(exact)
         assert abs(zprime - exact_prime) <= 1e-12 * abs(exact_prime)
-        _, (error, _) = moments(zf, 0.8, 0.4, quad)
+        _, (error, _) = moments(zf, 0.8, 0.4)
         assert error <= 1e-12 * abs(exact)
 
-        nu, (error, error_prime) = moments(zf, 3.0, 2.6, quad)
+        nu, (error, error_prime) = moments(zf, 3.0, 2.6)
         z_rim, zprime_rim = power_sums(nu, -1.0, 2.6)
-        assert abs(z_rim - m.power_transform(zf, 1, 0.4, quad).value) > 1e-8 * abs(z_rim)
+        assert abs(z_rim - m.power_transform(zf, 1, 0.4).value) > 1e-8 * abs(z_rim)
         assert error > 1e-8 * abs(z_rim) and error_prime > 1e-8 * abs(zprime_rim)
 
     def test_no_nodes(self):
@@ -475,6 +472,25 @@ class TestConvolutionPowers:
         zf = m.MellinIntegrand(z=z, convergence_strip=zeta_zf.convergence_strip)
         with pytest.raises(error):
             moments(zf, 0.57 + 1.57j, 0.1)
+
+    @pytest.mark.parametrize(
+        "zf,center,radius,match",
+        [
+            # e**y y**m / m!, the degree bound, overflowed at its peak past
+            # y = R |x| ~ 355 and stayed inf: this disk never returned
+            (None, 100.0, 90.0, "too large for its moments: their degree bound overflows"),
+            # the density's tail next to the strip edge passes t = e**700
+            (None, -0.95, 0.04, "within 0.01 of the strip edge"),
+            # the wide log-normal is kept out to the scan's end, |x| = 40
+            (LOG_NORMAL, 0.0, 20.0, "too large for its moments: R [|]x[|] reaches 800"),
+        ],
+        ids=["degree-bound-overflow", "strip-edge-tail", "past-x-max"],
+    )
+    def test_unreachable_disks_refused(self, zeta_zf, zf, center, radius, match):
+        start = time.perf_counter()
+        with pytest.raises(m.DomainError, match=match):
+            moments(zf or zeta_zf, center, radius)
+        assert time.perf_counter() - start < 1.0
 
     def test_nonconvergence_carries_z_and_zprime(self, zeta_zf, monkeypatch):
         # the best estimate is the finest moments, whose Z and Z' are finite

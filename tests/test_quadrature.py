@@ -43,14 +43,13 @@ def test_scalar_integrand_rejected():
 
 
 def test_linearity():
-    quad = m.QuadratureConfig()
     g1 = lambda t: np.exp(-t)
     g2 = lambda t: t * np.exp(-2.0 * t)
     a = 3.7 - 1.2j
-    combined = m.integrate_semi_infinite(lambda t: a * g1(t) + g2(t), quad)
-    r1 = m.integrate_semi_infinite(g1, quad)
-    r2 = m.integrate_semi_infinite(g2, quad)
-    tol = 2.0 * max(quad.abs_tol, quad.rel_tol * abs(combined.value))
+    combined = m.integrate_semi_infinite(lambda t: a * g1(t) + g2(t))
+    r1 = m.integrate_semi_infinite(g1)
+    r2 = m.integrate_semi_infinite(g2)
+    tol = 2.0 * max(m.quadrature.ABS_TOL, m.quadrature.REL_TOL * abs(combined.value))
     assert abs(combined.value - (a * r1.value + r2.value)) < tol
 
 
@@ -176,9 +175,8 @@ class TestRows:
         assert sum(0.0 in p for p in seen) < sum(5.0 in p for p in seen) < len(seen)
 
     def test_converged_row_keeps_its_error(self):
-        quad = m.QuadratureConfig()
-        r = m.integrate_semi_infinite(_damped_cosines, quad, np.array([0.0, 40.0]))
-        alone = m.integrate_semi_infinite(lambda t: np.exp(-t), quad)
+        r = m.integrate_semi_infinite(_damped_cosines, np.array([0.0, 40.0]))
+        alone = m.integrate_semi_infinite(lambda t: np.exp(-t))
         # the reported error is the larger row error, here that of the smooth
         # row, which stopped refining before the oscillatory one
         assert r.error == alone.error
@@ -235,7 +233,7 @@ class TestSamplerCalls:
         # [-37, 37], where e**-|u| passes 1e-16; its first halving samples 148
         monkeypatch.setattr(m.quadrature, "MAX_EVALS", 200)
         with pytest.raises(m.NonConvergenceError) as exc:
-            m.quadrature._halving_trapezoid(sample, 1, -40.0, 40.0, m.QuadratureConfig(), lambda total: total)
+            m.quadrature._halving_trapezoid(sample, 1, -40.0, 40.0, lambda total: total, 0)
         assert widths == [161, 148]
         first = 0.25 * f(0.25 * np.arange(-148, 149)).sum()
         assert exc.value.best_estimate == pytest.approx([first], rel=1e-15, abs=0.0)
@@ -268,30 +266,20 @@ class TestSamplerCalls:
         assert sum(n for _, n in calls) == r.evals
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"rel_tol": 0.0},
-        {"rel_tol": 1.5},
-        {"abs_tol": -1e-3},
-    ],
-)
-def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
-        m.QuadratureConfig(**kwargs)
+@pytest.mark.parametrize("tighten", [-1, 1.5, None])
+def test_tighten_validation(tighten):
+    with pytest.raises(ValueError, match="tighten"):
+        m.integrate_semi_infinite(lambda t: np.exp(-t), tighten=tighten)
 
 
-def test_tightened_divides_down_to_its_floors():
-    tight = m.QuadratureConfig().tightened()
-    assert (tight.rel_tol, tight.abs_tol) == (1e-9, 1e-13)
-    floored = m.QuadratureConfig(rel_tol=1e-14, abs_tol=1e-15).tightened(100.0)
-    assert (floored.rel_tol, floored.abs_tol) == (1e-15, 1e-16)
-
-
-def test_tightened_never_loosens():
-    # tolerances already below the floors are kept, not raised to them
-    tight = m.QuadratureConfig(rel_tol=1e-16, abs_tol=1e-18).tightened(10.0)
-    assert (tight.rel_tol, tight.abs_tol) == (1e-16, 1e-18)
+def test_tighten_divides_down_to_its_floors():
+    # one decade per nested level below the outermost, which runs at the
+    # package tolerances
+    q = m.quadrature
+    assert q._tolerances(0) == (q.REL_TOL, q.ABS_TOL) == (1e-8, 1e-12)
+    assert q._tolerances(1) == (1e-9, 1e-13)
+    assert q._tolerances(5) == (1e-13, 1e-16)
+    assert q._tolerances(400) == (1e-15, 1e-16)
 
 
 class TestPeriodic:
