@@ -23,11 +23,18 @@ left, and past 1000 terms (about |Im s| = 1096), the series is refused.
 Past |Im s| = 100 the weights also take out the round-off of the phases
 Im(s) ln k, which left up to 1.1e-12 of zeta at |Im s| = 1000.
 
-Each point runs its series as array arithmetic along the terms: the
-weights and logarithms are cached read-only arrays, the terms are weights
-times (k+1)**(-s), and the sums of zeta and zeta' are the last elements of
-np.add.accumulate, which adds in the terms' order. So every point keeps
-the bits a scalar cmath loop over its terms gives.
+A node array runs its series as array arithmetic. One np.exp per block of
+nodes forms the powers (k+1)**(-s) of all of them at once, each row as long
+as the block's longest series and at most 2**12 powers a block (64 KiB)
+whatever |Im s|. Each node then multiplies its own length's cached weights
+into its row, and the sums of zeta and zeta' are the last elements of
+np.add.accumulate, which adds in the terms' order. np.exp and the products
+act element by element, and in each complex product one factor, a
+logarithm or a weight, has imaginary part 0, so it rounds as Python's does
+even where numpy fuses a multiply and an add; the phase-corrected terms,
+whose weights are complex, are formed in real arithmetic. So every point
+keeps the bits a scalar cmath loop over its terms gives, alone or in any
+array.
 """
 
 from __future__ import annotations
@@ -64,20 +71,24 @@ _ETA_MAX_TERMS = 1000
 # than about 1e-13 of round-off, and the weights take it out.
 _PHASE_ROUNDOFF_IM = 100.0
 _VELTKAMP = 134217729.0  # 2**27 + 1
+# The most powers (k+1)**(-s) one exponential forms: 64 KiB of complex
+# values, small enough to stay in cache until each node's sums read its row
+_ETA_BLOCK = 1 << 12
 
 
-def _frozen(values) -> np.ndarray:
-    """``values`` as a read-only float array, safe to share from a cache."""
-    array = np.array(values, dtype=float)
+def _frozen(values, dtype=float) -> np.ndarray:
+    """``values`` as a read-only array, safe to share from a cache."""
+    array = np.array(values, dtype=dtype)
     array.flags.writeable = False
     return array
 
 
 @functools.lru_cache(maxsize=64)
-def _eta_series(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The signed weights (-1)**k (d_k - d_n) / d_n and the logarithms
-    ln(k + 1), k < n, of Borwein's n-term series, as read-only arrays; the
-    cache keeps the last 64 lengths asked for.
+def _eta_series(n: int) -> np.ndarray:
+    """The signed weights (-1)**k (d_k - d_n) / d_n, k < n, of Borwein's
+    n-term series, as a read-only complex array with imaginary parts 0, the
+    dtype of the terms they multiply, so numpy casts them once and not at
+    every product; the cache keeps the last 64 lengths asked for.
 
     d_k = c_0 + ... + c_k sums the coefficients c_i = n (n+i-1)! 4**i /
     ((n-i)! (2i)!) of the Chebyshev polynomial T_2n, integers that the
@@ -90,7 +101,7 @@ def _eta_series(n: int) -> tuple[np.ndarray, np.ndarray]:
         d.append(acc)
         c = c * 4 * (n + i) * (n - i) // ((2 * i + 1) * (2 * i + 2))
     dn = d[n]
-    return _frozen([(-1) ** k * ((d[k] - dn) / dn) for k in range(n)]), _frozen([math.log(k + 1) for k in range(n)])
+    return _frozen([(-1) ** k * ((d[k] - dn) / dn) for k in range(n)], dtype=complex)
 
 
 def _halves(x: float) -> tuple[float, float]:
@@ -103,59 +114,86 @@ def _halves(x: float) -> tuple[float, float]:
 
 @functools.cache
 def _log_parts() -> np.ndarray:
-    """A read-only table of three rows over k = 1 .. the most terms: the
-    halves of math.log(k) and its error ln k - math.log(k), from 40-digit
+    """A read-only table of four rows over k = 1 .. the most terms:
+    math.log(k), its halves and its error ln k - math.log(k), from 40-digit
     decimal logarithms."""
     exact = decimal.Context(prec=40).ln
     return _frozen(
-        [(*_halves(math.log(k)), float(exact(k) - decimal.Decimal(math.log(k)))) for k in range(1, _ETA_MAX_TERMS + 1)]
+        [
+            (math.log(k), *_halves(math.log(k)), float(exact(k) - decimal.Decimal(math.log(k))))
+            for k in range(1, _ETA_MAX_TERMS + 1)
+        ]
     ).T
 
 
-def _phase_corrected(weights: np.ndarray, t: float, powers: np.ndarray) -> np.ndarray:
-    """The terms w_k e**(-i d_k) (k+1)**(-s) of the weights w_k and the
-    ``powers`` (k+1)**(-s), d_k the round-off of the phase fl(t math.log(k+1))
-    that the series hands exp: Dekker's exact error of that product plus t
-    times the error of math.log. |d_k| < 1e-12, so e**(-i d_k) = 1 - i d_k
-    to double precision. The complex product is formed in real arithmetic,
-    as Python's complex product forms it."""
+def _phase_corrected(weights: np.ndarray, t: float, powers: np.ndarray, terms: np.ndarray) -> None:
+    """Write into ``terms`` the terms w_k e**(-i d_k) (k+1)**(-s) of the
+    weights w_k and the ``powers`` (k+1)**(-s), d_k the round-off of the
+    phase fl(t math.log(k+1)) that the series hands exp: Dekker's exact error
+    of that product plus t times the error of math.log. |d_k| < 1e-12, so
+    e**(-i d_k) = 1 - i d_k to double precision. The complex product is
+    formed in real arithmetic, as Python's complex product forms it."""
     th, tl = _halves(t)
-    hi, lo, err = _log_parts()[:, : len(weights)]
+    _, hi, lo, err = _log_parts()[:, : len(weights)]
     p = t * (hi + lo)
     d = ((th * hi - p) + th * lo + tl * hi) + tl * lo + t * err
     w_im = -weights * d
-    terms = np.empty_like(powers)
     terms.real = weights * powers.real - w_im * powers.imag
     terms.imag = weights * powers.imag + w_im * powers.real
-    return terms
 
 
-def _eta_sums(s: complex, n: int) -> list[complex]:
+def _eta_powers(s: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """The powers (k+1)**(-s) of the ``logs`` ln(k+1), one row for each
+    element of the 1-D ``s``, from one np.exp of the array -s ln(k+1), taken
+    in place. Both steps act element by element, so each row holds the bits
+    that np.exp(-x * logs) gives its element x alone."""
+    powers = -s[:, None] * logs
+    return np.exp(powers, out=powers)
+
+
+def _eta_sums(s: complex, n: int, powers: np.ndarray, logs: np.ndarray, buffer: np.ndarray) -> list[complex]:
     """The sums over k < n of the terms w_k (k+1)**(-s) of the n-term series
-    and of ln(k+1) times them, in array arithmetic along the terms. The
-    last elements of np.add.accumulate are the sums: it adds in the terms'
-    order, as a loop would, so both sums equal a scalar cmath loop's to the
-    bit."""
-    weights, logs = _eta_series(n)
-    powers = np.exp(-s * logs)
-    terms = _phase_corrected(weights, s.imag, powers) if abs(s.imag) > _PHASE_ROUNDOFF_IM else weights * powers
-    return np.add.accumulate((terms, logs * terms), axis=1)[:, -1].tolist()
+    and of ln(k+1) times them, given at least n of the ``powers``
+    (k+1)**(-s) and of the ``logs`` ln(k+1). The terms and their
+    ln-weighted copy fill the first n columns of the (2, m >= n) complex
+    ``buffer``, and the last elements of np.add.accumulate are the sums: it
+    adds in the terms' order, as a loop would, so both sums equal a scalar
+    cmath loop's to the bit."""
+    weights = _eta_series(n)
+    terms = buffer[:, :n]
+    if abs(s.imag) > _PHASE_ROUNDOFF_IM:
+        _phase_corrected(weights.real, s.imag, powers[:n], terms[0])
+    else:
+        np.multiply(weights, powers[:n], out=terms[0])
+    np.multiply(logs[:n], terms[0], out=terms[1])
+    return np.add.accumulate(terms, axis=1)[:, -1].tolist()
 
 
-def _eta_terms(s: complex) -> int:
-    """The number of eta-series terms summed at the finite point ``s``: the
-    least n whose Borwein bound is under the tolerance, plus
-    ceil(2 (1/2 - Re s)) left of Re s = 1/2. It depends on s alone, and does
-    not decrease as |Im s| grows. Raises :class:`DomainError` left of
-    Re s = -1 and past the most terms allowed."""
-    if s.real < _ETA_MIN_RE:
-        raise DomainError(f"the eta series is not checked left of Re s = {_ETA_MIN_RE:g}, at s = {s}")
-    t = abs(s.imag)
-    x = (math.log(3.0 * (1.0 + 2.0 * t)) + 0.5 * math.pi * t - _ETA_LOG_TOL) / _ETA_LOG_RATE
-    extra = math.ceil(2.0 * (0.5 - s.real)) if s.real < 0.5 else 0
-    if not x + extra <= _ETA_MAX_TERMS:
-        raise DomainError(f"the eta series needs more than {_ETA_MAX_TERMS} terms at s = {s}")
-    return math.ceil(x) + extra
+def _eta_terms(s: np.ndarray) -> np.ndarray:
+    """The number of eta-series terms summed at each finite element of
+    ``s``, as an int array of its shape: the least n whose Borwein bound is
+    under the tolerance, plus ceil(2 (1/2 - Re s)) left of Re s = 1/2. It
+    depends on each element alone, and does not decrease as |Im s| grows.
+    Raises :class:`DomainError` at the first element left of Re s = -1 or
+    past the most terms allowed."""
+    t = np.abs(s.imag)
+    # math.log, not np.log: numpy's SIMD log differs from it in the last
+    # bit at about 1 point in 8,000, and a length whose bound lies within
+    # round-off of an integer would move with it
+    with np.errstate(over="ignore"):
+        u = 3.0 * (1.0 + 2.0 * t)
+        log = np.array([math.log(v) for v in u.ravel().tolist()]).reshape(u.shape)
+        x = (log + 0.5 * math.pi * t - _ETA_LOG_TOL) / _ETA_LOG_RATE
+        extra = np.where(s.real < 0.5, np.ceil(2.0 * (0.5 - s.real)), 0.0)
+    left = s.real < _ETA_MIN_RE
+    refused = left | ~(x + extra <= _ETA_MAX_TERMS)
+    if refused.any():
+        i = refused.argmax()
+        at = complex(s.flat[i])
+        if left.flat[i]:
+            raise DomainError(f"the eta series is not checked left of Re s = {_ETA_MIN_RE:g}, at s = {at}")
+        raise DomainError(f"the eta series needs more than {_ETA_MAX_TERMS} terms at s = {at}")
+    return (np.ceil(x) + extra).astype(int)
 
 
 _CONDITIONING_CUTOFF = 1e-6
@@ -261,22 +299,34 @@ def _eta_pass(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :func:`_eta_terms` terms per element. A pole anywhere raises
     :class:`PoleError` first (:func:`_eta_factor`); :class:`DomainError` is
     raised next at the first element that is not finite, then at the first
-    that :func:`_eta_terms` refuses, before any weights are built."""
+    that :func:`_eta_terms` refuses, before any power is formed. Each block
+    of elements takes its powers from one exponential (:func:`_eta_powers`),
+    at most _ETA_BLOCK of them, and each element then sums its own series
+    (:func:`_eta_sums`)."""
     # Re s >= -1 keeps 2**(1-s) in range; the series refuses the rest
     _, two, lam = _eta_factor(s, s.real >= _ETA_MIN_RE)
-    points = s.ravel().tolist()
-    lengths = [_eta_terms(x) for x in points]
+    points = s.ravel()
+    lengths = _eta_terms(points)
+    longest = int(lengths.max(initial=1))
+    rows = _ETA_BLOCK // longest
+    buffer = np.empty((2, longest), dtype=complex)
+    # complex, as the weights are (_eta_series)
+    logs = _log_parts()[0].astype(complex)
+    nodes = list(zip(points.tolist(), lengths.tolist(), two.ravel().tolist(), lam.ravel().tolist()))
     values = []
     # Re s >= -1 keeps each power |(k+1)**(-s)| <= 1000, and _eta_terms
     # refuses |Im s| past about 1096, so only a huge Re s overflows: -s ln k
     # goes to -inf, whose exp is 0, as cmath gives it without a warning
     with np.errstate(over="ignore"):
-        # the combine runs in Python complex arithmetic, whose division and
-        # square give other bits than numpy's
-        for x, n, two_x, lam_x in zip(points, lengths, two.ravel().tolist(), lam.ravel().tolist()):
-            acc, acc_log = _eta_sums(x, n)
-            # acc is -eta(s) and acc_log is eta'(s), and zeta = eta / lam
-            values.append((-acc / lam_x, acc_log / lam_x + acc * (two_x * _LN2) / lam_x**2))
+        for start in range(0, len(nodes), rows):
+            block = slice(start, start + rows)
+            powers = _eta_powers(points[block], logs[: lengths[block].max()])
+            # the combine runs in Python complex arithmetic, whose division
+            # and square give other bits than numpy's
+            for (x, n, two_x, lam_x), row in zip(nodes[block], powers):
+                acc, acc_log = _eta_sums(x, n, row, logs, buffer)
+                # acc is -eta(s) and acc_log is eta'(s), and zeta = eta / lam
+                values.append((-acc / lam_x, acc_log / lam_x + acc * (two_x * _LN2) / lam_x**2))
     values = np.array(values, dtype=np.complex128).reshape(s.shape + (2,))
     return values[..., 0], values[..., 1]
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -170,9 +171,12 @@ class TestZetaReference:
         assert abs(m.build_zeta_factored().f_reference(s) - complex(mp.zeta(s))) < 1e-11
 
     @pytest.mark.parametrize("name", ["f_reference", "fprime_reference"])
-    def test_error_order(self, name):
+    def test_error_order(self, name, monkeypatch):
         # the pole, then a non-finite s, then the series' refusal, wherever
-        # they stand in the node array, as for K and K'
+        # they stand in the node array, as for K and K', and all before any
+        # power (k+1)**(-s) is formed
+        powers = []
+        monkeypatch.setattr(zeta_module, "_eta_powers", lambda s, logs: powers.append(s))
         f = getattr(m.build_zeta_factored(), name)
         huge, left = 0.5 + 1e308j, -800.0
         with pytest.raises(m.PoleError):
@@ -181,6 +185,9 @@ class TestZetaReference:
             f(np.array([huge, left, complex(math.inf)]))
         with pytest.raises(m.DomainError, match="more than 1000 terms"):
             f(np.array([huge, left]))
+        with pytest.raises(m.DomainError, match="left of Re s = -1"):
+            f(np.array([left, huge]))
+        assert powers == []
 
 
 class TestSeriesLength:
@@ -201,20 +208,29 @@ class TestSeriesLength:
         assert sum(lengths) == 1422
 
     def test_lengths_up_to_im_20(self):
-        ims = np.linspace(-20.0, 20.0, 81)
-        right = [zeta_module._eta_terms(complex(re, im)) for re in np.linspace(0.5, 3.0, 11) for im in ims]
-        left = [zeta_module._eta_terms(complex(re, im)) for re in np.linspace(-1.0, 0.45, 30) for im in ims]
-        assert (min(right), max(right)) == (19, 39)
-        assert (min(left), max(left)) == (20, 42)
+        ims = 1j * np.linspace(-20.0, 20.0, 81)
+        right = zeta_module._eta_terms(np.linspace(0.5, 3.0, 11)[:, None] + ims)
+        left = zeta_module._eta_terms(np.linspace(-1.0, 0.45, 30)[:, None] + ims)
+        assert right.shape == (11, 81)
+        assert (right.min(), right.max()) == (19, 39)
+        assert (left.min(), left.max()) == (20, 42)
 
     @pytest.mark.parametrize("re", [-1.0, -0.3, 0.0, 0.5, 1.0, 3.0])
     def test_length_does_not_decrease_as_im_grows(self, re):
         ims = np.linspace(0.0, 1000.0, 4001)
-        up = [zeta_module._eta_terms(complex(re, im)) for im in ims]
-        down = [zeta_module._eta_terms(complex(re, -im)) for im in ims]
+        up = zeta_module._eta_terms(re + 1j * ims).tolist()
+        down = zeta_module._eta_terms(re - 1j * ims).tolist()
         assert up == down
         assert all(a <= b for a, b in zip(up, up[1:]))
         assert up[-1] == (915 if re >= 0.5 else 915 + math.ceil(2.0 * (0.5 - re)))
+
+    def test_lengths_equal_the_rule_at_each_point(self):
+        # the array lengths are the rule of the module docstring worked out
+        # with math at each point, alone
+        rng = np.random.default_rng(35)
+        points = rng.uniform(-1.0, 3.0, 20000) + 1j * rng.uniform(-1090.0, 1090.0, 20000)
+        points = np.concatenate([points, np.linspace(-1.0, 3.0, 81) + 1j * np.linspace(0.0, 1000.0, 81)])
+        assert zeta_module._eta_terms(points).tolist() == [_rule_length(s) for s in points.tolist()]
 
     @pytest.mark.parametrize("n", [18, 50, 107])
     def test_weights_match_exact_fractions(self, n):
@@ -223,9 +239,10 @@ class TestSeriesLength:
         for i in range(n + 1):
             acc += Fraction(math.factorial(n + i - 1) * 4**i, math.factorial(n - i) * math.factorial(2 * i))
             d.append(n * acc)
-        weights, logs = zeta_module._eta_series(n)
-        assert weights.tolist() == [(-1) ** k * float((d[k] - d[n]) / d[n]) for k in range(n)]
-        assert logs.tolist() == [math.log(k) for k in range(1, n + 1)]
+        weights = zeta_module._eta_series(n)
+        assert weights.real.tolist() == [(-1) ** k * float((d[k] - d[n]) / d[n]) for k in range(n)]
+        assert not weights.imag.any()
+        assert zeta_module._log_parts()[0, :n].tolist() == [math.log(k) for k in range(1, n + 1)]
 
     def test_cache_stays_bounded(self):
         # a sign map up to Im s = 1000 asks for about 100 lengths; the cache
@@ -239,6 +256,16 @@ class TestSeriesLength:
         assert info.currsize <= info.maxsize == 64 < info.misses
 
 
+def _rule_length(s: complex) -> int:
+    """The series length of the module docstring at the point ``s``, in
+    scalar math: the least n whose Borwein bound 3 (1 + 2|t|) e**(pi |t| /
+    2) / (3 + sqrt 8)**n is at most 1e-14, plus ceil(2 (1/2 - Re s)) left of
+    Re s = 1/2."""
+    t = abs(s.imag)
+    x = (math.log(3.0 * (1.0 + 2.0 * t)) + 0.5 * math.pi * t - math.log(1e-14)) / math.log(3.0 + math.sqrt(8.0))
+    return math.ceil(x) + (math.ceil(2.0 * (0.5 - s.real)) if s.real < 0.5 else 0)
+
+
 def _loop_zeta_and_prime(s: complex) -> tuple[complex, complex]:
     """zeta and zeta' from the module's weights and logarithms, summed by a
     plain cmath loop over the terms, as the series was summed before it ran
@@ -246,12 +273,13 @@ def _loop_zeta_and_prime(s: complex) -> tuple[complex, complex]:
     ln2 = math.log(2.0)
     two = cmath.exp((1.0 - s) * ln2)
     lam, lam_prime = 1.0 - two, two * ln2
-    weights, logs = zeta_module._eta_series(zeta_module._eta_terms(s))
-    weights = weights.tolist()
+    n = _rule_length(s)
+    weights = zeta_module._eta_series(n).real.tolist()
+    logs = zeta_module._log_parts()[0, :n]
     t = s.imag
     if abs(t) > 100.0:
         th, tl = zeta_module._halves(t)
-        parts = zip(*(row.tolist() for row in zeta_module._log_parts()))
+        parts = zip(*(row.tolist() for row in zeta_module._log_parts()[1:]))
         for k, (w, (hi, lo, err)) in enumerate(zip(weights, parts)):
             d = ((th * hi - t * (hi + lo)) + th * lo + tl * hi) + tl * lo + t * err
             weights[k] = complex(w, -w * d)
@@ -282,9 +310,43 @@ class TestEtaArrays:
         assert list(zip(f.tolist(), fprime.tolist())) == want
         assert [tuple(v.item() for v in zeta_module._eta_pass(np.array([s]))) for s in points] == want
 
+    def test_blocks_bound_the_memory(self):
+        # a 50 x 120 grid just under Im s = 1000 sums 906 to 917 terms a
+        # point: as one exponential its powers would take 88 MB
+        re, im = np.meshgrid(np.linspace(-0.5, 2.0, 50), np.linspace(990.0, 1000.0, 120))
+        points = (re + 1j * im).ravel()
+        zeta_module._log_parts()  # built once per process, not per pass
+        tracemalloc.start()
+        try:
+            f, fprime = zeta_module._eta_pass(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        want = [tuple(v.item() for v in zeta_module._eta_pass(np.array([s]))) for s in points]
+        assert list(zip(f.tolist(), fprime.tolist())) == want
+
+    def test_count_across_the_phase_correction_equals_a_scalar_loop(self):
+        # the nodes of this circle lie on both sides of |Im s| = 100, where
+        # the weights start to take out the round-off of the phases
+        c = m.CircularContour(0.5 + 100.0j, 0.5, nodes=128)
+        step = 2.0 * math.pi / c.nodes
+        phis = step * np.arange(c.nodes)
+        nodes = c.point(phis)
+        assert (nodes.imag < 100.0).any() and (nodes.imag > 100.0).any()
+        f, fprime = np.array([_loop_zeta_and_prime(s) for s in nodes.tolist()]).T
+        # f'/f and the trapezoid in the array arithmetic of count_direct
+        values = fprime / f * c.velocity(phis) / (2j * math.pi)
+        assert m.integrand_direct(m.build_zeta_factored(), c, phis).tolist() == values.tolist()
+        value = complex(values.sum()) * step
+        result = m.count_direct(m.build_zeta_factored(), c)
+        assert result.value == value
+        assert result.contour_gap == abs(value - complex(values[::2].sum()) * (2.0 * step))
+        assert result.rounded == 0
+        assert result.reliable
+
     def test_cached_arrays_are_read_only(self):
-        weights, logs = zeta_module._eta_series(31)
-        for array in (weights, logs, zeta_module._log_parts()):
+        for array in (zeta_module._eta_series(31), zeta_module._log_parts()):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
@@ -566,13 +628,18 @@ class TestSharedEtaPass(KeptEvaluationCases):
         return m.count_direct(ff, c)
 
     def test_count_direct_runs_one_pass_per_node(self, monkeypatch):
-        passes = []
-        series = zeta_module._eta_sums
+        exponentials, passes = [], []
+        powers, series = zeta_module._eta_powers, zeta_module._eta_sums
 
-        def counted(s, n):
+        def counted_powers(s, logs):
+            exponentials.append(s.shape)
+            return powers(s, logs)
+
+        def counted(s, *args):
             passes.append(s)
-            return series(s, n)
+            return series(s, *args)
 
+        monkeypatch.setattr(zeta_module, "_eta_powers", counted_powers)
         monkeypatch.setattr(zeta_module, "_eta_sums", counted)
         calls = []
 
@@ -591,6 +658,9 @@ class TestSharedEtaPass(KeptEvaluationCases):
         )
         m.count_direct(ff, m.CircularContour(0.57 + 1.57j, 0.1, nodes=128))
         assert calls == [("f", (128,)), ("fprime", (128,))]
+        # one exponential forms the powers of all 128 nodes, and each node
+        # sums its own series once, for f and f' both
+        assert exponentials == [(128,)]
         assert len(passes) == 128
 
     def test_interleaved_calls_match_module_functions(self):
