@@ -36,6 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -221,15 +222,18 @@ def moments(zf: MellinIntegrand, center: complex, radius: float) -> tuple[np.nda
     on, the rows stop together, once every one of them changed by at most
     ``max(ABS_TOL, REL_TOL * |row|)``.
 
-    A radius that is not positive and finite raises ``ValueError``, a disk
-    that leaves the convergence strip :class:`DomainError`, both before z is
-    evaluated. A z that maps an array of t to another shape raises
-    ``ValueError``, one not finite on the grid or 0 on all of it
-    :class:`DomainError`, and an exhausted budget
-    :class:`NonConvergenceError` with the finest moments and their errors.
+    A radius that is not positive and finite raises ``ValueError``, a
+    subnormal one, whose Z' = (1/R) d/du overflows, or a disk that leaves
+    the convergence strip :class:`DomainError`, all before z is evaluated.
+    A z that maps an array of t to another shape raises ``ValueError``, one
+    not finite on the grid or 0 on all of it :class:`DomainError`, and an
+    exhausted budget :class:`NonConvergenceError` with the finest moments
+    and their errors.
     """
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
+    if radius < sys.float_info.min:
+        raise DomainError(f"radius {radius} is subnormal: Z' divides by it")
     c, r = _require_in_strip(zf, center, radius), radius
     lo, hi = zf.convergence_strip
     x_lo = -_tail_cutoff(c.real - r - lo) if math.isfinite(lo) else -_SCAN

@@ -222,27 +222,30 @@ def _warn_caller(message: str) -> None:
     )
 
 
-def _eta_lambda(s: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """((1 - s) ln 2, 2**(1-s), 1 - 2**(1-s)) at each element of ``s`` where
-    ``ok``, s = 0 standing in elsewhere, so no arithmetic touches inf or NaN."""
+def _eta_lambda(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """((1 - s) ln 2, 2**(1-s), 1 - 2**(1-s)) at each finite element of ``s``
+    with Re s >= -1, s = 0 standing in elsewhere. There |2**(1-s)| <= 4, so
+    no arithmetic touches inf or NaN, and the zeros of 1 - 2**(1-s), on
+    Re s = 1, all lie inside it."""
+    ok = np.isfinite(s) & (s.real >= _ETA_MIN_RE)
     exponent = (1.0 - np.where(ok, s, 0.0)) * _LN2
     two = np.exp(exponent)
     return exponent, two, 1.0 - two
 
 
 def _eta_poles(s: np.ndarray) -> np.ndarray:
-    """Where 1 - 2**(1-s) is 0 at the finite elements of ``s``: zeta's pole."""
-    return _eta_lambda(s, np.isfinite(s))[2] == 0
+    """Where 1 - 2**(1-s) is 0 at the elements of ``s``: zeta's pole."""
+    return _eta_lambda(s)[2] == 0
 
 
-def _eta_factor(s: np.ndarray, domain: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_eta_lambda` on the finite elements of ``s`` in ``domain``, and
-    one check per node array, for zeta's pole and for K's: the first element
-    of smallest |1 - 2**(1-s)| raises :class:`PoleError` where that is 0, else
-    warns when it is under the conditioning cutoff. Then
-    :class:`DomainError` is raised at the first element that is not finite."""
+def _eta_factor(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_eta_lambda` at the elements of ``s``, and one check per node
+    array, for zeta's pole and for K's: the first element of smallest
+    |1 - 2**(1-s)| raises :class:`PoleError` where that is 0, else warns
+    when it is under the conditioning cutoff. Then :class:`DomainError` is
+    raised at the first element that is not finite."""
     finite = np.isfinite(s)
-    exponent, two, lam = _eta_lambda(s, finite & domain)
+    exponent, two, lam = _eta_lambda(s)
     mags = np.abs(lam)
     # fmin and nanargmin pass over NaN, which would hide a 0 from a plain minimum
     if np.fmin.reduce(mags, axis=None, initial=math.inf) < _CONDITIONING_CUTOFF:
@@ -274,10 +277,10 @@ def _prefactor_pass(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pass at the first where K or K' is not finite: past |Im s| ~ 450 the
     1 / Gamma(s+1) factor leaves double range. No numpy warning escapes; far
     right on the real axis K and K' underflow to 0."""
+    # 1 - 2**(1-s) is formed on Re s >= -1 (_eta_lambda), which holds K's
+    # domain, so a pole is raised before an element outside it
+    exponent, two, lam = _eta_factor(s)
     inside = s.real > _K_MIN_RE
-    # 1 - 2**(1-s) has no zero outside K's domain, and 2**(1-s) cannot
-    # overflow inside it
-    exponent, two, lam = _eta_factor(s, inside)
     if not inside.all():
         s_out = s.flat[(~inside).argmax()]
         raise DomainError(f"the prefactor K is taken for Re s > {_K_MIN_RE:g} only, not at s = {s_out}")
@@ -303,8 +306,7 @@ def _eta_pass(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of elements takes its powers from one exponential (:func:`_eta_powers`),
     at most _ETA_BLOCK of them, and each element then sums its own series
     (:func:`_eta_sums`)."""
-    # Re s >= -1 keeps 2**(1-s) in range; the series refuses the rest
-    _, two, lam = _eta_factor(s, s.real >= _ETA_MIN_RE)
+    _, two, lam = _eta_factor(s)
     points = s.ravel()
     lengths = _eta_terms(points)
     longest = int(lengths.max(initial=1))

@@ -421,11 +421,15 @@ class TestConvolutionCheck:
         pytest.param(["count", "--method", "direct", "--center-re", "-800"], id="count"),
         pytest.param(["sign-map", "--re-min", "-800", "--re-max", "-799", "--im-min", "0", "--im-max", "1",
                       "--grid-nx", "2", "--grid-ny", "2"], id="sign-map"),
+        # 2**(1-s) = 2**2001 would overflow: no warning may precede the error
+        pytest.param(["sign-map", "--re-min", "-2000", "--re-max", "-1999", "--im-min", "0", "--im-max", "1",
+                      "--grid-nx", "2", "--grid-ny", "2"], id="sign-map-far-left"),
         pytest.param(["table1", "--radius", "1e308"], id="table1"),
     ],
 )
 def test_eta_series_out_of_range_exits_2(argv, capsys):
-    # exit code 1 would read as an unreliable count
+    # exit code 1 would read as an unreliable count; pytest turns any numpy
+    # warning before the error into a failure
     assert main(argv) == 2
     assert "domain error" in capsys.readouterr().err
 

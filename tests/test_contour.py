@@ -399,8 +399,8 @@ class TestCounting:
             (1.0 + 0j, 0.1, 16, -24.316441567057584 + 3.1390816482077686e-15j, 14),  # the pole
             (0.5 + 14.134725j, 0.05, 8, 0.09753842569447208 - 0.023322002358374734j, 12),  # the first zero
             # two of the CI's counts, whose disks need the most moments: the
-            # one whose nodes take the gamma pass's reflection branch
-            # (reliable) and the large circle about the pole (unreliable)
+            # one whose nodes take Gamma at Re(s + 1) < 1/2 (reliable) and
+            # the large circle about the pole (unreliable)
             (-0.7 + 0j, 0.1, 16, -5.296519057034592e-17 + 3.4061215800865545e-19j, 46),
             (1.0 + 0j, 0.9, 64, -2.2030603228495993 + 1.8856289067359165e-15j, 61),
         ],
@@ -440,6 +440,15 @@ class TestCounting:
             result = m.count_pipeline(zeta_ff, m.CircularContour(center, radius, 16), cfg)
             assert (result.rounded, result.reliable) == (0, True), radius
             assert len(moments(zeta_ff.zf, center, radius)[0]) == 6
+
+    @pytest.mark.parametrize("radius", [1e-309, 5e-324])
+    def test_pipeline_subnormal_radius_is_a_domain_error(self, zeta_ff, coeffs, radius):
+        # 1e-300 counts (above); a subnormal R would overflow Z' = (1/R)
+        # d/du, so it raises before any numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(m.DomainError, match="subnormal"):
+                m.count_pipeline(zeta_ff, m.CircularContour(0.57 + 1.57j, radius, 16), m.PipelineConfig(table=coeffs))
 
     @pytest.mark.parametrize(
         "center, radius, nodes", [(0.57 + 1.57j, 0.1, 64), (1.0 + 0j, 0.1, 16), (0.5 + 14.134725j, 0.05, 8)]

@@ -427,7 +427,9 @@ class TestConvolutionPowers:
         # the disk must lie inside the strip, with a finite centre and radius,
         # before z is evaluated
         zf = m.MellinIntegrand(z=_never_called, convergence_strip=zeta_zf.convergence_strip)
-        disks = [(-1.0 + 0j, 0.2), (0.5 + 0j, 1.6), (complex(math.nan, 0.0), 0.1), (complex(0.5, math.inf), 0.1)]
+        # a subnormal radius would overflow Z' = (1/R) d/du
+        disks = [(-1.0 + 0j, 0.2), (0.5 + 0j, 1.6), (complex(math.nan, 0.0), 0.1), (complex(0.5, math.inf), 0.1),
+                 (0.5 + 0j, 1e-309), (0.5 + 0j, 5e-324)]
         for center, radius in disks:
             with pytest.raises(m.DomainError):
                 moments(zf, center, radius)

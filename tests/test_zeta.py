@@ -385,6 +385,22 @@ class TestPrefactor:
             fd = (zeta_ff.K(s + h) - zeta_ff.K(s - h)) / (2.0 * h)
             assert abs(zeta_ff.Kprime(s) - fd) < 1e-6 * max(1.0, abs(fd))
 
+    def test_matches_multiprecision_on_the_left_circle(self):
+        # the 16 nodes of CI's circle about -0.7, where Re(s + 1) < 0.5
+        import mpmath as mp
+
+        s = m.CircularContour(-0.7 + 0j, 0.1, 16).point(2.0 * math.pi / 16 * np.arange(16))
+        K, Kprime = zeta_module._prefactor_pass(s)
+        with mp.workdps(30):
+            def k_mp(x):
+                return mp.power(2, x - 1) / ((1 - mp.power(2, 1 - x)) * mp.gamma(x + 1))
+
+            for node, k, kprime in zip(s.tolist(), K.tolist(), Kprime.tolist()):
+                x = mp.mpc(node)
+                want, want_prime = complex(k_mp(x)), complex(mp.diff(k_mp, x))
+                assert abs(k - want) <= 1e-13 * abs(want)
+                assert abs(kprime - want_prime) <= 1e-13 * abs(want_prime)
+
     def test_log_derivative_formula(self, zeta_ff):
         s = 0.57 + 1.57j
         h = 1e-7
