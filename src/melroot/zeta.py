@@ -26,11 +26,12 @@ Im(s) ln k, which left up to 1.1e-12 of zeta at |Im s| = 1000.
 A node array runs its series as array arithmetic. One np.exp per block of
 nodes forms the powers (k+1)**(-s) of all of them at once, each row as long
 as the block's longest series and at most 2**12 powers a block (64 KiB)
-whatever |Im s|. Each node then multiplies its own length's cached weights
-into its row, and the sums of zeta and zeta' are the last elements of
-np.add.accumulate, which adds in the terms' order. np.exp and the products
-act element by element, and in each complex product one factor, a
-logarithm or a weight, has imaginary part 0, so it rounds as Python's does
+whatever |Im s|. In a block, each group of nodes with one length, on one
+side of |Im s| = 100, multiplies that length's cached weights into its rows
+as one 2-D product, and the sums of zeta and zeta' are the last elements of
+one np.add.accumulate along the terms, which adds in their order. np.exp and
+the products act element by element, and in each complex product one factor,
+a logarithm or a weight, has imaginary part 0, so it rounds as Python's does
 even where numpy fuses a multiply and an add; the phase-corrected terms,
 whose weights are complex, are formed in real arithmetic. So every point
 keeps the bits a scalar cmath loop over its terms gives, alone or in any
@@ -126,13 +127,14 @@ def _log_parts() -> np.ndarray:
     ).T
 
 
-def _phase_corrected(weights: np.ndarray, t: float, powers: np.ndarray, terms: np.ndarray) -> None:
+def _phase_corrected(weights: np.ndarray, t: np.ndarray, powers: np.ndarray, terms: np.ndarray) -> None:
     """Write into ``terms`` the terms w_k e**(-i d_k) (k+1)**(-s) of the
-    weights w_k and the ``powers`` (k+1)**(-s), d_k the round-off of the
-    phase fl(t math.log(k+1)) that the series hands exp: Dekker's exact error
-    of that product plus t times the error of math.log. |d_k| < 1e-12, so
-    e**(-i d_k) = 1 - i d_k to double precision. The complex product is
-    formed in real arithmetic, as Python's complex product forms it."""
+    weights w_k and the rows of ``powers`` (k+1)**(-s), one for each Im s
+    in the column ``t``, d_k the round-off of the phase fl(t math.log(k+1))
+    that the series hands exp: Dekker's exact error of that product plus t
+    times the error of math.log. |d_k| < 1e-12, so e**(-i d_k) = 1 - i d_k
+    to double precision. The complex product is formed in real arithmetic,
+    as Python's complex product forms it, element by element."""
     th, tl = _halves(t)
     _, hi, lo, err = _log_parts()[:, : len(weights)]
     p = t * (hi + lo)
@@ -149,24 +151,6 @@ def _eta_powers(s: np.ndarray, logs: np.ndarray) -> np.ndarray:
     that np.exp(-x * logs) gives its element x alone."""
     powers = -s[:, None] * logs
     return np.exp(powers, out=powers)
-
-
-def _eta_sums(s: complex, n: int, powers: np.ndarray, logs: np.ndarray, buffer: np.ndarray) -> list[complex]:
-    """The sums over k < n of the terms w_k (k+1)**(-s) of the n-term series
-    and of ln(k+1) times them, given at least n of the ``powers``
-    (k+1)**(-s) and of the ``logs`` ln(k+1). The terms and their
-    ln-weighted copy fill the first n columns of the (2, m >= n) complex
-    ``buffer``, and the last elements of np.add.accumulate are the sums: it
-    adds in the terms' order, as a loop would, so both sums equal a scalar
-    cmath loop's to the bit."""
-    weights = _eta_series(n)
-    terms = buffer[:, :n]
-    if abs(s.imag) > _PHASE_ROUNDOFF_IM:
-        _phase_corrected(weights.real, s.imag, powers[:n], terms[0])
-    else:
-        np.multiply(weights, powers[:n], out=terms[0])
-    np.multiply(logs[:n], terms[0], out=terms[1])
-    return np.add.accumulate(terms, axis=1)[:, -1].tolist()
 
 
 def _eta_terms(s: np.ndarray) -> np.ndarray:
@@ -303,34 +287,49 @@ def _eta_pass(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :class:`PoleError` first (:func:`_eta_factor`); :class:`DomainError` is
     raised next at the first element that is not finite, then at the first
     that :func:`_eta_terms` refuses, before any power is formed. Each block
-    of elements takes its powers from one exponential (:func:`_eta_powers`),
-    at most _ETA_BLOCK of them, and each element then sums its own series
-    (:func:`_eta_sums`)."""
+    of at most _ETA_BLOCK powers takes them from one exponential
+    (:func:`_eta_powers`), and each group of its elements with one length,
+    on one side of |Im s| = _PHASE_ROUNDOFF_IM, sums its series as one 2-D
+    array, in a buffer that the call reuses (module docstring)."""
     _, two, lam = _eta_factor(s)
-    points = s.ravel()
+    points, two, lam = s.ravel(), two.ravel(), lam.ravel()
     lengths = _eta_terms(points)
+    # a node's group: its length, and whether its weights take out the phases'
+    # round-off; grouped without numpy's sorts, whose first use costs 1 MB of RSS
+    groups = 2 * lengths + (np.abs(points.imag) > _PHASE_ROUNDOFF_IM)
     longest = int(lengths.max(initial=1))
     rows = _ETA_BLOCK // longest
-    buffer = np.empty((2, longest), dtype=complex)
+    buffer = np.empty((2, rows, longest), dtype=complex)
     # complex, as the weights are (_eta_series)
     logs = _log_parts()[0].astype(complex)
-    nodes = list(zip(points.tolist(), lengths.tolist(), two.ravel().tolist(), lam.ravel().tolist()))
-    values = []
+    values = np.empty((len(points), 2), dtype=complex)
     # Re s >= -1 keeps each power |(k+1)**(-s)| <= 1000, and _eta_terms
     # refuses |Im s| past about 1096, so only a huge Re s overflows: -s ln k
     # goes to -inf, whose exp is 0, as cmath gives it without a warning
     with np.errstate(over="ignore"):
-        for start in range(0, len(nodes), rows):
+        for start in range(0, len(points), rows):
             block = slice(start, start + rows)
             powers = _eta_powers(points[block], logs[: lengths[block].max()])
+            sums = np.empty((2, len(powers)), dtype=complex)
+            for group in sorted(set(groups[block].tolist())):
+                members = np.flatnonzero(groups[block] == group)
+                n = group // 2
+                weights = _eta_series(n)
+                terms = buffer[:, : len(members), :n]
+                if group % 2:
+                    _phase_corrected(weights.real, points[block][members, None].imag, powers[members, :n], terms[0])
+                else:
+                    np.multiply(weights, powers[members, :n], out=terms[0])
+                np.multiply(logs[:n], terms[0], out=terms[1])
+                sums[:, members] = np.add.accumulate(terms, axis=-1, out=terms)[..., -1]
             # the combine runs in Python complex arithmetic, whose division
-            # and square give other bits than numpy's
-            for (x, n, two_x, lam_x), row in zip(nodes[block], powers):
-                acc, acc_log = _eta_sums(x, n, row, logs, buffer)
-                # acc is -eta(s) and acc_log is eta'(s), and zeta = eta / lam
-                values.append((-acc / lam_x, acc_log / lam_x + acc * (two_x * _LN2) / lam_x**2))
-    values = np.array(values, dtype=np.complex128).reshape(s.shape + (2,))
-    return values[..., 0], values[..., 1]
+            # and square give other bits than numpy's; acc is -eta(s) and
+            # acc_log is eta'(s), and zeta = eta / lam
+            values[block] = [
+                (-acc / lam_x, acc_log / lam_x + acc * (two_x * _LN2) / lam_x**2)
+                for acc, acc_log, two_x, lam_x in zip(*sums.tolist(), two[block].tolist(), lam[block].tolist())
+            ]
+    return values[:, 0].reshape(s.shape), values[:, 1].reshape(s.shape)
 
 
 def _kept_evaluation(evaluate: Callable, count: int) -> tuple[Callable, ...]:

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import dataclasses
 import math
 import os
@@ -194,18 +195,12 @@ class TestSeriesLength:
     """The eta series sums, at each point, the terms its error bound asks for."""
 
     def test_terms_of_a_direct_count_on_the_reference_circle(self, monkeypatch):
-        lengths = []
-        series = zeta_module._eta_series
-
-        def counted(n):
-            lengths.append(n)
-            return series(n)
-
-        monkeypatch.setattr(zeta_module, "_eta_series", counted)
+        groups = _counted_accumulates(monkeypatch)
         m.count_direct(m.build_zeta_factored(), m.CircularContour(0.57 + 1.57j, 0.1, nodes=64))
-        # 21 to 23 terms a node
-        assert len(lengths) == 64
-        assert sum(lengths) == 1422
+        # one group of nodes a length, 21 to 23 terms a node
+        assert [n for _, _, n in groups] == [21, 22, 23]
+        assert sum(size for _, size, _ in groups) == 64
+        assert sum(size * n for _, size, n in groups) == 1422
 
     def test_lengths_up_to_im_20(self):
         ims = 1j * np.linspace(-20.0, 20.0, 81)
@@ -254,6 +249,28 @@ class TestSeriesLength:
         assert main(argv) == 0
         info = cache.cache_info()
         assert info.currsize <= info.maxsize == 64 < info.misses
+
+
+def _counted_accumulates(monkeypatch) -> list[tuple[int, ...]]:
+    """The shapes (2, group size, length) of the arrays that each
+    np.add.accumulate of the zeta module sums, in the order of the calls,
+    recorded through a stand-in for its numpy."""
+    shapes = []
+    accumulate = np.add.accumulate
+
+    class Add:
+        def accumulate(self, terms, **kwargs):
+            shapes.append(terms.shape)
+            return accumulate(terms, **kwargs)
+
+    class Numpy:
+        add = Add()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(zeta_module, "np", Numpy())
+    return shapes
 
 
 def _rule_length(s: complex) -> int:
@@ -344,6 +361,27 @@ class TestEtaArrays:
         assert result.contour_gap == abs(value - complex(values[::2].sum()) * (2.0 * step))
         assert result.rounded == 0
         assert result.reliable
+
+    def test_any_order_or_shape_keeps_the_bits_of_each_point(self):
+        # the circle about 0.5 + 100i sums 112 and 113 terms on both sides
+        # of |Im s| = 100, where the weights start to take out the round-off
+        # of the phases, and the random points add lengths up to about 170
+        c = m.CircularContour(0.5 + 100.0j, 0.5, nodes=128)
+        rng = np.random.default_rng(37)
+        points = np.concatenate(
+            [c.point(2.0 * math.pi / c.nodes * np.arange(c.nodes)),
+             rng.uniform(-1.0, 3.0, 64) + 1j * rng.uniform(-150.0, 150.0, 64)]
+        )
+        lengths, above = zeta_module._eta_terms(points), np.abs(points.imag) > 100.0
+        assert len(set(lengths.tolist())) >= 10
+        assert {112, 113} <= set(lengths[above].tolist()) & set(lengths[~above].tolist())
+        alone = [tuple(v.item() for v in zeta_module._eta_pass(np.array([s]))) for s in points.tolist()]
+        for order in (np.arange(len(points)), np.arange(len(points))[::-1], rng.permutation(len(points))):
+            f, fprime = zeta_module._eta_pass(points[order])
+            assert list(zip(f.tolist(), fprime.tolist())) == [alone[i] for i in order]
+        f, fprime = zeta_module._eta_pass(points.reshape(12, 16))
+        assert f.shape == fprime.shape == (12, 16)
+        assert list(zip(f.ravel().tolist(), fprime.ravel().tolist())) == alone
 
     def test_cached_arrays_are_read_only(self):
         for array in (zeta_module._eta_series(31), zeta_module._log_parts()):
@@ -644,19 +682,15 @@ class TestSharedEtaPass(KeptEvaluationCases):
         return m.count_direct(ff, c)
 
     def test_count_direct_runs_one_pass_per_node(self, monkeypatch):
-        exponentials, passes = [], []
-        powers, series = zeta_module._eta_powers, zeta_module._eta_sums
+        exponentials = []
+        powers = zeta_module._eta_powers
 
         def counted_powers(s, logs):
-            exponentials.append(s.shape)
+            exponentials.append(s.copy())
             return powers(s, logs)
 
-        def counted(s, *args):
-            passes.append(s)
-            return series(s, *args)
-
         monkeypatch.setattr(zeta_module, "_eta_powers", counted_powers)
-        monkeypatch.setattr(zeta_module, "_eta_sums", counted)
+        groups = _counted_accumulates(monkeypatch)
         calls = []
 
         def recorded(name, fn):
@@ -674,10 +708,13 @@ class TestSharedEtaPass(KeptEvaluationCases):
         )
         m.count_direct(ff, m.CircularContour(0.57 + 1.57j, 0.1, nodes=128))
         assert calls == [("f", (128,)), ("fprime", (128,))]
-        # one exponential forms the powers of all 128 nodes, and each node
-        # sums its own series once, for f and f' both
-        assert exponentials == [(128,)]
-        assert len(passes) == 128
+        # one exponential forms the powers of all 128 nodes, and one
+        # accumulate sums the series of each group of nodes with one length,
+        # all under |Im s| = 100, for f and f' both
+        assert [s.shape for s in exponentials] == [(128,)]
+        lengths = collections.Counter(zeta_module._eta_terms(exponentials[0]).tolist())
+        assert groups == [(2, lengths[n], n) for n in sorted(lengths)]
+        assert len(groups) > 1
 
     def test_interleaved_calls_match_module_functions(self):
         ff = m.build_zeta_factored()
